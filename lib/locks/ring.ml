@@ -4,9 +4,14 @@
    serialise the contenders it is observing: each participant records
    into its own preallocated int ring (two array stores and an
    increment, no allocation, no synchronisation), and the rings are
-   merged into one time-sorted log only after the run.  When a ring
-   overflows, the oldest entries are overwritten — forensics favours the
-   end of the run, where the interesting contention usually is. *)
+   merged into one time-sorted log only after the run.  Stamps are
+   CLOCK_MONOTONIC nanoseconds: one system-wide clock every domain
+   reads without touching shared memory, and fine enough that a lock
+   hand-over (release stamp, releasing store, the successor seeing it,
+   acquired stamp) spans many ticks instead of landing on one.  When a
+   ring overflows, the oldest entries are overwritten — forensics
+   favours the end of the run, where the interesting contention usually
+   is. *)
 
 type op = Acquire_start | Acquired | Released
 
@@ -19,7 +24,7 @@ type t = {
   nprocs : int;
   capacity : int;
   ops : int array array;  (* per pid: op codes *)
-  ts : int array array;  (* per pid: Clock.now_ns stamps *)
+  ts : int array array;  (* per pid: CLOCK_MONOTONIC ns stamps *)
   count : int array;  (* per pid: total records (may exceed capacity) *)
 }
 
@@ -36,7 +41,7 @@ let create ?(capacity = 4096) ~nprocs () =
 let record t ~pid op =
   let i = t.count.(pid) mod t.capacity in
   t.ops.(pid).(i) <- op_code op;
-  t.ts.(pid).(i) <- Telemetry.Clock.now_ns ();
+  t.ts.(pid).(i) <- Int64.to_int (Monotonic_clock.now ());
   t.count.(pid) <- t.count.(pid) + 1
 
 let dropped t =
@@ -58,7 +63,7 @@ let flush t =
   in
   let all = List.concat (List.init t.nprocs per_pid) in
   (* Stable sort on timestamps: records of one pid stay in program
-     order even when the monotonic clock ties. *)
+     order even if two stamps tie. *)
   List.stable_sort
     (fun a b ->
       if a.e_t_ns <> b.e_t_ns then compare a.e_t_ns b.e_t_ns

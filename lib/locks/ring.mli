@@ -13,6 +13,8 @@ type op =
   | Released  (** about to release (stamped before the releasing store) *)
 
 type entry = { e_t_ns : int; e_pid : int; e_op : op }
+(** [e_t_ns] is a CLOCK_MONOTONIC reading in nanoseconds: comparable
+    across domains, not a wall-clock time. *)
 
 type t
 
@@ -21,7 +23,8 @@ val create : ?capacity:int -> nprocs:int -> unit -> t
     When a ring overflows, its oldest entries are overwritten. *)
 
 val record : t -> pid:int -> op -> unit
-(** Stamp [op] with {!Telemetry.Clock.now_ns} into [pid]'s ring. *)
+(** Stamp [op] with the CLOCK_MONOTONIC time in nanoseconds into
+    [pid]'s ring. *)
 
 val wrap : t -> Lock_intf.instance -> Lock_intf.instance
 (** Instrument an instance: acquire records [Acquire_start] before and

@@ -101,7 +101,6 @@ type dstate = {
   d_steal_states : State.packed array;
   d_out : batch array;  (* outgoing batch per destination shard *)
   d_staged : (string * (State.packed -> bool)) array;
-  d_canon : State.packed -> unit;  (* per-domain canonicalizer *)
 }
 
 let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
@@ -119,7 +118,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       Reduce.make reduce sys
     else Reduce.make Reduce.Off sys
   in
-  let sym_on = Reduce.symmetry_active red in
+  let canon = Reduce.canonizer red in
   let ndomains =
     match (pool, domains) with
     | Some p, _ -> Pool.size p
@@ -161,7 +160,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_steal_gids = Array.make steal_max 0;
           d_steal_states = Array.make steal_max [||];
           d_out = Array.init ndomains (fun _ -> fresh_batch words);
-          d_canon = Reduce.canonizer red;
           d_staged =
             Array.of_list
               (List.map
@@ -197,7 +195,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         (fun via ->
           let pid = via_pid via and pc = via_pc via and alt = via_alt via in
           s := System.apply_move sys !s ~pid ~pc ~alt ~flick:(via_flick via);
-          if sym_on then s := fst (Reduce.canon red !s);
+          canon !s;
           { Trace.pid; step_name = p.steps.(pc).step_name; state = !s })
         (chain gid [])
     in
@@ -320,7 +318,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       (fun ~pid ~from_pc ~alt ~flick ->
         any := true;
         d.d_generated <- d.d_generated + 1;
-        d.d_canon d.d_scratch;
+        canon d.d_scratch;
         let fp = Shard_table.fingerprint tbl d.d_scratch in
         let o = Shard_table.owner tbl fp in
         let via = pack_via ~pid ~pc:from_pc ~alt ~flick in
@@ -420,7 +418,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
             (fun ~pid ~from_pc ~alt ~flick ->
               any := true;
               d.d_generated <- d.d_generated + 1;
-              d.d_canon d.d_scratch;
+              canon d.d_scratch;
               let fp = Shard_table.fingerprint tbl d.d_scratch in
               let o = Shard_table.owner tbl fp in
               insert_candidate o d ~fp ~parent:gid
@@ -566,7 +564,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       | Some pl -> Some (pl, ref (Pool.busy_ns pl), ref (now ()))
     in
     let init = System.initial sys in
-    dstates.(0).d_canon init;
+    canon init;
     dstates.(0).d_generated <- 0;
     (* [total_generated] seeds the sum with 1 for the initial state. *)
     let fp = Shard_table.fingerprint tbl init in

@@ -123,15 +123,21 @@ let certify (p : Mxlang.Ast.program) =
 (* Canonicalization.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-system geometry for the orbit-representative function: where the
-   per-process array columns live, and which local slots are two-phase
-   pending write indices into per-process arrays.  A live pending index
-   on such an array equals the owning process's pid (certified programs
-   write per-process arrays only at [Pid]), so it must be normalized out
-   of the sort key and renamed to the block's new slot afterwards. *)
+(* Per-system geometry for the orbit-representative function.  A
+   process's block is one cell in each key column: its pc, its cell of
+   every per-process shared array, then each of its locals, in the sort
+   key's order.  Column [c] holds process [i]'s cell at
+   [s_cols.(2c) + i * s_cols.(2c+1)]: offsets and strides interleave so
+   the sort reads one small array.  Some locals are two-phase pending
+   write indices into per-process arrays: a live one equals the owning
+   process's pid (certified programs write per-process arrays only at
+   [Pid]), so it is keyed as 0 and renamed to the block's new slot
+   afterwards. *)
 type sym = {
   s_lay : State.layout;
-  s_pp : int array; (* flat offset of cell 0 of each per-process var *)
+  s_n : int; (* [s_lay]'s nprocs and words, kept here for the hot path *)
+  s_words : int;
+  s_cols : int array;
   s_pend : int array; (* block-relative pending-idx locals to rename *)
 }
 
@@ -139,6 +145,7 @@ let make_sym sys =
   let lay = System.layout sys in
   let env = lay.State.env in
   let p = env.Mxlang.Eval.program in
+  let lp = lay.State.locals_per in
   let pp = ref [] in
   for v = p.nvars - 1 downto 0 do
     if p.var_sizes.(v) = -1 then pp := env.Mxlang.Eval.offsets.(v) :: !pp
@@ -155,77 +162,88 @@ let make_sym sys =
           meta.Regsem.Two_phase.tp_pend;
         Array.of_list (List.sort compare !acc)
   in
-  { s_lay = lay; s_pp = Array.of_list !pp; s_pend = pend }
+  let cols =
+    List.map (fun off -> [ off; 1 ]) (lay.State.pcs_off :: !pp)
+    @ List.init lp (fun l -> [ lay.State.locals_off + l; lp ])
+  in
+  {
+    s_lay = lay;
+    s_n = lay.State.nprocs;
+    s_words = lay.State.words;
+    s_cols = Array.of_list (List.concat cols);
+    s_pend = pend;
+  }
 
-let key_width sym = 1 + Array.length sym.s_pp + sym.s_lay.State.locals_per
+(* The canonicalization hot path below runs once per generated
+   successor, so it is first-order, top-level and typed [int array]: a
+   local closure or a polymorphic compare here would allocate or slow
+   every call.  [sort_blocks] checks the state's length once; every key
+   cell then lies inside it by construction of the layout, so the inner
+   loops skip the per-access bounds checks. *)
 
-(* Result block [j] := source block [perm.(j)]: pc, per-process array
-   cells, locals — live pending indices renamed to the new slot. *)
-let apply_perm sym ~perm (s : State.packed) (out : State.packed) =
+(* Every live pending index := its block's slot when [rename], else 0. *)
+let fix_pending sym (s : State.packed) ~rename =
   let lay = sym.s_lay in
-  let n = lay.State.nprocs in
-  let npp = Array.length sym.s_pp in
   let lp = lay.State.locals_per in
-  Array.blit s 0 out 0 lay.State.shared_len;
-  for j = 0 to n - 1 do
-    let i = perm.(j) in
-    out.(lay.State.pcs_off + j) <- s.(lay.State.pcs_off + i);
-    for v = 0 to npp - 1 do
-      out.(sym.s_pp.(v) + j) <- s.(sym.s_pp.(v) + i)
-    done;
-    let src = lay.State.locals_off + (i * lp)
-    and dst = lay.State.locals_off + (j * lp) in
-    for l = 0 to lp - 1 do
-      out.(dst + l) <- s.(src + l)
-    done;
-    Array.iter
-      (fun il -> if out.(dst + il) >= 0 then out.(dst + il) <- j)
-      sym.s_pend
+  for k = 0 to Array.length sym.s_pend - 1 do
+    let off = lay.State.locals_off + sym.s_pend.(k) in
+    for j = 0 to sym.s_n - 1 do
+      let a = off + (j * lp) in
+      if s.(a) >= 0 then s.(a) <- (if rename then j else 0)
+    done
   done
 
-(* Orbit representative: sort the per-process blocks by a signature that
-   cannot see pids (pc, per-process cells, pid-normalized locals).  The
-   insertion sort is stable and over at most a dozen blocks, so the
-   representative — and the slot map [perm] — is deterministic. *)
-let canon_into sym ~keys ~ord ~out ~perm (s : State.packed) =
-  let lay = sym.s_lay in
-  let n = lay.State.nprocs in
-  let npp = Array.length sym.s_pp in
-  let lp = lay.State.locals_per in
-  for i = 0 to n - 1 do
-    let k = keys.(i) in
-    k.(0) <- s.(lay.State.pcs_off + i);
-    for v = 0 to npp - 1 do
-      k.(1 + v) <- s.(sym.s_pp.(v) + i)
-    done;
-    let base = lay.State.locals_off + (i * lp) in
-    for l = 0 to lp - 1 do
-      k.(1 + npp + l) <- s.(base + l)
-    done;
-    Array.iter
-      (fun il -> if k.(1 + npp + il) >= 0 then k.(1 + npp + il) <- 0)
-      sym.s_pend;
-    ord.(i) <- i
+(* Strict lexicographic order on the keys of the blocks at slots [a]
+   and [b], from the column at [cols.(c)] on. *)
+let rec block_lt (cols : int array) (s : int array) a b c =
+  c < Array.length cols
+  &&
+  let o = Array.unsafe_get cols c and w = Array.unsafe_get cols (c + 1) in
+  let x = Array.unsafe_get s (o + (a * w))
+  and y = Array.unsafe_get s (o + (b * w)) in
+  x < y || (x = y && block_lt cols s a b (c + 2))
+
+(* Cell [off + i*stride] moves down to [off + j*stride] (j <= i); the
+   cells between move up one stride. *)
+let rotate (s : int array) off stride j i =
+  let x = Array.unsafe_get s (off + (i * stride)) in
+  for k = i downto j + 1 do
+    Array.unsafe_set s (off + (k * stride))
+      (Array.unsafe_get s (off + ((k - 1) * stride)))
   done;
-  let lt a b =
-    let ka = keys.(a) and kb = keys.(b) in
-    let len = Array.length ka in
-    let rec go j =
-      j < len && (ka.(j) < kb.(j) || (ka.(j) = kb.(j) && go (j + 1)))
-    in
-    go 0
-  in
+  Array.unsafe_set s (off + (j * stride)) x
+
+(* Orbit representative, in place: a stable insertion sort of the
+   process blocks by a key that cannot see pids.  Unless [perm] is
+   empty, it receives the slot map (length [nprocs]): canonical block
+   [j] is source block [perm.(j)].  Stability makes both deterministic.
+   A successor of a canonical state has at most one block out of order
+   (certified programs write per-process state only at [Pid]), so the
+   usual cost is n-1 comparisons and at most one block shift. *)
+let sort_blocks sym (s : State.packed) (perm : int array) =
+  let cols = sym.s_cols and n = sym.s_n in
+  let track = Array.length perm > 0 in
+  if Array.length s <> sym.s_words then
+    invalid_arg "Reduce: state does not match the system's layout";
+  if track then
+    for j = 0 to n - 1 do
+      perm.(j) <- j
+    done;
+  let pending = Array.length sym.s_pend > 0 in
+  if pending then fix_pending sym s ~rename:false;
   for i = 1 to n - 1 do
-    let x = ord.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && lt x ord.(!j) do
-      ord.(!j + 1) <- ord.(!j);
+    let j = ref i in
+    while !j > 0 && block_lt cols s i (!j - 1) 0 do
       decr j
     done;
-    ord.(!j + 1) <- x
+    if !j < i then begin
+      for c = 0 to (Array.length cols / 2) - 1 do
+        rotate s cols.(2 * c) cols.((2 * c) + 1) !j i
+      done;
+      if track then rotate perm 0 1 !j i
+    end
   done;
-  Array.blit ord 0 perm 0 n;
-  apply_perm sym ~perm s out
+  if pending then fix_pending sym s ~rename:true
 
 (* ------------------------------------------------------------------ *)
 (* Ample-set tables.                                                   *)
@@ -316,34 +334,22 @@ let canonizer t =
   if not t.active then fun _ -> ()
   else
     let sym = t.sym in
-    let lay = sym.s_lay in
-    let n = lay.State.nprocs in
-    let w = key_width sym in
-    let keys = Array.init n (fun _ -> Array.make w 0) in
-    let ord = Array.make n 0 in
-    let perm = Array.make n 0 in
-    let out = Array.make lay.State.words 0 in
-    fun s ->
-      canon_into sym ~keys ~ord ~out ~perm s;
-      Array.blit out 0 s 0 lay.State.words
+    fun s -> sort_blocks sym s [||]
 
 let canon t s =
-  let n = t.sym.s_lay.State.nprocs in
-  if not t.active then (Array.copy s, Array.init n (fun i -> i))
-  else begin
-    let sym = t.sym in
-    let w = key_width sym in
-    let keys = Array.init n (fun _ -> Array.make w 0) in
-    let ord = Array.make n 0 in
-    let perm = Array.make n 0 in
-    let out = Array.make sym.s_lay.State.words 0 in
-    canon_into sym ~keys ~ord ~out ~perm s;
-    (out, perm)
-  end
+  let c = Array.copy s in
+  let perm = Array.init t.sym.s_n (fun i -> i) in
+  if t.active then sort_blocks t.sym c perm;
+  (c, perm)
 
 let permute t ~perm s =
-  let out = Array.make t.sym.s_lay.State.words 0 in
-  apply_perm t.sym ~perm s out;
+  let sym = t.sym in
+  let out = Array.copy s in
+  for c = 0 to (Array.length sym.s_cols / 2) - 1 do
+    let off = sym.s_cols.(2 * c) and w = sym.s_cols.((2 * c) + 1) in
+    Array.iteri (fun j i -> out.(off + (j * w)) <- s.(off + (i * w))) perm
+  done;
+  fix_pending sym out ~rename:true;
   out
 
 let invert p =

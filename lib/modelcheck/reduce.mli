@@ -83,15 +83,25 @@ val describe : t -> string
     ["sym: pid-symmetry certified; ample-set POR on"]. *)
 
 val canonizer : t -> State.packed -> unit
-(** A canonicalization closure with its own scratch buffers (one per
-    call to [canonizer] — make one per domain).  Rewrites the state in
-    place to its orbit representative; the identity when symmetry is
-    inactive. *)
+(** The canonicalization function: rewrites the state in place to its
+    orbit representative; the identity when symmetry is inactive.  It
+    keeps no state of its own, so domains may share it.
+
+    The representative is the state with its process blocks (pc, the
+    process's cells of per-process shared arrays, then its locals, live
+    pending write indices read as 0) in stable lexicographic order.  The
+    blocks are sorted where they sit by an insertion sort, then each
+    live pending index is renamed to its block's final slot.  A
+    successor of a canonical state has at most one block out of order,
+    so a call usually costs [N-1] block comparisons and at most one
+    block shift.  A call allocates nothing: this is the hot path of the
+    reduced search, run once per generated successor. *)
 
 val canon : t -> State.packed -> State.packed * int array
-(** Allocating variant: the canonical representative plus the slot map
-    [perm], where canonical block [j] is original process [perm.(j)]'s
-    block.  [perm] is the identity when symmetry is inactive. *)
+(** Copying variant of {!canonizer}, by the same sort: the canonical
+    representative plus the slot map [perm], where canonical block [j]
+    is original process [perm.(j)]'s block.  [perm] is the identity when
+    symmetry is inactive. *)
 
 val permute : t -> perm:int array -> State.packed -> State.packed
 (** Apply a slot map: result block [j] := source block [perm.(j)], with

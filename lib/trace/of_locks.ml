@@ -1,10 +1,12 @@
 (* Lock-zoo ring buffers -> unified causal trace.
 
-   The [step] field carries nanoseconds relative to the first record
-   (real time is the only meaningful clock for domain runs); causality
-   comes from acquire-observes-previous-release, which the ring
-   recorder's stamp ordering guarantees whenever the lock actually
-   changed hands (see {!Locks.Ring.wrap}). *)
+   The [step] field carries CLOCK_MONOTONIC nanoseconds relative to the
+   first record (real time is the only meaningful clock for domain
+   runs); causality comes from acquire-observes-previous-release, which
+   the ring recorder's stamp ordering guarantees whenever the lock
+   actually changed hands (see {!Locks.Ring.wrap}): a hand-over spans
+   many nanosecond ticks, so its release and acquired stamps do not
+   tie. *)
 
 let trace ~lock ~nprocs (entries : Locks.Ring.entry list) =
   let t0 =

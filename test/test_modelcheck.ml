@@ -762,6 +762,127 @@ let prop_reduce_group_action =
       done;
       true)
 
+(* Reference orbit representative, computed the direct way: build every
+   block's key tuple (pc, per-process cells, locals with live pending
+   indices read as 0), stable-sort the block indices by it, then move
+   each block to its slot and rename its live pending indices to the
+   slot.  The in-place sort must pick exactly this representative and
+   slot map. *)
+let reference_canon sys (s : MC.State.packed) =
+  let lay = MC.System.layout sys in
+  let env = lay.MC.State.env in
+  let p = env.Mxlang.Eval.program in
+  let n = lay.MC.State.nprocs and lp = lay.MC.State.locals_per in
+  let per_process =
+    List.filter (fun v -> p.var_sizes.(v) = -1) (List.init p.nvars Fun.id)
+  in
+  let cols =
+    lay.MC.State.pcs_off
+    :: List.map (fun v -> env.Mxlang.Eval.offsets.(v)) per_process
+  in
+  let pend =
+    match MC.System.two_phase_meta sys with
+    | None -> []
+    | Some meta ->
+        List.concat_map
+          (fun v ->
+            Array.to_list
+              (Array.map fst meta.Regsem.Two_phase.tp_pend.(v)))
+          per_process
+  in
+  let block i = lay.MC.State.locals_off + (i * lp) in
+  let key i =
+    List.map (fun c -> s.(c + i)) cols
+    @ List.init lp (fun l ->
+          let x = s.(block i + l) in
+          if List.mem l pend && x >= 0 then 0 else x)
+  in
+  let perm =
+    Array.of_list
+      (List.stable_sort
+         (fun a b -> compare (key a) (key b))
+         (List.init n Fun.id))
+  in
+  let out = Array.copy s in
+  Array.iteri
+    (fun j i ->
+      List.iter (fun c -> out.(c + j) <- s.(c + i)) cols;
+      Array.blit s (block i) out (block j) lp;
+      List.iter
+        (fun l -> if out.(block j + l) >= 0 then out.(block j + l) <- j)
+        pend)
+    perm;
+  (out, perm)
+
+let prop_canonizer_matches_reference =
+  QCheck.Test.make
+    ~name:"canonizer = canon = key-tuple stable sort (atomic and safe)"
+    ~count:30
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let rng = Prng.Rng.create seed in
+      let prog =
+        Fuzz.Gen.program_symmetric rng
+          { Fuzz.Gen.g_nprocs = 3; g_bound = 2; g_max_steps = 4 }
+      in
+      List.iter
+        (fun register_model ->
+          let sys =
+            MC.System.make ~register_model prog ~nprocs:3 ~bound:2
+          in
+          let red = MC.Reduce.make MC.Reduce.Sym sys in
+          if not (MC.Reduce.symmetry_active red) then
+            QCheck.Test.fail_report "reduction inactive on a certified program";
+          let canonize = MC.Reduce.canonizer red in
+          let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
+          for i = 0 to min 60 (MC.Vec.length g.states) - 1 do
+            List.iter
+              (fun p ->
+                let s = MC.Reduce.permute red ~perm:p (MC.Vec.get g.states i) in
+                let c, perm = MC.Reduce.canon red s in
+                let in_place = Array.copy s in
+                canonize in_place;
+                let rc, rperm = reference_canon sys s in
+                if not (MC.State.equal in_place c) then
+                  QCheck.Test.fail_report "canonizer and canon disagree";
+                if not (MC.State.equal c rc) then
+                  QCheck.Test.fail_report "canon differs from the reference";
+                if perm <> rperm then
+                  QCheck.Test.fail_report "slot map differs from the reference")
+              perms3
+          done)
+        [ Regsem.Model.Atomic; Regsem.Model.Safe ];
+      true)
+
+(* The canonizer runs once per generated successor: it must not
+   allocate.  Inputs are successors of canonical ticket_mod N=7 M=7
+   states, the shape the sym-reduced search feeds it. *)
+let reduce_canonizer_allocation_free () =
+  let sys = sys_of ~nprocs:7 ~bound:7 (Harness.Registry.find_model "ticket_mod") in
+  let red = MC.Reduce.make MC.Reduce.Sym sys in
+  let canonize = MC.Reduce.canonizer red in
+  let calls = 10_000 in
+  let g, _ = MC.Explore.run_graph ~max_states:3_000 sys in
+  let inputs = MC.Vec.create () in
+  MC.Vec.iter
+    (fun s ->
+      if MC.Vec.length inputs < calls then
+        List.iter
+          (fun (m : MC.System.move) -> ignore (MC.Vec.push inputs m.dest))
+          (MC.System.successors sys (fst (MC.Reduce.canon red s))))
+    g.states;
+  check bool_t "enough successors" true (MC.Vec.length inputs >= calls);
+  let scratch = Array.copy (MC.Vec.get inputs 0) in
+  let words = Array.length scratch in
+  let w0 = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    Array.blit (MC.Vec.get inputs i) 0 scratch 0 words;
+    canonize scratch
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if per_call >= 1.0 then
+    Alcotest.failf "canonizer allocates %.2f minor words per call" per_call
+
 (* --------------------------------------------------------------- report *)
 
 let report_strings () =
@@ -859,6 +980,9 @@ let () =
           Alcotest.test_case "weak registers compose with canon" `Quick
             reduce_weak_registers;
           QCheck_alcotest.to_alcotest prop_reduce_group_action;
+          QCheck_alcotest.to_alcotest prop_canonizer_matches_reference;
+          Alcotest.test_case "canonizer allocates nothing" `Quick
+            reduce_canonizer_allocation_free;
         ] );
       ("report", [ Alcotest.test_case "render" `Quick report_strings ]);
     ]
