@@ -93,8 +93,9 @@ let compare_fingerprints ~tag ~left ~right ~exact_trace a b =
       (String.concat ";" (List.map (fun (p, s) -> Printf.sprintf "%d:%s" p s) b.fp_trace))
   else Pass
 
-let run_prog_case ~engine ~program ~nprocs ~bound ~max_states =
-  let sys = MC.System.make program ~nprocs ~bound in
+let run_prog_case ?register_model ~engine ~program ~nprocs ~bound ~max_states
+    () =
+  let sys = MC.System.make ?register_model program ~nprocs ~bound in
   match engine with
   | `Interpreted ->
       MC.Explore.run ~interpreted:true ~invariants ~max_states sys
@@ -108,10 +109,10 @@ let run_prog_case ~engine ~program ~nprocs ~bound ~max_states =
 
 let compile_oracle ~program ~nprocs ~bound ~max_states =
   let reference =
-    run_prog_case ~engine:`Interpreted ~program ~nprocs ~bound ~max_states
+    run_prog_case ~engine:`Interpreted ~program ~nprocs ~bound ~max_states ()
   in
   let compiled =
-    run_prog_case ~engine:`Compiled ~program ~nprocs ~bound ~max_states
+    run_prog_case ~engine:`Compiled ~program ~nprocs ~bound ~max_states ()
   in
   (* The two engines enumerate successors in the same order, so even the
      counterexample trace must match action for action. *)
@@ -120,33 +121,44 @@ let compile_oracle ~program ~nprocs ~bound ~max_states =
 
 (* The compiled sequential engine vs a parallel configuration ([engine]
    is [`Parallel] for the 2-domain exact table, [`Sharded] for 3 domains
-   in fingerprint-only mode). *)
+   in fingerprint-only mode), over atomic registers and then over safe
+   ones, whose flicker views give the hand-off different traffic.  A
+   mismatch under [Safe] is tagged [tag ^ "_safe"]. *)
 let vs_sequential ~engine ~tag ~program ~nprocs ~bound ~max_states =
-  let seq = run_prog_case ~engine:`Compiled ~program ~nprocs ~bound ~max_states in
-  let par = run_prog_case ~engine ~program ~nprocs ~bound ~max_states in
-  match (seq.outcome, par.outcome) with
-  | MC.Explore.Capacity, _ | _, MC.Explore.Capacity ->
-      (* the state-count cutoff lands mid-level in one engine and at a
-         wave boundary in the other, so anything past it is undecided *)
-      Pass
-  | MC.Explore.Pass, MC.Explore.Pass ->
-      (* exhaustive exploration: the reachable set itself must be
-         identical, so every statistic agrees exactly *)
-      compare_fingerprints ~tag ~left:"seq" ~right:"par" ~exact_trace:false
-        (fingerprint seq) (fingerprint par)
-  | ( (MC.Explore.Violation _ | MC.Explore.Deadlock _),
-      (MC.Explore.Violation _ | MC.Explore.Deadlock _) ) ->
-      (* Both engines report a counterexample.  The sequential explorer
-         stops mid-level at the first bad state in insertion order while
-         the parallel engine finishes generating its wave, so the state
-         counts at detection — and, when one wave holds several bad
-         states, which one wins — are engine-specific.  Agreement on
-         "this program has a bug" is the sound claim. *)
-      Pass
-  | _ ->
-      fail (tag ^ ":outcome") "seq=[%s] par=[%s]"
-        (fp_to_string (fingerprint seq))
-        (fp_to_string (fingerprint par))
+  let compare register_model tag =
+    let run engine =
+      run_prog_case ~register_model ~engine ~program ~nprocs ~bound
+        ~max_states ()
+    in
+    let seq = run `Compiled in
+    let par = run engine in
+    match (seq.outcome, par.outcome) with
+    | MC.Explore.Capacity, _ | _, MC.Explore.Capacity ->
+        (* the state-count cutoff lands mid-level in one engine and at a
+           wave boundary in the other, so anything past it is undecided *)
+        Pass
+    | MC.Explore.Pass, MC.Explore.Pass ->
+        (* exhaustive exploration: the reachable set itself must be
+           identical, so every statistic agrees exactly *)
+        compare_fingerprints ~tag ~left:"seq" ~right:"par" ~exact_trace:false
+          (fingerprint seq) (fingerprint par)
+    | ( (MC.Explore.Violation _ | MC.Explore.Deadlock _),
+        (MC.Explore.Violation _ | MC.Explore.Deadlock _) ) ->
+        (* Both engines report a counterexample.  The sequential explorer
+           stops mid-level at the first bad state in insertion order while
+           the parallel engine finishes generating its wave, so the state
+           counts at detection — and, when one wave holds several bad
+           states, which one wins — are engine-specific.  Agreement on
+           "this program has a bug" is the sound claim. *)
+        Pass
+    | _ ->
+        fail (tag ^ ":outcome") "seq=[%s] par=[%s]"
+          (fp_to_string (fingerprint seq))
+          (fp_to_string (fingerprint par))
+  in
+  match compare Regsem.Model.Atomic tag with
+  | Pass -> compare Regsem.Model.Safe (tag ^ "_safe")
+  | mismatch -> mismatch
 
 let parallel_oracle = vs_sequential ~engine:`Parallel ~tag:"par_mismatch"
 let sharded_oracle = vs_sequential ~engine:`Sharded ~tag:"sharded_mismatch"
@@ -189,7 +201,7 @@ let regsem_oracle ~program ~nprocs ~bound ~max_states =
     MC.Explore.run ~invariants ~max_states (make Regsem.Model.Atomic)
   in
   let default_build =
-    run_prog_case ~engine:`Compiled ~program ~nprocs ~bound ~max_states
+    run_prog_case ~engine:`Compiled ~program ~nprocs ~bound ~max_states ()
   in
   match
     compare_fingerprints ~tag:"regsem_atomic_mismatch" ~left:"atomic"

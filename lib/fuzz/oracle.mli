@@ -17,13 +17,17 @@
       engine-specific points (mid-level vs end of wave), so the claim
       checked is that both find {e some} bug — one engine passing
       while the other reports a violation or deadlock is a failure.
-      Guards the same claims under the parallel engine.
+      Each case runs over atomic registers and then over safe ones
+      (a mismatch there is tagged [..._safe]), so the hand-off also
+      carries flicker-view successors.  Guards the same claims under
+      the parallel engine.
     - [Sharded]: the same claim against the sharded engine's stress
       configuration — 3 domains (non-power-of-two shard routing) in
       fingerprint-only mode, where the visited set keeps 63-bit
       fingerprints and counterexamples are rebuilt by replaying
       recorded moves.  Catches routing, hand-off, quiescence and
       replay bugs that the 2-domain exact-table oracle cannot see.
+      Also run under atomic and then safe registers.
     - [Regsem]: the weak-register engine against the baseline.  An
       explicitly-[Atomic] {!Modelcheck.System} must be bit-identical to
       the default build (outcome, state counts, counterexample trace);

@@ -7,99 +7,85 @@
    uncontended except while a thief is actually stealing, and stealing
    moves a batch per lock acquisition, not an item.
 
-   Entries are (global id, packed state) pairs held in two parallel
-   circular buffers, so neither push nor pop allocates. *)
+   Entries are (global id, packed state) pairs stored unboxed, one after
+   the other, in a flat int ring: a push copies the state in, a pop or
+   steal copies it out into the caller's buffer.  The ring keeps its
+   capacity across waves, so once grown no operation allocates. *)
 
 type t = {
   mutex : Mutex.t;
-  mutable gids : int array;
-  mutable states : State.packed array;
-  mutable head : int;  (* index of the first occupied slot *)
+  stride : int;  (* 1 + words: the gid, then the state *)
+  mutable ring : int array;  (* entry [i] at [(i land (cap - 1)) * stride] *)
+  mutable cap : int;  (* entries; a power of two *)
+  mutable head : int;  (* entry index of the first occupied slot *)
   mutable len : int;
 }
 
 let initial_cap = 256
 
-let create () =
+let create ~words =
+  let stride = words + 1 in
   {
     mutex = Mutex.create ();
-    gids = Array.make initial_cap 0;
-    states = Array.make initial_cap [||];
+    stride;
+    ring = Array.make (initial_cap * stride) 0;
+    cap = initial_cap;
     head = 0;
     len = 0;
   }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let grow t =
-  let cap = Array.length t.gids in
-  let gids = Array.make (2 * cap) 0 in
-  let states = Array.make (2 * cap) [||] in
-  let first = min t.len (cap - t.head) in
-  Array.blit t.gids t.head gids 0 first;
-  Array.blit t.gids 0 gids first (t.len - first);
-  Array.blit t.states t.head states 0 first;
-  Array.blit t.states 0 states first (t.len - first);
-  t.gids <- gids;
-  t.states <- states;
+  let cap = 2 * t.cap in
+  let ring = Array.make (cap * t.stride) 0 in
+  let first = min t.len (t.cap - t.head) in
+  Array.blit t.ring (t.head * t.stride) ring 0 (first * t.stride);
+  Array.blit t.ring 0 ring (first * t.stride) ((t.len - first) * t.stride);
+  t.ring <- ring;
+  t.cap <- cap;
   t.head <- 0
 
 let push t gid (s : State.packed) =
   Mutex.lock t.mutex;
-  let cap = Array.length t.gids in
-  if t.len = cap then grow t;
-  let cap = Array.length t.gids in
-  let i = (t.head + t.len) land (cap - 1) in
-  t.gids.(i) <- gid;
-  t.states.(i) <- s;
+  if t.len = t.cap then grow t;
+  let o = ((t.head + t.len) land (t.cap - 1)) * t.stride in
+  let ring = t.ring in
+  ring.(o) <- gid;
+  Array.blit s 0 ring (o + 1) (t.stride - 1);
   t.len <- t.len + 1;
   Mutex.unlock t.mutex
 
-type slot = { mutable s_gid : int; mutable s_state : State.packed }
-
-let slot () = { s_gid = -1; s_state = [||] }
-
-let pop t out =
+let pop t (dst : State.packed) =
   Mutex.lock t.mutex;
   if t.len = 0 then begin
     Mutex.unlock t.mutex;
-    false
+    -1
   end
   else begin
-    let cap = Array.length t.gids in
-    let i = (t.head + t.len - 1) land (cap - 1) in
-    out.s_gid <- t.gids.(i);
-    out.s_state <- t.states.(i);
-    t.states.(i) <- [||];
+    let o = ((t.head + t.len - 1) land (t.cap - 1)) * t.stride in
+    let gid = t.ring.(o) in
+    Array.blit t.ring (o + 1) dst 0 (t.stride - 1);
     t.len <- t.len - 1;
     Mutex.unlock t.mutex;
-    true
+    gid
   end
 
-(* Steal up to [max] items (at most half the victim's load, at least
-   one) from the head into the thief's scratch arrays.  Returns the
-   number taken; 0 when the victim is empty. *)
-let steal t ~gids ~states ~max =
+(* Steal up to [max] entries (at most half the victim's load, at least
+   one) from the head into the thief's flat buffer, each as its gid
+   followed by its state.  Returns the number taken; 0 when the victim
+   is empty. *)
+let steal t ~into ~max =
   Mutex.lock t.mutex;
-  let n = min max (min ((t.len + 1) / 2) (Array.length gids)) in
-  let cap = Array.length t.gids in
+  let stride = t.stride in
+  let n = min max (min ((t.len + 1) / 2) (Array.length into / stride)) in
   for k = 0 to n - 1 do
-    let i = (t.head + k) land (cap - 1) in
-    gids.(k) <- t.gids.(i);
-    states.(k) <- t.states.(i);
-    t.states.(i) <- [||]
+    let o = ((t.head + k) land (t.cap - 1)) * stride in
+    Array.blit t.ring o into (k * stride) stride
   done;
   if n > 0 then begin
-    t.head <- (t.head + n) land (cap - 1);
+    t.head <- (t.head + n) land (t.cap - 1);
     t.len <- t.len - n
   end;
   Mutex.unlock t.mutex;
   n
-
-let clear t =
-  Mutex.lock t.mutex;
-  Array.fill t.states 0 (Array.length t.states) [||];
-  t.head <- 0;
-  t.len <- 0;
-  Mutex.unlock t.mutex

@@ -17,17 +17,25 @@
      never allocate;
    - a successor owned by the expanding domain is probed and inserted
      directly; one owned by another shard is appended to a per-
-     destination batch and handed off [batch_cap] states at a time
-     (one mutex acquisition per batch, not per state);
-   - a domain whose deque runs dry first drains its inbox of handed-off
-     batches, then steals a batch of frontier items from the tail of
-     another domain's deque — expansion is shard-agnostic, only
-     insertion is owned;
+     destination batch and handed off [batch_cap] states at a time (one
+     CAS onto the owner's inbox per batch, not per state);
+   - a domain drains its inbox as batches arrive, before it takes its
+     next frontier state, so handed-off states are inserted while their
+     batch is still in cache; the drained batch becomes one of its own
+     outgoing batches;
+   - a domain whose deque runs dry flushes its partial batches, then
+     steals a batch of frontier items from the head of another domain's
+     deque — expansion is shard-agnostic, only insertion is owned;
    - the wave ends by quiescence: a global in-flight counter tracks
      unexpanded frontier items plus live hand-off batches; when it
      reaches zero no same-wave work can exist anywhere and every
      domain exits to the pool barrier.  Idle domains back off (spin,
      then sleep) and count idle epochs for telemetry.
+
+   Nothing in that loop allocates per state or per move: frontier
+   states sit unboxed in the deques' rings, batches are recycled, each
+   domain's successor callback is built once per run, and the visited
+   set probes without closures.
 
    Waves are still globally synchronized, which is what keeps the
    engine's observable semantics bit-identical to {!Explore.run} (the
@@ -48,27 +56,21 @@ let now () = Unix.gettimeofday ()
 let batch_cap = 64
 let steal_max = 64
 
-(* One hand-off batch: up to [batch_cap] candidate states (flat), with
-   their fingerprints and parent metadata.  Allocated per flush and
-   dropped after draining; one allocation per ~64 states. *)
-type batch = {
-  b_data : int array;
-  b_fps : int array;
-  b_parents : int array;
-  b_vias : int array;
-  mutable b_n : int;
-}
+(* One hand-off batch: up to [batch_cap] candidates, each stored flat
+   as its fingerprint, parent gid, packed move and state.  A batch is
+   either being filled, waiting in its owner's inbox, or on the free
+   list of the domain that drained it, linked through [b_next] in the
+   last two cases; it is allocated only when that free list is empty. *)
+type batch = { b_data : int array; mutable b_n : int; mutable b_next : batch }
 
-let fresh_batch words =
-  {
-    b_data = Array.make (batch_cap * words) 0;
-    b_fps = Array.make batch_cap 0;
-    b_parents = Array.make batch_cap 0;
-    b_vias = Array.make batch_cap 0;
-    b_n = 0;
-  }
+let rec no_batch = { b_data = [||]; b_n = 0; b_next = no_batch }
 
-type inbox = { i_mutex : Mutex.t; mutable i_batches : batch list }
+(* Publish [b] on an inbox: a lock-free push; the owner takes the whole
+   list at once with [Atomic.exchange]. *)
+let rec publish inbox b =
+  let head = Atomic.get inbox in
+  b.b_next <- head;
+  if not (Atomic.compare_and_set inbox head b) then publish inbox b
 
 (* (pid, pc, alt, flick) packed into one int; pc and alt are tiny by
    construction (mxlang programs have dozens of steps), pid fits 12
@@ -94,12 +96,14 @@ type dstate = {
   mutable d_violation_gid : int;
   mutable d_violation_inv : string;
   mutable d_deadlock_gid : int;
+  mutable d_gid : int;  (* the state being expanded *)
+  mutable d_any : bool;  (* has it shown a successor yet *)
+  d_state : int array;  (* the state being expanded *)
   d_scratch : int array;  (* successor construction buffer *)
   d_probe : int array;  (* batch-drain probe buffer *)
-  d_slot : Deque.slot;
-  d_steal_gids : int array;
-  d_steal_states : State.packed array;
+  d_stolen : int array;  (* stolen frontier items, flat *)
   d_out : batch array;  (* outgoing batch per destination shard *)
+  mutable d_free : batch;  (* drained batches, for reuse *)
   d_staged : (string * (State.packed -> bool)) array;
 }
 
@@ -134,10 +138,13 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   (* Per-shard parent metadata, indexed by local id. *)
   let meta_parent = Array.init ndomains (fun _ -> Vec.create ()) in
   let meta_via = Array.init ndomains (fun _ -> Vec.create ()) in
-  let cur = ref (Array.init ndomains (fun _ -> Deque.create ())) in
-  let nxt = ref (Array.init ndomains (fun _ -> Deque.create ())) in
-  let inboxes =
-    Array.init ndomains (fun _ -> { i_mutex = Mutex.create (); i_batches = [] })
+  let cur = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
+  let nxt = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
+  let inboxes = Array.init ndomains (fun _ -> Atomic.make no_batch) in
+  (* A batch entry: fingerprint, parent gid, packed move, state. *)
+  let entry = words + 3 in
+  let fresh_batch () =
+    { b_data = Array.make (batch_cap * entry) 0; b_n = 0; b_next = no_batch }
   in
   let pending = Atomic.make 0 in
   let stop = Atomic.make false in
@@ -154,12 +161,14 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_violation_gid = -1;
           d_violation_inv = "";
           d_deadlock_gid = -1;
+          d_gid = -1;
+          d_any = false;
+          d_state = Array.make words 0;
           d_scratch = Array.make words 0;
           d_probe = Array.make words 0;
-          d_slot = Deque.slot ();
-          d_steal_gids = Array.make steal_max 0;
-          d_steal_states = Array.make steal_max [||];
-          d_out = Array.init ndomains (fun _ -> fresh_batch words);
+          d_stolen = Array.make (steal_max * (words + 1)) 0;
+          d_out = Array.init ndomains (fun _ -> fresh_batch ());
+          d_free = no_batch;
           d_staged =
             Array.of_list
               (List.map
@@ -242,50 +251,53 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let exception Stop of Explore.result in
   (* Probe-and-insert a candidate into shard [w] (caller must be its
      owning domain, or the main domain between waves).  [s] is a
-     scratch buffer; its contents are copied if the state is new. *)
+     scratch buffer; the frontier deque copies it if the state is new. *)
   let insert_candidate w (d : dstate) ~fp ~parent ~via (s : State.packed) =
-    match Shard_table.insert tbl ~shard:w ~fp s with
-    | -1 -> ()
-    | local ->
-        let g = Shard_table.gid tbl ~shard:w ~local in
-        ignore (Vec.push meta_parent.(w) parent);
-        ignore (Vec.push meta_via.(w) via);
-        d.d_inserts <- d.d_inserts + 1;
-        (* Soft capacity check: exact accounting happens at the wave
-           barrier; this just stops a runaway wave early.  [total] reads
-           other shards' counters racily — good enough for a cutoff. *)
-        if
-          d.d_inserts land 255 = 0
-          && Shard_table.total tbl > max_states
-        then Atomic.set stop true;
-        let rec first k =
-          if k >= Array.length d.d_staged then -1
-          else
-            let _, holds = Array.unsafe_get d.d_staged k in
-            if holds s then first (k + 1) else k
-        in
-        (match first 0 with
-        | k when k >= 0 ->
-            if d.d_violation_gid < 0 then begin
-              d.d_violation_gid <- g;
-              d.d_violation_inv <- fst d.d_staged.(k)
-            end;
-            Atomic.set stop true
-        | _ -> if expand_ok s then Deque.push !nxt.(w) g (Array.copy s))
+    let local = Shard_table.insert tbl ~shard:w ~fp s in
+    if local >= 0 then begin
+      let g = Shard_table.gid tbl ~shard:w ~local in
+      ignore (Vec.push meta_parent.(w) parent);
+      ignore (Vec.push meta_via.(w) via);
+      d.d_inserts <- d.d_inserts + 1;
+      (* Soft capacity check: exact accounting happens at the wave
+         barrier; this just stops a runaway wave early.  [total] reads
+         other shards' counters racily — good enough for a cutoff. *)
+      if d.d_inserts land 255 = 0 && Shard_table.total tbl > max_states then
+        Atomic.set stop true;
+      let staged = d.d_staged in
+      let k = ref 0 in
+      while !k < Array.length staged && snd (Array.unsafe_get staged !k) s do
+        incr k
+      done;
+      if !k < Array.length staged then begin
+        if d.d_violation_gid < 0 then begin
+          d.d_violation_gid <- g;
+          d.d_violation_inv <- fst staged.(!k)
+        end;
+        Atomic.set stop true
+      end
+      else if expand_ok s then Deque.push !nxt.(w) g s
+    end
+  in
+  let take_free (d : dstate) =
+    let b = d.d_free in
+    if b == no_batch then fresh_batch ()
+    else begin
+      d.d_free <- b.b_next;
+      b.b_next <- no_batch;
+      b
+    end
   in
   (* Flush domain [w]'s outgoing batch for shard [o].  The batch was
-     counted in [pending] when its first state arrived, so enqueueing
-     transfers that debt to the draining owner. *)
+     counted in [pending] when its first state arrived, so publishing
+     it transfers that debt to the draining owner. *)
   let flush (d : dstate) o =
     let b = d.d_out.(o) in
     if b.b_n > 0 then begin
-      let ib = inboxes.(o) in
-      Mutex.lock ib.i_mutex;
-      ib.i_batches <- b :: ib.i_batches;
-      Mutex.unlock ib.i_mutex;
+      publish inboxes.(o) b;
       d.d_batches <- d.d_batches + 1;
       d.d_handoff <- d.d_handoff + b.b_n;
-      d.d_out.(o) <- fresh_batch words
+      d.d_out.(o) <- take_free d
     end
   in
   let flush_all w d =
@@ -299,65 +311,80 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
        becomes visible so [pending] can never transiently hit zero
        while states sit in a partial buffer. *)
     if b.b_n = 0 then Atomic.incr pending;
-    Array.blit s 0 b.b_data (b.b_n * words) words;
-    b.b_fps.(b.b_n) <- fp;
-    b.b_parents.(b.b_n) <- parent;
-    b.b_vias.(b.b_n) <- via;
+    let at = b.b_n * entry in
+    b.b_data.(at) <- fp;
+    b.b_data.(at + 1) <- parent;
+    b.b_data.(at + 2) <- via;
+    Array.blit s 0 b.b_data (at + 3) words;
     b.b_n <- b.b_n + 1;
     if b.b_n = batch_cap then flush d o
   in
-  (* Expand one frontier state: successors are built in the domain's
-     scratch buffer; own-shard candidates insert directly, foreign ones
-     are routed into batches.  Decrementing [pending] comes last so the
-     item's routed work is always counted before the item itself is
+  (* Insert every candidate of domain [w]'s inbox, then keep the
+     batches for its own outgoing ones.  Each drained batch retires its
+     [pending] count. *)
+  let drain w (d : dstate) =
+    let b = ref (Atomic.exchange inboxes.(w) no_batch) in
+    while !b != no_batch do
+      let batch = !b in
+      let data = batch.b_data in
+      for k = 0 to batch.b_n - 1 do
+        let at = k * entry in
+        Array.blit data (at + 3) d.d_probe 0 words;
+        insert_candidate w d ~fp:data.(at) ~parent:data.(at + 1)
+          ~via:data.(at + 2) d.d_probe
+      done;
+      b := batch.b_next;
+      batch.b_n <- 0;
+      batch.b_next <- d.d_free;
+      d.d_free <- batch;
+      Atomic.decr pending
+    done
+  in
+  (* While the main domain expands a small wave alone, every candidate
+     goes straight into its owner's shard: no worker runs, so there is
+     no concurrent writer. *)
+  let inline = ref false in
+  (* Domain [w]'s successor callback, built once per run: own-shard
+     candidates insert directly, foreign ones are routed into
+     batches. *)
+  let emitter w =
+    let d = dstates.(w) in
+    fun ~pid ~from_pc ~alt ~flick ->
+      d.d_any <- true;
+      d.d_generated <- d.d_generated + 1;
+      canon d.d_scratch;
+      let fp = Shard_table.fingerprint tbl d.d_scratch in
+      let o = Shard_table.owner tbl fp in
+      let via = pack_via ~pid ~pc:from_pc ~alt ~flick in
+      if o = w || !inline then
+        insert_candidate o d ~fp ~parent:d.d_gid ~via d.d_scratch
+      else route d o ~fp ~parent:d.d_gid ~via d.d_scratch
+  in
+  let emitters = Array.init ndomains emitter in
+  (* Expand one frontier state.  Decrementing [pending] comes last so
+     the item's routed work is always counted before the item itself is
      retired. *)
   let expand w (d : dstate) gid (s : State.packed) =
-    let any = ref false in
-    let only = Reduce.ample red s in
-    System.iter_successors_scratch ~only sys s ~scratch:d.d_scratch
-      (fun ~pid ~from_pc ~alt ~flick ->
-        any := true;
-        d.d_generated <- d.d_generated + 1;
-        canon d.d_scratch;
-        let fp = Shard_table.fingerprint tbl d.d_scratch in
-        let o = Shard_table.owner tbl fp in
-        let via = pack_via ~pid ~pc:from_pc ~alt ~flick in
-        if o = w then insert_candidate w d ~fp ~parent:gid ~via d.d_scratch
-        else route d o ~fp ~parent:gid ~via d.d_scratch);
-    if not !any then begin
+    d.d_gid <- gid;
+    d.d_any <- false;
+    (* [~only] would box its argument on every call. *)
+    (match Reduce.ample red s with
+    | -1 ->
+        System.iter_successors_scratch sys s ~scratch:d.d_scratch emitters.(w)
+    | only ->
+        System.iter_successors_scratch ~only sys s ~scratch:d.d_scratch
+          emitters.(w));
+    if not d.d_any then begin
       if d.d_deadlock_gid < 0 then d.d_deadlock_gid <- gid;
       Atomic.set stop true
     end;
     Atomic.decr pending
   in
-  let drain_inbox w (d : dstate) =
-    let ib = inboxes.(w) in
-    Mutex.lock ib.i_mutex;
-    let batches = ib.i_batches in
-    ib.i_batches <- [];
-    Mutex.unlock ib.i_mutex;
-    match batches with
-    | [] -> false
-    | _ ->
-        List.iter
-          (fun b ->
-            for k = 0 to b.b_n - 1 do
-              Array.blit b.b_data (k * words) d.d_probe 0 words;
-              insert_candidate w d ~fp:b.b_fps.(k) ~parent:b.b_parents.(k)
-                ~via:b.b_vias.(k) d.d_probe
-            done;
-            Atomic.decr pending)
-          batches;
-        true
-  in
   let try_steal w (d : dstate) =
     let got = ref 0 in
     let v = ref ((w + 1) mod ndomains) in
     while !got = 0 && !v <> w do
-      let n =
-        Deque.steal !cur.(!v) ~gids:d.d_steal_gids ~states:d.d_steal_states
-          ~max:steal_max
-      in
+      let n = Deque.steal !cur.(!v) ~into:d.d_stolen ~max:steal_max in
       if n > 0 then begin
         got := n;
         d.d_steals <- d.d_steals + 1;
@@ -369,66 +396,71 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   in
   (* One domain's share of a wave, running until global quiescence:
      no unexpanded frontier item and no live hand-off batch anywhere. *)
-  let worker w =
+  let work w =
     let d = dstates.(w) in
+    let inbox = inboxes.(w) in
     let backoff = ref 0 in
     let running = ref true in
     while !running do
       if Atomic.get stop then running := false
-      else if Deque.pop !cur.(w) d.d_slot then begin
-        expand w d d.d_slot.s_gid d.d_slot.s_state;
+      else if Atomic.get inbox != no_batch then begin
+        drain w d;
         backoff := 0
       end
-      else if drain_inbox w d then backoff := 0
-      else begin
-        flush_all w d;
-        let n = try_steal w d in
-        if n > 0 then begin
-          for k = 0 to n - 1 do
-            expand w d d.d_steal_gids.(k) d.d_steal_states.(k);
-            d.d_steal_states.(k) <- [||]
-          done;
+      else
+        let gid = Deque.pop !cur.(w) d.d_state in
+        if gid >= 0 then begin
+          expand w d gid d.d_state;
           backoff := 0
         end
-        else if Atomic.get pending = 0 then running := false
         else begin
-          (* Idle epoch: out of local work but the wave is not over.
-             Spin briefly (multicore: the gap is ns), then sleep
-             (single-core: yield the CPU to whoever holds the work). *)
-          d.d_idle <- d.d_idle + 1;
-          incr backoff;
-          if !backoff <= 32 then Domain.cpu_relax ()
-          else Unix.sleepf (Float.min 0.001 (1e-5 *. float_of_int !backoff))
+          flush_all w d;
+          let n = try_steal w d in
+          if n > 0 then begin
+            for k = 0 to n - 1 do
+              let at = k * (words + 1) in
+              Array.blit d.d_stolen (at + 1) d.d_state 0 words;
+              expand w d d.d_stolen.(at) d.d_state
+            done;
+            backoff := 0
+          end
+          else if Atomic.get pending = 0 then running := false
+          else begin
+            (* Idle epoch: out of local work but the wave is not over.
+               Spin briefly (multicore: the gap is ns), then sleep
+               (single-core: yield the CPU to whoever holds the work). *)
+            d.d_idle <- d.d_idle + 1;
+            incr backoff;
+            if !backoff <= 32 then Domain.cpu_relax ()
+            else Unix.sleepf (Float.min 0.001 (1e-5 *. float_of_int !backoff))
+          end
         end
-      end
     done
   in
-  (* Small waves are cheaper expanded on the main domain — with the
-     workers parked there is no concurrent writer, so main may insert
-     into any shard directly. *)
+  (* A domain that raises (a weak read feeding an out-of-range index
+     raises [Eval.Error], say) never retires its item, so the others
+     would wait for quiescence forever: stop them, and let the pool
+     re-raise. *)
+  let worker w =
+    match work w with
+    | () -> ()
+    | exception e ->
+        Atomic.set stop true;
+        raise e
+  in
+  (* Small waves are cheaper expanded on the main domain. *)
   let inline_wave () =
     let d = dstates.(0) in
+    inline := true;
     Array.iter
       (fun dq ->
-        while Deque.pop dq d.d_slot do
-          let gid = d.d_slot.s_gid and s = d.d_slot.s_state in
-          let any = ref false in
-          let only = Reduce.ample red s in
-          System.iter_successors_scratch ~only sys s ~scratch:d.d_scratch
-            (fun ~pid ~from_pc ~alt ~flick ->
-              any := true;
-              d.d_generated <- d.d_generated + 1;
-              canon d.d_scratch;
-              let fp = Shard_table.fingerprint tbl d.d_scratch in
-              let o = Shard_table.owner tbl fp in
-              insert_candidate o d ~fp ~parent:gid
-                ~via:(pack_via ~pid ~pc:from_pc ~alt ~flick) d.d_scratch);
-          if (not !any) && d.d_deadlock_gid < 0 then begin
-            d.d_deadlock_gid <- gid;
-            Atomic.set stop true
-          end
+        let gid = ref (Deque.pop dq d.d_state) in
+        while !gid >= 0 do
+          expand 0 d !gid d.d_state;
+          gid := Deque.pop dq d.d_state
         done)
-      !cur
+      !cur;
+    inline := false
   in
   let frontier_size () =
     Array.fold_left (fun acc dq -> acc + Deque.length dq) 0 !cur

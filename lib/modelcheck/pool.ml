@@ -25,7 +25,8 @@ type t = {
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
   busy_ns : int Atomic.t array;
-      (* per worker, cumulative nanoseconds spent inside jobs — read by
+      (* per worker, cumulative nanoseconds spent inside jobs, timed by
+         CLOCK_MONOTONIC so a wall-clock step cannot skew them — read by
          telemetry to report pool utilization *)
   jobs_run : int Atomic.t array;
 }
@@ -42,10 +43,10 @@ let worker p w =
       seen := p.epoch;
       let job = match p.job with Some j -> j | None -> assert false in
       Mutex.unlock p.mutex;
-      let t0 = Unix.gettimeofday () in
+      let t0 = Monotonic_clock.now () in
       let outcome = match job w with () -> None | exception e -> Some e in
-      let spent_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-      ignore (Atomic.fetch_and_add p.busy_ns.(w) (max 0 spent_ns));
+      let spent_ns = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
+      ignore (Atomic.fetch_and_add p.busy_ns.(w) spent_ns);
       Atomic.incr p.jobs_run.(w);
       Mutex.lock p.mutex;
       (match (outcome, p.failure) with

@@ -23,8 +23,9 @@ val run : t -> (int -> unit) -> unit
 
 val busy_ns : t -> int array
 (** Per-worker cumulative nanoseconds spent running jobs since
-    {!create}.  Telemetry divides successive deltas by wall time to
-    report each domain's busy fraction. *)
+    {!create}, timed with CLOCK_MONOTONIC, so a wall-clock step cannot
+    make them shrink or jump.  Telemetry divides successive deltas by
+    wall time to report each domain's busy fraction. *)
 
 val jobs_run : t -> int array
 (** Per-worker count of jobs completed since {!create}. *)

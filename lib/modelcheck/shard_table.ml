@@ -86,15 +86,16 @@ let count t ~shard = t.shards.(shard).count
 let total t = Array.fold_left (fun acc sh -> acc + sh.count) 0 t.shards
 let collisions t = Array.fold_left (fun acc sh -> acc + sh.collisions) 0 t.shards
 
+let rec same_words chunk base (s : State.packed) i words =
+  i >= words
+  || Array.unsafe_get chunk (base + i) = Array.unsafe_get s i
+     && same_words chunk base s (i + 1) words
+
 let equal_at t sh local (s : State.packed) =
-  let words = t.words in
-  let chunk = Array.unsafe_get sh.chunks (local lsr chunk_bits) in
-  let base = (local land chunk_mask) * words in
-  let rec loop i =
-    i >= words
-    || Array.unsafe_get chunk (base + i) = Array.unsafe_get s i && loop (i + 1)
-  in
-  loop 0
+  same_words
+    (Array.unsafe_get sh.chunks (local lsr chunk_bits))
+    ((local land chunk_mask) * t.words)
+    s 0 t.words
 
 let read_into t ~shard local (dst : State.packed) =
   let sh = t.shards.(shard) in
@@ -141,6 +142,30 @@ let store_state t sh (s : State.packed) =
     sh.chunks.(cid) <- Array.make (chunk_states * words) 0;
   Array.blit s 0 sh.chunks.(cid) ((local land chunk_mask) * words) words
 
+(* Probe for [s] from slot [i]: -1 when it is present, else the free
+   slot that ends its probe sequence, shifted left once, with the low
+   bit set when a genuine fingerprint collision (two distinct states,
+   one key) was passed on the way.  [Exact] compares contents on a tag
+   match before it reads the key vector, so a hit costs one miss into
+   the arena and the key is read only to count a collision. *)
+let rec probe t sh key tag (s : State.packed) i collided =
+  let e = Array.unsafe_get sh.table i in
+  if e = 0 then (i lsl 1) lor collided
+  else if entry_tag e <> tag then
+    probe t sh key tag s ((i + 1) land sh.mask) collided
+  else
+    let local = (e land 0xffff_ffff) - 1 in
+    match t.mode with
+    | Exact ->
+        if equal_at t sh local s then -1
+        else
+          let collided = if Vec.get sh.keys local = key then 1 else collided in
+          probe t sh key tag s ((i + 1) land sh.mask) collided
+    | Fp_only ->
+        (* the fingerprint says: seen *)
+        if Vec.get sh.keys local = key then -1
+        else probe t sh key tag s ((i + 1) land sh.mask) collided
+
 (* Insert [s] (whose fingerprint is [fp], owned by [shard]) if absent.
    Returns the state's local id if it was inserted, -1 if it was
    already present.  The slot key strips the shard selector so shards
@@ -148,37 +173,17 @@ let store_state t sh (s : State.packed) =
 let insert t ~shard ~fp (s : State.packed) =
   let sh = t.shards.(shard) in
   let key = fp / t.nshards in
-  let tag = tag_of key in
-  let table = sh.table and mask = sh.mask in
-  let collided = ref false in
-  let rec scan i =
-    let e = Array.unsafe_get table i in
-    if e = 0 then begin
-      (* free slot: the state is new; a key match seen on the way is a
-         genuine fingerprint collision (two distinct states, one fp) *)
-      if !collided then sh.collisions <- sh.collisions + 1;
+  match probe t sh key (tag_of key) s (key land sh.mask) 0 with
+  | -1 -> -1
+  | r ->
+      if r land 1 = 1 then sh.collisions <- sh.collisions + 1;
       let local = sh.count in
-      if t.mode = Exact then store_state t sh s;
+      (match t.mode with Exact -> store_state t sh s | Fp_only -> ());
       ignore (Vec.push sh.keys key);
-      sh.table.(i) <- tag lor (local + 1);
+      sh.table.(r lsr 1) <- tag_of key lor (local + 1);
       sh.count <- local + 1;
       if 3 * (local + 1) > 2 * (sh.mask + 1) then grow_table sh;
       local
-    end
-    else begin
-      (if entry_tag e = tag then begin
-         let local = (e land 0xffff_ffff) - 1 in
-         if Vec.get sh.keys local = key then
-           match t.mode with
-           | Fp_only -> raise_notrace Exit (* fingerprint says: seen *)
-           | Exact ->
-               if equal_at t sh local s then raise_notrace Exit
-               else collided := true
-       end);
-      scan ((i + 1) land mask)
-    end
-  in
-  match scan (key land mask) with local -> local | exception Exit -> -1
 
 let word_bytes = Sys.word_size / 8
 

@@ -78,50 +78,13 @@ let register_model t =
   match t.weak with None -> Regsem.Model.Atomic | Some wk -> wk.wk_model
 
 (* The hot path: compiled guards run directly against the packed state
-   (no [Array.sub] copies); the destination array is allocated only for
-   an enabled action, and the compiled effects mutate it in place. *)
-let successors_into t (s : State.packed) out =
-  let lay = t.lay in
-  let actions = t.comp.actions in
-  match t.weak with
-  | None ->
-      for pid = 0 to t.env.nprocs - 1 do
-        let pc = s.(lay.pcs_off + pid) in
-        let alts = actions.(pc).(pid) in
-        for alt = 0 to Array.length alts - 1 do
-          let (a : Mxlang.Compile.caction) = alts.(alt) in
-          if a.enabled s then begin
-            let dest = Array.copy s in
-            a.perform dest;
-            dest.(lay.pcs_off + pid) <- a.target;
-            ignore (Vec.push out { pid; from_pc = pc; alt; flick = 0; dest })
-          end
-        done
-      done
-  | Some wk ->
-      let view = Array.copy s in
-      for pid = 0 to t.env.nprocs - 1 do
-        let pc = s.(lay.pcs_off + pid) in
-        let alts = actions.(pc).(pid) in
-        for alt = 0 to Array.length alts - 1 do
-          let (a : Mxlang.Compile.caction) = alts.(alt) in
-          let cells = wk.wk_reads.(pc).(pid).(alt) in
-          Regsem.Flicker.iter_views wk.wk_flick ~s ~view ~pid ~cells
-            (fun ~flick ->
-              if a.enabled view then begin
-                let dest = Array.copy s in
-                a.perform_rw ~read:view ~write:dest;
-                dest.(lay.pcs_off + pid) <- a.target;
-                ignore (Vec.push out { pid; from_pc = pc; alt; flick; dest })
-              end)
-        done
-      done
-
-(* Fused variant for the sequential explorer: each enabled action's
-   destination is built in the caller's [scratch] buffer (blit + compiled
-   effects), and [f] decides whether it is worth an allocation.  Over a
-   big search most generated states are duplicates, so skipping the copy
-   for them is the single largest allocation saving in the checker. *)
+   (no [Array.sub] copies), and each enabled action's destination is
+   built in the caller's [scratch] buffer (blit + compiled effects) for
+   [f] to decide whether it is worth an allocation.  Over a big search
+   most generated states are duplicates, so skipping the copy for them
+   is the single largest allocation saving in the checker.  Under a
+   weak model the views come from a {!Regsem.Flicker} frame, which
+   allocates nothing once warm. *)
 let iter_successors_scratch ?(only = -1) t (s : State.packed) ~scratch f =
   let lay = t.lay in
   let actions = t.comp.actions in
@@ -148,16 +111,18 @@ let iter_successors_scratch ?(only = -1) t (s : State.packed) ~scratch f =
           end
         done
       done
-  | Some wk ->
-      let view = Array.copy s in
-      for pid = pid_lo to pid_hi do
-        let pc = s.(lay.pcs_off + pid) in
-        let alts = actions.(pc).(pid) in
-        for alt = 0 to Array.length alts - 1 do
-          let (a : Mxlang.Compile.caction) = alts.(alt) in
-          let cells = wk.wk_reads.(pc).(pid).(alt) in
-          Regsem.Flicker.iter_views wk.wk_flick ~s ~view ~pid ~cells
-            (fun ~flick ->
+  | Some wk -> (
+      let fl = Regsem.Flicker.enter wk.wk_flick s in
+      let view = Regsem.Flicker.view fl in
+      match
+        for pid = pid_lo to pid_hi do
+          let pc = s.(lay.pcs_off + pid) in
+          let alts = actions.(pc).(pid) and reads = wk.wk_reads.(pc).(pid) in
+          for alt = 0 to Array.length alts - 1 do
+            let (a : Mxlang.Compile.caction) = alts.(alt) in
+            let views = Regsem.Flicker.start fl ~pid ~cells:reads.(alt) in
+            for flick = 0 to views - 1 do
+              if flick > 0 then Regsem.Flicker.next fl;
               if a.enabled view then begin
                 for i = 0 to lay.words - 1 do
                   Array.unsafe_set scratch i (Array.unsafe_get s i)
@@ -165,9 +130,28 @@ let iter_successors_scratch ?(only = -1) t (s : State.packed) ~scratch f =
                 a.perform_rw ~read:view ~write:scratch;
                 scratch.(lay.pcs_off + pid) <- a.target;
                 f ~pid ~from_pc:pc ~alt ~flick
-              end)
+              end
+            done
+          done
         done
-      done
+      with
+      | () -> Regsem.Flicker.leave fl
+      | exception e ->
+          Regsem.Flicker.leave fl;
+          raise e)
+
+(* The move-list views of the same enumeration, for the consumers that
+   keep every destination (lasso, refinement, coverage, dot, the
+   reduction's trace replay). *)
+let moves ?only t s =
+  let scratch = Array.make t.lay.words 0 in
+  let acc = ref [] in
+  iter_successors_scratch ?only t s ~scratch (fun ~pid ~from_pc ~alt ~flick ->
+      acc := { pid; from_pc; alt; flick; dest = Array.copy scratch } :: !acc);
+  List.rev !acc
+
+let successors t s = moves t s
+let successors_of_pid t s pid = moves ~only:pid t s
 
 (* Re-execute one recorded move.  The sharded explorer's
    fingerprint-only mode stores no states, only (pid, pc, alt, flick)
@@ -213,46 +197,6 @@ let var_of_cell t cell =
     decr v
   done;
   (!v, cell - offsets.(!v))
-
-let successors_of_pid t (s : State.packed) pid =
-  let lay = t.lay in
-  let pc = s.(lay.pcs_off + pid) in
-  let alts = t.comp.actions.(pc).(pid) in
-  match t.weak with
-  | None ->
-      let moves = ref [] in
-      for alt = Array.length alts - 1 downto 0 do
-        let (a : Mxlang.Compile.caction) = alts.(alt) in
-        if a.enabled s then begin
-          let dest = Array.copy s in
-          a.perform dest;
-          dest.(lay.pcs_off + pid) <- a.target;
-          moves := { pid; from_pc = pc; alt; flick = 0; dest } :: !moves
-        end
-      done;
-      !moves
-  | Some wk ->
-      let view = Array.copy s in
-      let moves = ref [] in
-      for alt = 0 to Array.length alts - 1 do
-        let (a : Mxlang.Compile.caction) = alts.(alt) in
-        let cells = wk.wk_reads.(pc).(pid).(alt) in
-        Regsem.Flicker.iter_views wk.wk_flick ~s ~view ~pid ~cells
-          (fun ~flick ->
-            if a.enabled view then begin
-              let dest = Array.copy s in
-              a.perform_rw ~read:view ~write:dest;
-              dest.(lay.pcs_off + pid) <- a.target;
-              moves := { pid; from_pc = pc; alt; flick; dest } :: !moves
-            end)
-      done;
-      List.rev !moves
-
-let successors t s =
-  let rec all pid acc =
-    if pid < 0 then acc else all (pid - 1) (successors_of_pid t s pid @ acc)
-  in
-  all (t.env.nprocs - 1) []
 
 (* Reference implementation on the interpreter, kept as the differential
    baseline for the compiled path (and as the "before" engine in the
@@ -321,24 +265,36 @@ let successors_interpreted t s =
 let enabled t s pid =
   let pc = s.(t.lay.pcs_off + pid) in
   let alts = t.comp.actions.(pc).(pid) in
+  let n = Array.length alts in
   match t.weak with
   | None ->
-      let n = Array.length alts in
       let rec any alt = alt < n && (alts.(alt).enabled s || any (alt + 1)) in
       any 0
-  | Some wk ->
+  | Some wk -> (
       (* A flicker view can enable a guard the true state disables, so a
          process counts as live if ANY view enables any alternative. *)
-      let view = Array.copy s in
-      let found = ref false in
-      Array.iteri
-        (fun alt (a : Mxlang.Compile.caction) ->
-          if not !found then
-            Regsem.Flicker.iter_views wk.wk_flick ~s ~view ~pid
-              ~cells:wk.wk_reads.(pc).(pid).(alt) (fun ~flick:_ ->
-                if a.enabled view then found := true))
-        alts;
-      !found
+      let fl = Regsem.Flicker.enter wk.wk_flick s in
+      let view = Regsem.Flicker.view fl in
+      let reads = wk.wk_reads.(pc).(pid) in
+      let found = ref false and alt = ref 0 in
+      match
+        while (not !found) && !alt < n do
+          let views = Regsem.Flicker.start fl ~pid ~cells:reads.(!alt) in
+          let flick = ref 0 in
+          while (not !found) && !flick < views do
+            if !flick > 0 then Regsem.Flicker.next fl;
+            found := alts.(!alt).enabled view;
+            incr flick
+          done;
+          incr alt
+        done
+      with
+      | () ->
+          Regsem.Flicker.leave fl;
+          !found
+      | exception e ->
+          Regsem.Flicker.leave fl;
+          raise e)
 
 let kind_of_pc t pc = t.env.program.steps.(pc).kind
 

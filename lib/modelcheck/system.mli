@@ -63,11 +63,6 @@ val successors : t -> State.packed -> move list
 (** Every move of every process enabled in the given state, in
     deterministic (pid, alternative, flicker rank) order. *)
 
-val successors_into : t -> State.packed -> move Vec.t -> unit
-(** Append the same moves, in the same order, to a caller-owned buffer.
-    The explorers clear and reuse one buffer per search, so the hot path
-    allocates only the destination states themselves. *)
-
 val iter_successors_scratch :
   ?only:int ->
   t ->
@@ -80,9 +75,12 @@ val iter_successors_scratch :
     is valid — the buffer is overwritten by the next move, so [f] must
     copy it to keep it.  Same deterministic order as {!successors}; lets
     the explorer dedup first and allocate only genuinely new states.
-    (Weak models allocate one view buffer per call, atomic none.)
-    [only] restricts expansion to that single process — the ample-set
-    reduction; default [-1] expands all processes. *)
+    Under a weak model the flicker views come from a per-domain
+    {!Regsem.Flicker} frame, so once warm no call allocates under any
+    model; [f] may itself call back into this module.  [only] restricts
+    expansion to that single process — the ample-set reduction; default
+    [-1] expands all processes.  {!successors} and {!successors_of_pid}
+    are this enumeration with each destination copied. *)
 
 val successors_interpreted : t -> State.packed -> move list
 (** The same moves computed by the AST interpreter ({!Mxlang.Eval})

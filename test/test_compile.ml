@@ -62,6 +62,88 @@ let moves_bakery_pp () =
     (Core.Bakery_pp_model.program ~granularity:Algorithms.Common.Fine ())
     ~nprocs:2 ~bound:2
 
+(* ------------------------------------------- weak-register move order *)
+
+(* The compiled paths enumerate flicker views with frames
+   ({!Regsem.Flicker.enter}), the interpreter with the list-based
+   reference ({!Regsem.Flicker.iter_views}).  On every explored state
+   of seeded random programs under Regular and Safe registers, each
+   compiled path must emit the interpreter's (pid, from_pc, alt, flick,
+   dest) sequence exactly: a rank numbered differently (say, cells
+   ranked ascending) changes the sequence even when the set of
+   destinations agrees. *)
+let weak_programs = 50
+let weak_cap = 1_500
+
+let key (m : MC.System.move) = (m.pid, m.from_pc, m.alt, m.flick, m.dest)
+
+(* The callback re-enters the enumerator on the same state, as a
+   callback reaching [System.enabled] does; the outer enumeration must
+   not notice. *)
+let scratch_moves sys s =
+  let scratch = Array.make (MC.System.layout sys).words 0 in
+  let acc = ref [] in
+  MC.System.iter_successors_scratch sys s ~scratch
+    (fun ~pid ~from_pc ~alt ~flick ->
+      acc := (pid, from_pc, alt, flick, Array.copy scratch) :: !acc;
+      ignore (MC.System.successors_of_pid sys s pid));
+  List.rev !acc
+
+let weak_moves_agree () =
+  let flicked = ref 0 in
+  for seed = 1 to weak_programs do
+    let nprocs = 2 + (seed mod 2) in
+    let prog =
+      Fuzz.Gen.program (Prng.Rng.create seed)
+        { Fuzz.Gen.default_prog_params with g_nprocs = nprocs; g_bound = 3 }
+    in
+    List.iter
+      (fun model ->
+        let sys = MC.System.make ~register_model:model prog ~nprocs ~bound:3 in
+        let g, _ = MC.Explore.run_graph ~max_states:weak_cap sys in
+        for id = 0 to MC.Vec.length g.states - 1 do
+          let s = MC.Vec.get g.states id in
+          let reference = List.map key (MC.System.successors_interpreted sys s) in
+          let per_pid =
+            List.concat_map
+              (fun pid -> List.map key (MC.System.successors_of_pid sys s pid))
+              (List.init nprocs Fun.id)
+          in
+          let differs name moves =
+            if moves <> reference then
+              Alcotest.failf
+                "seed %d %s state %d: %s differs from the interpreter" seed
+                (Regsem.Model.to_string model) id name
+          in
+          differs "successors" (List.map key (MC.System.successors sys s));
+          differs "successors_of_pid" per_pid;
+          differs "iter_successors_scratch" (scratch_moves sys s);
+          List.iter (fun (_, _, _, f, _) -> if f > 0 then incr flicked) reference
+        done)
+      [ Regsem.Model.Regular; Regsem.Model.Safe ]
+  done;
+  check bool_t "some moves read flickered views" true (!flicked > 0)
+
+(* Once warm, the weak enumeration allocates nothing: its views live in
+   the domain's frame, not in per-call copies and candidate lists. *)
+let weak_scratch_allocates_nothing () =
+  let sys =
+    MC.System.make ~register_model:Regsem.Model.Safe
+      (Core.Bakery_pp_model.program ()) ~nprocs:3 ~bound:4
+  in
+  let g, _ = MC.Explore.run_graph ~max_states:20_000 sys in
+  let n = MC.Vec.length g.states in
+  let scratch = Array.make (MC.System.layout sys).words 0 in
+  let noop ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ = () in
+  MC.System.iter_successors_scratch sys (MC.Vec.get g.states 0) ~scratch noop;
+  let w0 = Gc.minor_words () in
+  for id = 0 to n - 1 do
+    MC.System.iter_successors_scratch sys (MC.Vec.get g.states id) ~scratch noop
+  done;
+  let per_state = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_state >= 1.0 then
+    Alcotest.failf "%.2f minor words per state over %d states" per_state n
+
 (* ------------------------------------------------ engine-level agreement *)
 
 let outcome_label = function
@@ -99,39 +181,64 @@ let engines_agree () =
 
 (* --------------------------------------------------- parallel explorer *)
 
-(* [Par_explore.run] at 1..4 domains vs the sequential explorer, on
-   every registry model: same outcome always, and on a Pass — where
+(* [Par_explore.run] at 1..3 domains, with exact and fingerprint-only
+   tables, vs the sequential explorer, on every registry model under
+   every register model: same outcome always, and on a Pass — where
    both engines explore the full reachable set wave by wave — the
    exact same distinct and generated counts.  On a violation or at
    capacity the engines stop mid-wave at different points, so only
-   the outcome is pinned there. *)
+   the outcome is pinned there.  A model whose weak reads can feed an
+   out-of-range index stops with [Eval.Error]; both engines must. *)
 let par_matches_sequential () =
+  let run f =
+    match f () with
+    | (r : MC.Explore.result) -> (outcome_label r.outcome, Some r)
+    | exception Mxlang.Eval.Error _ -> ("error", None)
+  in
   List.iter
     (fun (name, prog) ->
-      let sys = MC.System.make prog ~nprocs:(nprocs_for name) ~bound:3 in
-      let seq = MC.Explore.run ~max_states:cap sys in
       List.iter
-        (fun domains ->
-          let par = MC.Par_explore.run ~max_states:cap ~domains sys in
-          (* Capacity is a resource limit, not a verdict: the engines
-             overshoot the cap by different amounts within the final
-             wave, and one may legitimately find a real violation
-             there while the other gives up.  Everything else must
-             agree. *)
-          if seq.outcome <> MC.Explore.Capacity && par.outcome <> MC.Explore.Capacity
-          then
-            check Alcotest.string
-              (Printf.sprintf "%s d=%d: outcome" name domains)
-              (outcome_label seq.outcome) (outcome_label par.outcome);
-          if seq.outcome = MC.Explore.Pass then begin
-            check int_t
-              (Printf.sprintf "%s d=%d: distinct" name domains)
-              seq.stats.distinct par.stats.distinct;
-            check int_t
-              (Printf.sprintf "%s d=%d: generated" name domains)
-              seq.stats.generated par.stats.generated
-          end)
-        [ 1; 2; 3; 4 ])
+        (fun register_model ->
+          let sys =
+            MC.System.make ~register_model prog ~nprocs:(nprocs_for name)
+              ~bound:3
+          in
+          (* weak systems mostly run into the cap; a smaller one keeps
+             the test quick and still above every weak Pass (filter,
+             regular: 10,025 states) *)
+          let cap =
+            if register_model = Regsem.Model.Atomic then cap else 12_000
+          in
+          let seq = run (fun () -> MC.Explore.run ~max_states:cap sys) in
+          List.iter
+            (fun (domains, fingerprint_only) ->
+              let par =
+                run (fun () ->
+                    MC.Par_explore.run ~max_states:cap ~domains
+                      ~fingerprint_only sys)
+              in
+              let what =
+                Printf.sprintf "%s %s d=%d%s" name
+                  (Regsem.Model.to_string register_model)
+                  domains
+                  (if fingerprint_only then " fp-only" else "")
+              in
+              (* Capacity is a resource limit, not a verdict: the engines
+                 overshoot the cap by different amounts within the final
+                 wave, and one may legitimately find a real violation
+                 there while the other gives up.  Everything else must
+                 agree. *)
+              if fst seq <> "capacity" && fst par <> "capacity" then
+                check Alcotest.string (what ^ ": outcome") (fst seq) (fst par);
+              match (seq, par) with
+              | ("pass", Some s), (_, Some p) ->
+                  check int_t (what ^ ": distinct") s.stats.distinct
+                    p.stats.distinct;
+                  check int_t (what ^ ": generated") s.stats.generated
+                    p.stats.generated
+              | _ -> ())
+            (List.concat_map (fun d -> [ (d, false); (d, true) ]) [ 1; 2; 3 ]))
+        Regsem.Model.[ Atomic; Regular; Safe ])
     Harness.Registry.models
 
 (* A shared pool reused across several searches (the harness pattern). *)
@@ -187,10 +294,15 @@ let () =
             moves_bakery_pp;
           Alcotest.test_case "Explore.run engines agree on all models" `Quick
             engines_agree;
+          Alcotest.test_case "weak-register moves: every path = interpreter"
+            `Quick weak_moves_agree;
+          Alcotest.test_case "weak-register moves allocate nothing" `Quick
+            weak_scratch_allocates_nothing;
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "Par_explore matches Explore at 1..4 domains"
+          Alcotest.test_case
+            "Par_explore matches Explore at 1..3 domains, every register model"
             `Quick par_matches_sequential;
           Alcotest.test_case "shared pool across searches" `Quick shared_pool;
           Alcotest.test_case "pool runs every worker" `Quick
