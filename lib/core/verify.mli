@@ -75,7 +75,9 @@ type battery = {
   bakery_overflows : bool;  (** E2: plain Bakery violates no-overflow *)
   refinement_holds : bool;  (** E3: Bakery++ ⊑ Bakery *)
   gate_lasso_exists : bool;  (** E9: §6.3 starvation cycle at L1 *)
-  waiting_room_lasso_free : bool;  (** E9 control: FCFS room starvation-free *)
+  waiting_room_lasso_free : bool;
+      (** E9 control: FCFS room starvation-free — no lasso, and the
+          search covered the whole graph *)
   report : string;  (** human-readable summary of all five *)
 }
 

@@ -227,7 +227,7 @@ let regsem_oracle ~program ~nprocs ~bound ~max_states =
       | Pass ->
           let ga, sa = MC.Explore.run_graph ~max_states (make Regsem.Model.Atomic) in
           let gs, ss = MC.Explore.run_graph ~max_states (make Regsem.Model.Safe) in
-          if sa.distinct >= max_states || ss.distinct >= max_states then Pass
+          if not (ga.complete && gs.complete) then Pass
           else begin
             let atomic_lay = MC.System.layout ga.sys in
             let weak_lay = MC.System.layout gs.sys in

@@ -5,7 +5,7 @@ type entry = {
   fired : int;
 }
 
-type t = { entries : entry list; total_transitions : int }
+type t = { entries : entry list; total_transitions : int; complete : bool }
 
 let of_graph (g : Explore.graph) =
   let p = System.program g.sys in
@@ -30,7 +30,7 @@ let of_graph (g : Explore.graph) =
           fired = counts.(pc);
         })
   in
-  { entries; total_transitions = !total }
+  { entries; total_transitions = !total; complete = g.complete }
 
 let measure ?constraint_ ?max_states sys =
   let graph, _ = Explore.run_graph ?constraint_ ?max_states sys in
@@ -47,6 +47,13 @@ let pp ppf t =
     (fun e ->
       Format.fprintf ppf "%-20s %-8s %8d%s@," e.step_name
         (Mxlang.Pretty.kind e.kind) e.fired
-        (if e.fired = 0 then "   <- never fired" else ""))
+        (if e.fired > 0 then ""
+         else if t.complete then "   <- never fired"
+         else "   <- not fired (inconclusive)"))
     t.entries;
-  Format.fprintf ppf "total stored transitions: %d@]" t.total_transitions
+  Format.fprintf ppf "total stored transitions: %d" t.total_transitions;
+  if not t.complete then
+    Format.fprintf ppf
+      "@,INCONCLUSIVE: the state budget ran out before the graph was \
+       complete; an unfired label may fire beyond it.";
+  Format.fprintf ppf "@]"

@@ -12,7 +12,13 @@ type entry = {
   fired : int;  (** transitions generated through this label during the search *)
 }
 
-type t = { entries : entry list; total_transitions : int }
+type t = {
+  entries : entry list;
+  total_transitions : int;
+  complete : bool;
+      (** the graph was explored in full; when [false], a label that
+          never fired may still fire beyond the state budget *)
+}
 
 val of_graph : Explore.graph -> t
 (** Count, for every program label, the transitions generated from stored
@@ -29,3 +35,5 @@ val uncovered : t -> string list
 (** Labels that never fired. *)
 
 val pp : Format.formatter -> t -> unit
+(** One line per label; on an incomplete graph, unfired labels are
+    marked inconclusive rather than never fired. *)

@@ -32,8 +32,6 @@ let of_system ?(max_states = 500) ?constraint_ sys =
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "digraph %s {\n" (Mxlang.Tla.module_name (System.program sys));
   out "  rankdir=TB;\n  node [shape=box, fontsize=9];\n";
-  let n = Vec.length graph.states in
-  let truncated = ref false in
   Vec.iteri
     (fun id s ->
       out "  s%d [label=\"%s\"%s];\n" id
@@ -50,12 +48,13 @@ let of_system ?(max_states = 500) ?constraint_ sys =
           | Some dst ->
               out "  s%d -> s%d [label=\"p%d:%s\", fontsize=8];\n" id dst m.pid
                 (System.program sys).steps.(m.from_pc).step_name
-          | None -> truncated := true)
+          | None -> ())
         (System.successors sys s))
     graph.states;
-  if !truncated || n > max_states then begin
+  if not graph.complete then begin
     out "  cut [label=\"...\", shape=plaintext];\n";
-    out "  s0 -> cut [style=dashed, label=\"truncated at %d states\"];\n" n
+    out "  s0 -> cut [style=dashed, label=\"truncated at %d states\"];\n"
+      (Vec.length graph.states)
   end;
   out "}\n";
   Buffer.contents buf

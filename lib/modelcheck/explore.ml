@@ -1,25 +1,17 @@
 (* Sequential BFS over the induced transition system.
 
-   Two engines share this file and produce bit-identical results:
+   One loop serves every sequential search: [run] checks invariants and
+   deadlocks on it, [run_graph] keeps the graph it stored.  Each
+   candidate successor is built in one reusable scratch buffer, probed
+   against the allocation-free arena-backed {!Store}, and blitted into
+   the arena only if genuinely new.  Most generated states of a big
+   search are duplicates, so the steady state allocates nothing at all.
 
-   - the default path ([interpreted = false]) runs the compiled actions
-     fused with dedup: each candidate successor is built in one reusable
-     scratch buffer, probed against the allocation-free arena-backed
-     {!Store}, and blitted into the arena only if genuinely new.  Most
-     generated states of a big search are duplicates, so the steady
-     state allocates nothing at all;
-   - [interpreted = true] is the seed engine, kept verbatim as the
-     measured baseline and differential reference: list-of-moves
-     successors from the AST interpreter, one boxed array per generated
-     state, a generic [Hashtbl] keyed on packed arrays, a [Queue.t]
-     frontier. *)
-
-module Tbl = Hashtbl.Make (struct
-  type t = State.packed
-
-  let equal = State.equal
-  let hash = State.hash
-end)
+   [interpreted = true] swaps only the successor function: the AST
+   interpreter's move list is copied into the same scratch buffer, move
+   by move, and fed through the same loop, store, staged invariants and
+   trace code — so the two successor engines are compared and timed
+   through one search. *)
 
 type stats = { generated : int; distinct : int; depth : int; runtime : float }
 
@@ -38,9 +30,10 @@ type graph = {
   via_pid : int Vec.t;
   via_pc : int Vec.t;
   id_of : State.packed -> int option;
+  complete : bool;
 }
 
-let now () = Unix.gettimeofday ()
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let trace_of sys ~state_of ~parent ~via_pid ~via_pc id =
   let p = System.program sys in
@@ -103,6 +96,174 @@ let record_finish ?progress ?metrics ~prefix outcome (stats : stats) =
            float_of_int stats.generated /. stats.runtime /. 1e3
          else 0.0)
 
+(* The search itself: dedup-before-copy BFS on the arena store, frontier
+   as a cursor over an int vector.  Returns the result together with
+   the store and its parent links, which [run_graph] hands on. *)
+let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
+    ~red ?progress ?metrics sys =
+  let canon = Reduce.canonizer red in
+  let t0 = now () in
+  let idx = Store.create () in
+  let parent = Vec.create () in
+  let via_pid = Vec.create () in
+  let via_pc = Vec.create () in
+  let generated = ref 0 in
+  let max_depth = ref 0 in
+  let wave = Wave.create () in
+  let lay = System.layout sys in
+  let scratch = Array.make lay.State.words 0 in
+  let current = Array.make lay.State.words 0 in
+  let exception Stop of outcome in
+  let trace id =
+    Reduce.decanonicalize red
+      (trace_of sys ~state_of:(Store.get idx) ~parent ~via_pid ~via_pc id)
+  in
+  (* One tick per dequeued state; a disabled reporter costs one call to
+     a static no-op closure, nothing else (E11 must not move). *)
+  let tick =
+    match progress with
+    | None -> fun () -> ()
+    | Some p ->
+        let fields () =
+          let elapsed = now () -. t0 in
+          [
+            ("depth", Telemetry.Json.Num (float_of_int !max_depth));
+            ("generated", Telemetry.Json.Num (float_of_int !generated));
+            ("distinct", Telemetry.Json.Num (float_of_int (Store.length idx)));
+            ("queue", Telemetry.Json.Num (float_of_int (Wave.pending wave)));
+            ( "kstates_s",
+              Telemetry.Json.Num
+                (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
+                 else 0.0) );
+            ("store_load", Telemetry.Json.Num (Store.load_factor idx));
+            ( "arena_mb",
+              Telemetry.Json.Num
+                (float_of_int (Store.arena_bytes idx) /. 1048576.0) );
+          ]
+        in
+        fun () -> Telemetry.Progress.tick p fields
+  in
+  let wave_hist =
+    match metrics with
+    | None -> None
+    | Some m -> Some (Telemetry.Metrics.histogram m "explore.wave_s")
+  in
+  let wave_t0 = ref (now ()) in
+  (* Live gauges feed the flight-recorder sampler: refreshed once per
+     wave (never per state), and registered only when a registry was
+     asked for, so an uninstrumented run stays bit-identical.  Named
+     live_* because record_finish registers the bare names as
+     counters. *)
+  let live =
+    match metrics with
+    | None -> None
+    | Some m ->
+        Telemetry.Metrics.set
+          (Telemetry.Metrics.gauge m "explore.max_states")
+          (float_of_int max_states);
+        Some
+          ( Telemetry.Metrics.gauge m "explore.frontier_depth",
+            Telemetry.Metrics.gauge m "explore.live_generated",
+            Telemetry.Metrics.gauge m "explore.live_distinct",
+            Telemetry.Metrics.gauge m "explore.live_kstates_s" )
+  in
+  let on_wave ~depth ~frontier =
+    max_depth := depth;
+    (match live with
+    | None -> ()
+    | Some (g_frontier, g_gen, g_dist, g_rate) ->
+        Telemetry.Metrics.set g_frontier (float_of_int frontier);
+        Telemetry.Metrics.set g_gen (float_of_int !generated);
+        Telemetry.Metrics.set g_dist (float_of_int (Store.length idx));
+        let elapsed = now () -. t0 in
+        Telemetry.Metrics.set g_rate
+          (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
+           else 0.0));
+    match wave_hist with
+    | None -> ()
+    | Some h ->
+        let t = now () in
+        Telemetry.Metrics.observe h (t -. !wave_t0);
+        wave_t0 := t
+  in
+  (* Invariants are staged once per run (layouts and step kinds resolved
+     up front); they and the state constraint run on the scratch buffer
+     (identical contents to what was just stored). *)
+  let names = Array.of_list (List.map (fun inv -> inv.Invariant.name) invariants) in
+  let holds = Array.of_list (List.map (fun inv -> Invariant.stage inv sys) invariants) in
+  let vet id' buf =
+    if Store.length idx > max_states then raise (Stop Capacity);
+    let k = ref 0 in
+    while !k < Array.length holds && (Array.unsafe_get holds !k) buf do
+      incr k
+    done;
+    if !k < Array.length holds then
+      raise (Stop (Violation { invariant = names.(!k); trace = trace id' }));
+    match constraint_ with
+    | Some c when not (c sys buf) -> ()
+    | _ -> Wave.push wave id'
+  in
+  let store_new ~parent:par ~pid ~pc buf =
+    let id' = Store.add_probed idx buf in
+    ignore (Vec.push parent par);
+    ignore (Vec.push via_pid pid);
+    ignore (Vec.push via_pc pc);
+    vet id' buf
+  in
+  (* The expanded state's id and whether it had a move, shared with the
+     per-move callback so that one closure serves the whole search. *)
+  let from = ref 0 and any = ref false in
+  let on_move ~pid ~from_pc ~alt:_ ~flick:_ =
+    any := true;
+    incr generated;
+    canon scratch;
+    if Store.probe idx scratch = -1 then
+      store_new ~parent:!from ~pid ~pc:from_pc scratch
+  in
+  let interpreted_moves only =
+    List.iter
+      (fun (m : System.move) ->
+        if only < 0 || m.pid = only then begin
+          Array.blit m.dest 0 scratch 0 lay.State.words;
+          on_move ~pid:m.pid ~from_pc:m.from_pc ~alt:m.alt ~flick:m.flick
+        end)
+      (System.successors_interpreted sys current)
+  in
+  let outcome =
+    try
+      let init = System.initial sys in
+      canon init;
+      incr generated;
+      if Store.probe idx init = -1 then
+        store_new ~parent:(-1) ~pid:(-1) ~pc:(-1) init;
+      (* BFS depth by wave boundary: ids enter the driver in depth
+         order, so no per-state depth needs storing. *)
+      Wave.drive ~on_wave wave (fun id ->
+          tick ();
+          Store.read_into idx id current;
+          from := id;
+          any := false;
+          let only = Reduce.ample red current in
+          if interpreted then interpreted_moves only
+          else System.iter_successors_scratch ~only sys current ~scratch on_move;
+          (* An ample process is enabled by construction, so [only >= 0]
+             never masks a deadlock. *)
+          if check_deadlock && not !any then
+            raise (Stop (Deadlock { trace = trace id })));
+      Pass
+    with Stop o -> o
+  in
+  let stats =
+    {
+      generated = !generated;
+      distinct = Store.length idx;
+      depth = !max_depth;
+      runtime = now () -. t0;
+    }
+  in
+  record_finish ?progress ?metrics ~prefix:"explore" outcome stats;
+  ({ outcome; stats }, idx, parent, via_pid, via_pc)
+
 let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = true)
     ?(interpreted = false) ?(reduce = Reduce.Off) ?progress ?metrics sys =
   let invariants =
@@ -116,323 +277,30 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
       Reduce.make reduce sys
     else Reduce.make Reduce.Off sys
   in
-  let canon = Reduce.canonizer red in
-  let t0 = now () in
-  let parent = Vec.create () in
-  let via_pid = Vec.create () in
-  let via_pc = Vec.create () in
-  let generated = ref 0 in
-  let max_depth = ref 0 in
-  let finish ~distinct outcome =
-    let stats =
-      {
-        generated = !generated;
-        distinct;
-        depth = !max_depth;
-        runtime = now () -. t0;
-      }
-    in
-    record_finish ?progress ?metrics ~prefix:"explore" outcome stats;
-    { outcome; stats }
+  let r, _, _, _, _ =
+    search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
+      ~red ?progress ?metrics sys
   in
-  let first_violated s =
-    let rec go = function
-      | [] -> None
-      | inv :: rest ->
-          (match Invariant.check inv sys s with
-          | Some name -> Some name
-          | None -> go rest)
-    in
-    go invariants
-  in
-  let expand s =
-    match constraint_ with None -> true | Some c -> c sys s
-  in
-  let push_meta ~parent:par ~pid ~pc =
-    ignore (Vec.push parent par);
-    ignore (Vec.push via_pid pid);
-    ignore (Vec.push via_pc pc)
-  in
-  let exception Stop of result in
-  (* The compiled engine: dedup-before-copy BFS on the arena store,
-     frontier as a cursor over an int vector. *)
-  let run_compiled () =
-    let idx = Store.create () in
-    let finish outcome = finish ~distinct:(Store.length idx) outcome in
-    let trace id =
-      Reduce.decanonicalize red
-        (trace_of sys ~state_of:(Store.get idx) ~parent ~via_pid ~via_pc id)
-    in
-    let lay = System.layout sys in
-    let scratch = Array.make lay.State.words 0 in
-    let current = Array.make lay.State.words 0 in
-    let wave = Wave.create () in
-    (* One tick per dequeued state; a disabled reporter costs one call
-       to a static no-op closure, nothing else (E11 must not move). *)
-    let tick =
-      match progress with
-      | None -> fun () -> ()
-      | Some p ->
-          let fields () =
-            let elapsed = now () -. t0 in
-            [
-              ("depth", Telemetry.Json.Num (float_of_int !max_depth));
-              ("generated", Telemetry.Json.Num (float_of_int !generated));
-              ( "distinct",
-                Telemetry.Json.Num (float_of_int (Store.length idx)) );
-              ( "queue",
-                Telemetry.Json.Num (float_of_int (Wave.pending wave)) );
-              ( "kstates_s",
-                Telemetry.Json.Num
-                  (if elapsed > 0.0 then
-                     float_of_int !generated /. elapsed /. 1e3
-                   else 0.0) );
-              ("store_load", Telemetry.Json.Num (Store.load_factor idx));
-              ( "arena_mb",
-                Telemetry.Json.Num
-                  (float_of_int (Store.arena_bytes idx) /. 1048576.0) );
-            ]
-          in
-          fun () -> Telemetry.Progress.tick p fields
-    in
-    let wave_hist =
-      match metrics with
-      | None -> None
-      | Some m ->
-          Some (Telemetry.Metrics.histogram m "explore.wave_s")
-    in
-    let wave_t0 = ref (now ()) in
-    (* Live gauges feed the flight-recorder sampler: refreshed once per
-       wave (never per state), and registered only when a registry was
-       asked for, so an uninstrumented run stays bit-identical.  Named
-       live_* because record_finish registers the bare names as
-       counters. *)
-    let live =
-      match metrics with
-      | None -> None
-      | Some m ->
-          Telemetry.Metrics.set
-            (Telemetry.Metrics.gauge m "explore.max_states")
-            (float_of_int max_states);
-          Some
-            ( Telemetry.Metrics.gauge m "explore.frontier_depth",
-              Telemetry.Metrics.gauge m "explore.live_generated",
-              Telemetry.Metrics.gauge m "explore.live_distinct",
-              Telemetry.Metrics.gauge m "explore.live_kstates_s" )
-    in
-    let on_wave ~depth ~frontier =
-      max_depth := depth;
-      (match live with
-      | None -> ()
-      | Some (g_frontier, g_gen, g_dist, g_rate) ->
-          Telemetry.Metrics.set g_frontier (float_of_int frontier);
-          Telemetry.Metrics.set g_gen (float_of_int !generated);
-          Telemetry.Metrics.set g_dist (float_of_int (Store.length idx));
-          let elapsed = now () -. t0 in
-          Telemetry.Metrics.set g_rate
-            (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
-             else 0.0));
-      match wave_hist with
-      | None -> ()
-      | Some h ->
-          let t = now () in
-          Telemetry.Metrics.observe h (t -. !wave_t0);
-          wave_t0 := t
-    in
-    (* Invariants are staged once per run (layouts and step kinds
-       resolved up front); they and the state constraint run on the
-       scratch buffer (identical contents to what was just stored). *)
-    let staged =
-      Array.of_list
-        (List.map (fun inv -> (inv.Invariant.name, Invariant.stage inv sys)) invariants)
-    in
-    let nstaged = Array.length staged in
-    let first_violated_staged buf =
-      let rec go k =
-        if k >= nstaged then None
-        else
-          let name, holds = Array.unsafe_get staged k in
-          if holds buf then go (k + 1) else Some name
-      in
-      go 0
-    in
-    let vet id' buf =
-      if Store.length idx > max_states then raise (Stop (finish Capacity));
-      match first_violated_staged buf with
-      | Some invariant ->
-          raise (Stop (finish (Violation { invariant; trace = trace id' })))
-      | None -> if expand buf then Wave.push wave id'
-    in
-    let init = System.initial sys in
-    canon init;
-    incr generated;
-    (match Store.add idx init with
-    | Some id ->
-        push_meta ~parent:(-1) ~pid:(-1) ~pc:(-1);
-        vet id init
-    | None -> assert false);
-    (* BFS depth by wave boundary: ids enter the driver in depth order,
-       so no per-state depth needs storing. *)
-    Wave.drive ~on_wave wave (fun id ->
-        tick ();
-        Store.read_into idx id current;
-        let only = Reduce.ample red current in
-        let any = ref false in
-        System.iter_successors_scratch ~only sys current ~scratch
-          (fun ~pid ~from_pc ~alt:_ ~flick:_ ->
-            any := true;
-            incr generated;
-            canon scratch;
-            if Store.probe idx scratch = -1 then begin
-              let id' = Store.add_probed idx scratch in
-              push_meta ~parent:id ~pid ~pc:from_pc;
-              vet id' scratch
-            end);
-        (* An ample process is enabled by construction, so [only >= 0]
-           never masks a deadlock. *)
-        if check_deadlock && not !any then
-          raise (Stop (finish (Deadlock { trace = trace id }))));
-    finish Pass
-  in
-  (* The seed engine, preserved as baseline: one hash to probe, a second
-     to insert, a move list per state, a fresh array per candidate. *)
-  let run_interpreted () =
-    let tbl = Tbl.create 4096 in
-    let states = Vec.create () in
-    let finish outcome = finish ~distinct:(Vec.length states) outcome in
-    let trace id =
-      Reduce.decanonicalize red
-        (trace_of sys ~state_of:(Vec.get states) ~parent ~via_pid ~via_pc id)
-    in
-    let wave = Wave.create () in
-    let tick =
-      match progress with
-      | None -> fun () -> ()
-      | Some p ->
-          let fields () =
-            let elapsed = now () -. t0 in
-            [
-              ("depth", Telemetry.Json.Num (float_of_int !max_depth));
-              ("generated", Telemetry.Json.Num (float_of_int !generated));
-              ( "distinct",
-                Telemetry.Json.Num (float_of_int (Vec.length states)) );
-              ("queue", Telemetry.Json.Num (float_of_int (Wave.pending wave)));
-              ( "kstates_s",
-                Telemetry.Json.Num
-                  (if elapsed > 0.0 then
-                     float_of_int !generated /. elapsed /. 1e3
-                   else 0.0) );
-            ]
-          in
-          fun () -> Telemetry.Progress.tick p fields
-    in
-    let add ~parent ~pid ~pc s =
-      match Tbl.find_opt tbl s with
-      | Some _ -> None
-      | None ->
-          let id = Vec.push states s in
-          Tbl.add tbl s id;
-          push_meta ~parent ~pid ~pc;
-          Some id
-    in
-    let check_state id s =
-      match first_violated s with
-      | Some invariant -> Some (Violation { invariant; trace = trace id })
-      | None -> None
-    in
-    let init = System.initial sys in
-    canon init;
-    incr generated;
-    (match add ~parent:(-1) ~pid:(-1) ~pc:(-1) init with
-    | Some id -> (
-        match check_state id init with
-        | Some bad -> raise (Stop (finish bad))
-        | None -> if expand init then Wave.push wave id)
-    | None -> assert false);
-    Wave.drive
-      ~on_wave:(fun ~depth ~frontier:_ -> max_depth := depth)
-      wave
-      (fun id ->
-        tick ();
-        let s = Vec.get states id in
-        let moves = System.successors_interpreted sys s in
-        if check_deadlock && moves = [] then
-          raise (Stop (finish (Deadlock { trace = trace id })));
-        let only = Reduce.ample red s in
-        let moves =
-          if only < 0 then moves
-          else List.filter (fun (m : System.move) -> m.pid = only) moves
-        in
-        List.iter
-          (fun (m : System.move) ->
-            incr generated;
-            canon m.dest;
-            match add ~parent:id ~pid:m.pid ~pc:m.from_pc m.dest with
-            | None -> ()
-            | Some id' -> (
-                if Vec.length states > max_states then
-                  raise (Stop (finish Capacity));
-                match check_state id' m.dest with
-                | Some bad -> raise (Stop (finish bad))
-                | None -> if expand m.dest then Wave.push wave id'))
-          moves);
-    finish Pass
-  in
-  try if interpreted then run_interpreted () else run_compiled ()
-  with Stop r -> r
+  r
 
 let run_graph ?constraint_ ?(max_states = 5_000_000) sys =
-  let t0 = now () in
-  let idx = Store.create () in
-  let parent = Vec.create () in
-  let via_pid = Vec.create () in
-  let via_pc = Vec.create () in
-  let generated = ref 0 in
-  let max_depth = ref 0 in
-  let expand s = match constraint_ with None -> true | Some c -> c sys s in
-  let push_meta ~parent:par ~pid ~pc =
-    ignore (Vec.push parent par);
-    ignore (Vec.push via_pid pid);
-    ignore (Vec.push via_pc pc)
+  let r, idx, parent, via_pid, via_pc =
+    search ~invariants:[] ~constraint_ ~max_states ~check_deadlock:false
+      ~interpreted:false ~red:(Reduce.make Reduce.Off sys) sys
   in
-  let lay = System.layout sys in
-  let scratch = Array.make lay.State.words 0 in
-  let current = Array.make lay.State.words 0 in
-  let wave = Wave.create () in
-  let init = System.initial sys in
-  incr generated;
-  (match Store.add idx init with
-  | Some id ->
-      push_meta ~parent:(-1) ~pid:(-1) ~pc:(-1);
-      if expand init then Wave.push wave id
-  | None -> assert false);
-  let exception Full in
-  (try
-     Wave.drive
-       ~on_wave:(fun ~depth ~frontier:_ -> max_depth := depth)
-       wave
-       (fun id ->
-         Store.read_into idx id current;
-         System.iter_successors_scratch sys current ~scratch
-           (fun ~pid ~from_pc ~alt:_ ~flick:_ ->
-             incr generated;
-             if Store.probe idx scratch = -1 then begin
-               let id' = Store.add_probed idx scratch in
-               push_meta ~parent:id ~pid ~pc:from_pc;
-               if Store.length idx > max_states then raise Full;
-               if expand scratch then Wave.push wave id'
-             end))
-   with Full -> ());
   (* Materialize boxed states for the graph consumers (lassos, coverage,
      dot rendering): one pass, outside the search loop. *)
   let states = Vec.create () in
   for id = 0 to Store.length idx - 1 do
     ignore (Vec.push states (Store.get idx id))
   done;
-  ( { sys; states; parent; via_pid; via_pc; id_of = (fun s -> Store.find_opt idx s) },
-    {
-      generated = !generated;
-      distinct = Store.length idx;
-      depth = !max_depth;
-      runtime = now () -. t0;
-    } )
+  ( {
+      sys;
+      states;
+      parent;
+      via_pid;
+      via_pc;
+      id_of = Store.find_opt idx;
+      complete = r.outcome <> Capacity;
+    },
+    r.stats )

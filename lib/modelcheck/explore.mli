@@ -29,6 +29,11 @@ type graph = {
   via_pid : int Vec.t;
   via_pc : int Vec.t;
   id_of : State.packed -> int option;
+  complete : bool;
+      (** [false] if [max_states] stopped the search before the frontier
+          emptied: the graph is then a BFS prefix of the reachable one,
+          and an absence found in it (no lasso, a label never fired) is
+          no proof *)
 }
 
 val run :
@@ -49,10 +54,12 @@ val run :
     still checked against the invariants but not expanded, closing
     otherwise-infinite state spaces (needed for the original, unbounded
     Bakery).  [max_states] (default 5_000_000) bounds memory.
-    [interpreted] (default [false]) generates successors with the AST
-    interpreter instead of the compiled closures — the reference engine
-    for differential tests and the throughput experiment's baseline;
-    outcome, traces, and state counts are identical either way.
+    [interpreted] (default [false]) swaps only successor generation: the
+    AST interpreter's moves replace the compiled closures', and the same
+    loop, store, staged invariants and trace code run on them — the
+    reference for differential tests and the evaluator-layer baseline
+    of the throughput experiment; outcome, traces, and state counts are
+    identical either way.
 
     [reduce] (default [Off]) enables state-space reduction ({!Reduce}):
     [Sym] canonicalizes states under pid permutation when the program
@@ -78,11 +85,17 @@ val run_graph :
   ?max_states:int ->
   System.t ->
   graph * stats
-(** Exploration that keeps the whole reachable graph (no invariant
-    checking, no early exit); used by {!Lasso} and {!Refine}. *)
+(** The same search with no invariants, no deadlock check and no
+    reduction, keeping the graph it stored; used by {!Lasso},
+    {!Coverage} and {!Dot}.  At [max_states] the search stops and the
+    graph says so ([complete = false]). *)
 
 val trace_to : graph -> int -> Trace.t
 (** Reconstruct the BFS path from the root to a stored state id. *)
+
+val now : unit -> float
+(** Seconds on the monotonic clock, the time base of [stats.runtime]:
+    a wall-clock step during a search cannot distort it. *)
 
 val outcome_tag : outcome -> string
 (** Short machine tag: ["pass"], ["violation:<invariant>"],

@@ -26,29 +26,27 @@ let mutex =
         in
         count 0 0 <= 1);
     (* Staged form: resolve "is pc critical?" once per run into a table
-       indexed by pc, so the per-state check is [nprocs] array loads. *)
+       indexed by pc, so the per-state check is [nprocs] array loads.
+       The counter is a local ref the compiler keeps in a register, so a
+       call allocates nothing. *)
     prepare =
       Some
         (fun sys ->
           let p = System.program sys in
           let lay = System.layout sys in
-          let n = System.nprocs sys in
           let critical =
             Array.map
               (fun (st : Mxlang.Ast.step) -> st.kind = Mxlang.Ast.Critical)
               p.steps
           in
-          let pcs_off = lay.State.pcs_off in
+          let first = lay.State.pcs_off in
+          let last = first + System.nprocs sys - 1 in
           fun s ->
-            let rec count i acc =
-              if i >= n then acc
-              else
-                count (i + 1)
-                  (if Array.unsafe_get critical (Array.unsafe_get s (pcs_off + i))
-                   then acc + 1
-                   else acc)
-            in
-            count 0 0 <= 1);
+            let inside = ref 0 in
+            for i = first to last do
+              if Array.unsafe_get critical (Array.unsafe_get s i) then incr inside
+            done;
+            !inside <= 1);
     describe =
       Some
         (fun sys s ->
@@ -94,8 +92,8 @@ let no_overflow =
         in
         var_ok 0);
     (* Staged form: the register-bounded variables occupy a fixed set of
-       shared cells; collect their (first, last) cell ranges once, then
-       scan those words directly. *)
+       shared cells; collect their offsets once, then scan those words
+       directly, allocating nothing per call. *)
     prepare =
       Some
         (fun sys ->
@@ -103,26 +101,20 @@ let no_overflow =
           let lay = System.layout sys in
           let m = System.bound sys in
           let nprocs = System.nprocs sys in
-          let ranges = ref [] in
-          for v = p.nvars - 1 downto 0 do
-            if p.bounded.(v) then begin
-              let o = Mxlang.Eval.offset lay.State.env v in
-              let cells = Mxlang.Ast.cells_of ~nprocs p v in
-              ranges := (o, o + cells - 1) :: !ranges
-            end
-          done;
-          let ranges = Array.of_list !ranges in
+          let cells =
+            Array.concat
+              (List.init p.nvars (fun v ->
+                   if not p.bounded.(v) then [||]
+                   else
+                     let o = Mxlang.Eval.offset lay.State.env v in
+                     Array.init (Mxlang.Ast.cells_of ~nprocs p v) (fun i -> o + i)))
+          in
           fun s ->
-            let rec range_ok r =
-              r >= Array.length ranges
-              ||
-              let lo, hi = Array.unsafe_get ranges r in
-              let rec cell_ok i =
-                i > hi || (Array.unsafe_get s i <= m && cell_ok (i + 1))
-              in
-              cell_ok lo && range_ok (r + 1)
-            in
-            range_ok 0);
+            let ok = ref true in
+            for i = 0 to Array.length cells - 1 do
+              if Array.unsafe_get s (Array.unsafe_get cells i) > m then ok := false
+            done;
+            !ok);
     describe =
       Some
         (fun sys s ->

@@ -10,7 +10,8 @@ type t = {
   prepare : (System.t -> State.packed -> bool) option;
       (** Optional staged form: specialize the check against one system
           (resolve layouts, step kinds, cell offsets) and return a
-          per-state closure.  Must agree with [holds] on every state. *)
+          per-state closure.  Must agree with [holds] on every state;
+          the built-in ones allocate nothing per call. *)
   describe : (System.t -> State.packed -> string option) option;
       (** Optional forensics: on a state where [holds] is false, name the
           concrete registers / program counters falsifying the law
@@ -59,5 +60,4 @@ val check : t -> System.t -> State.packed -> string option
 val stage : t -> System.t -> State.packed -> bool
 (** Specialize an invariant for one system: uses [prepare] when present
     (paying layout/offset resolution once, not per state), otherwise
-    partially applies [holds].  Used by the compiled explorer's hot
-    loop. *)
+    partially applies [holds].  The only form the explorers run. *)

@@ -5,7 +5,7 @@ type witness = {
   cs_entries_in_cycle : int;
 }
 
-type result = { witness : witness option; stats : Explore.stats }
+type result = { witness : witness option; complete : bool; stats : Explore.stats }
 
 let stuck_at_kind kind (p : Mxlang.Ast.program) pc = p.steps.(pc).kind = kind
 let stuck_at_label name (p : Mxlang.Ast.program) pc = p.steps.(pc).step_name = name
@@ -132,7 +132,7 @@ let find ?constraint_ ?(max_states = 2_000_000) ?(require_victim_disabled = fals
     incr i
   done;
   match !found with
-  | None -> { witness = None; stats }
+  | None -> { witness = None; complete = graph.complete; stats }
   | Some (u, e0) ->
       let c = comp.(u) in
       (* BFS within the SCC from [src] to [dst]; returns the edge path. *)
@@ -199,5 +199,6 @@ let find ?constraint_ ?(max_states = 2_000_000) ?(require_victim_disabled = fals
       {
         witness =
           Some { prefix; cycle; victim_continuously_enabled; cs_entries_in_cycle };
+        complete = graph.complete;
         stats;
       }

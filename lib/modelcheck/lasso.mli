@@ -23,7 +23,13 @@ type witness = {
   cs_entries_in_cycle : int;  (** critical-section entries by other processes *)
 }
 
-type result = { witness : witness option; stats : Explore.stats }
+type result = {
+  witness : witness option;
+  complete : bool;
+      (** the search covered the whole reachable graph; when [false], a
+          missing witness proves nothing (see {!Explore.graph}) *)
+  stats : Explore.stats;
+}
 
 val find :
   ?constraint_:(System.t -> State.packed -> bool) ->

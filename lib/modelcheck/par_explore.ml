@@ -51,7 +51,7 @@
    Counterexample traces are then rebuilt by replaying the recorded
    (pid, pc, alt) parent chain from the initial state. *)
 
-let now () = Unix.gettimeofday ()
+let now = Explore.now
 
 let batch_cap = 64
 let steal_max = 64

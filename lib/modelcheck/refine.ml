@@ -23,29 +23,17 @@ let phase_obs sys s =
 
 let obs_equal (a : obs) (b : obs) = a = b
 
-module StateTbl = Hashtbl.Make (struct
-  type t = State.packed
-
-  let equal = State.equal
-  let hash = State.hash
-end)
-
 (* Interned specification states: stable ids so that sets of spec states
    can be canonicalized as sorted id lists. *)
 type spec_store = {
   sys : System.t;
-  ids : int StateTbl.t;
-  states : State.packed Vec.t;
+  store : Store.t;
   expandable : State.packed -> bool;
 }
 
-let intern st s =
-  match StateTbl.find_opt st.ids s with
-  | Some id -> id
-  | None ->
-      let id = Vec.push st.states s in
-      StateTbl.add st.ids s id;
-      id
+let intern store s =
+  let id = Store.probe store s in
+  if id >= 0 then id else Store.add_probed store s
 
 (* All spec states reachable from [seeds] through transitions that keep
    the observation equal to [o] (stutter closure), as a sorted id list. *)
@@ -56,11 +44,11 @@ let closure st ~obs_fn ~o seeds =
     if not (Hashtbl.mem seen id) then begin
       Hashtbl.add seen id ();
       acc := id :: !acc;
-      let s = Vec.get st.states id in
+      let s = Store.get st.store id in
       if st.expandable s then
         List.iter
           (fun (m : System.move) ->
-            if obs_equal (obs_fn st.sys m.dest) o then visit (intern st m.dest))
+            if obs_equal (obs_fn st.sys m.dest) o then visit (intern st.store m.dest))
           (System.successors st.sys s)
     end
   in
@@ -74,12 +62,12 @@ let visible_step st ~obs_fn ~next_o set =
   let seeds = ref [] in
   List.iter
     (fun id ->
-      let s = Vec.get st.states id in
+      let s = Store.get st.store id in
       if st.expandable s then
         List.iter
           (fun (m : System.move) ->
             if obs_equal (obs_fn st.sys m.dest) next_o then
-              seeds := intern st m.dest :: !seeds)
+              seeds := intern st.store m.dest :: !seeds)
           (System.successors st.sys s))
     set;
   closure st ~obs_fn ~o:next_o (List.sort_uniq compare !seeds)
@@ -89,8 +77,7 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
   let spec_store =
     {
       sys = spec;
-      ids = StateTbl.create 4096;
-      states = Vec.create ();
+      store = Store.create ();
       expandable =
         (match spec_constraint with
         | None -> fun _ -> true
@@ -98,36 +85,20 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
     }
   in
   (* Implementation store with parent pointers for counterexamples. *)
-  let impl_ids = StateTbl.create 4096 in
-  let impl_states = Vec.create () in
+  let impl_store = Store.create () in
   let parent = Vec.create () and via_pid = Vec.create () and via_pc = Vec.create () in
   let intern_impl ~p ~pid ~pc s =
-    match StateTbl.find_opt impl_ids s with
-    | Some id -> (id, false)
-    | None ->
-        let id = Vec.push impl_states s in
-        StateTbl.add impl_ids s id;
-        ignore (Vec.push parent p);
-        ignore (Vec.push via_pid pid);
-        ignore (Vec.push via_pc pc);
-        (id, true)
+    let id = Store.probe impl_store s in
+    if id >= 0 then id
+    else begin
+      ignore (Vec.push parent p);
+      ignore (Vec.push via_pid pid);
+      ignore (Vec.push via_pc pc);
+      Store.add_probed impl_store s
+    end
   in
-  let impl_trace id =
-    let p = System.program impl in
-    let rec walk id acc =
-      let pid = Vec.get via_pid id in
-      let entry =
-        {
-          Trace.pid;
-          step_name =
-            (if pid < 0 then "<init>" else p.steps.(Vec.get via_pc id).step_name);
-          state = Vec.get impl_states id;
-        }
-      in
-      let par = Vec.get parent id in
-      if par < 0 then entry :: acc else walk par (entry :: acc)
-    in
-    walk id []
+  let impl_trace =
+    Explore.trace_of impl ~state_of:(Store.get impl_store) ~parent ~via_pid ~via_pc
   in
   (* Pairs (impl id, spec set) already visited. *)
   let pair_seen = Hashtbl.create 4096 in
@@ -144,28 +115,21 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
       Wave.push wave (impl_id, set, o)
     end
   in
-  let result =
+  let included, failure, complete =
     try
       let i0 = System.initial impl in
+      let i0_id = intern_impl ~p:(-1) ~pid:(-1) ~pc:(-1) i0 in
       let o0 = obs_impl impl i0 in
       let s0 = System.initial spec in
       if not (obs_equal (obs_spec spec s0) o0) then
-        raise
-          (Fail
-             {
-               impl_trace =
-                 [ { Trace.pid = -1; step_name = "<init>"; state = i0 } ];
-               bad_obs = o0;
-             });
-      let set0 = closure spec_store ~obs_fn:obs_spec ~o:o0 [ intern spec_store s0 ] in
-      let i0_id, _ = intern_impl ~p:(-1) ~pid:(-1) ~pc:(-1) i0 in
+        raise (Fail { impl_trace = impl_trace i0_id; bad_obs = o0 });
+      let set0 = closure spec_store ~obs_fn:obs_spec ~o:o0 [ intern spec_store.store s0 ] in
       enqueue i0_id set0 o0;
       Wave.drive wave (fun (impl_id, set, o) ->
-          let s = Vec.get impl_states impl_id in
           List.iter
             (fun (m : System.move) ->
               let o' = obs_impl impl m.dest in
-              let id', _ = intern_impl ~p:impl_id ~pid:m.pid ~pc:m.from_pc m.dest in
+              let id' = intern_impl ~p:impl_id ~pid:m.pid ~pc:m.from_pc m.dest in
               if obs_equal o' o then enqueue id' set o
               else begin
                 let set' =
@@ -175,30 +139,16 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
                   raise (Fail { impl_trace = impl_trace id'; bad_obs = o' });
                 enqueue id' set' o'
               end)
-            (System.successors impl s));
-      {
-        included = true;
-        failure = None;
-        complete = true;
-        impl_pairs = !pairs;
-        spec_states = Vec.length spec_store.states;
-      }
+            (System.successors impl (Store.get impl_store impl_id)));
+      (true, None, true)
     with
-    | Fail f ->
-        {
-          included = false;
-          failure = Some f;
-          complete = true;
-          impl_pairs = !pairs;
-          spec_states = Vec.length spec_store.states;
-        }
-    | Out_of_budget ->
-        {
-          included = true;
-          failure = None;
-          complete = false;
-          impl_pairs = !pairs;
-          spec_states = Vec.length spec_store.states;
-        }
+    | Fail f -> (false, Some f, true)
+    | Out_of_budget -> (true, None, false)
   in
-  result
+  {
+    included;
+    failure;
+    complete;
+    impl_pairs = !pairs;
+    spec_states = Store.length spec_store.store;
+  }

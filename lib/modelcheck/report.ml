@@ -55,8 +55,12 @@ let refinement_string ~impl ~spec r = to_string (refinement ~impl ~spec) r
 let lasso sys ~victim ppf (r : Lasso.result) =
   Format.fprintf ppf "@[<v>Starvation lasso search in %s (N=%d, M=%d), victim = process %d@,"
     (System.program sys).title (System.nprocs sys) (System.bound sys) victim;
-  Format.fprintf ppf "Explored: %a@," pp_stats r.stats;
+  Format.fprintf ppf "Explored: %a%s@," pp_stats r.stats
+    (if r.complete then ""
+     else " (state budget reached: only a BFS prefix of the graph)");
   (match r.witness with
+  | None when not r.complete ->
+      Format.fprintf ppf "INCONCLUSIVE: no lasso among the states explored.@,"
   | None -> Format.fprintf ppf "No starvation lasso: the victim cannot be parked forever.@,"
   | Some w ->
       Format.fprintf ppf

@@ -1,12 +1,11 @@
-(* The BFS wave driver shared by the sequential engines.
+(* The BFS wave driver shared by the sequential searches.
 
-   [Explore.run] (both engines), [Explore.run_graph] and [Refine.check]
-   all used to carry their own copy of the same loop: a FIFO of work
-   items, a boundary index marking where the current BFS level ends,
-   and a depth counter bumped when the cursor crosses it.  One
-   parameterized driver keeps the wave accounting (and the per-wave
-   telemetry hook) in one place — and gives the planned
-   symmetry/partial-order reduction a single seam to hook into.
+   [Explore]'s search (behind both [Explore.run] and
+   [Explore.run_graph]) and [Refine.check]'s product BFS drive the same
+   loop: a FIFO of work items, a boundary index marking where the
+   current BFS level ends, and a depth counter bumped when the cursor
+   crosses it.  One parameterized driver keeps the wave accounting (and
+   the per-wave telemetry hook) in one place.
 
    Items enter in discovery order, so the boundary invariant holds by
    construction: everything before it is at depth <= d, everything at

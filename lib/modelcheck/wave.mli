@@ -1,7 +1,6 @@
 (** Shared BFS wave driver: a FIFO of work items with depth tracked at
-    level boundaries.  One implementation of the loop that
-    {!Explore.run}, {!Explore.run_graph} and {!Refine.check} all used
-    to duplicate. *)
+    level boundaries.  Drives {!Explore}'s search and
+    {!Refine.check}'s product BFS. *)
 
 type 'a t
 

@@ -1,9 +1,10 @@
 (* Differential tests for the staged mxlang compiler and the parallel
    explorer: the compiled successor engine must agree with the AST
-   interpreter on every reachable (state, pid, action) triple, the two
-   [Explore.run] engines must produce identical results, and
-   [Par_explore.run] must match the sequential explorer on every
-   registry algorithm at every pool width. *)
+   interpreter on every reachable (state, pid, action) triple, the
+   staged invariants with their [holds] reference on every such state,
+   [Explore.run] must give identical results on either successor
+   engine, and [Par_explore.run] must match the sequential explorer on
+   every registry algorithm at every pool width. *)
 
 module MC = Modelcheck
 
@@ -15,17 +16,39 @@ let cap = 20_000
 
 (* -------------------------------------------------- move-level agreement *)
 
+(* The explorers run only the staged invariants ({!Invariant.stage});
+   [holds] is their reference.  Checks both built-in invariants on one
+   state and returns which of them fail there, so callers can show
+   that their states cover both outcomes. *)
+let staged_invariants = [ MC.Invariant.mutex; MC.Invariant.no_overflow ]
+
+let assert_staged_agrees what sys s =
+  List.map
+    (fun (inv : MC.Invariant.t) ->
+      let holds = inv.holds sys s in
+      if MC.Invariant.stage inv sys s <> holds then
+        Alcotest.failf "%s: staged %s disagrees with holds" what inv.name;
+      not holds)
+    staged_invariants
+
+let count_failing counts fails =
+  List.iteri (fun i f -> if f then counts.(i) <- counts.(i) + 1) fails
+
 (* Enumerate every state reachable in [prog] (up to [cap]) and compare
    the interpreter's move list against the compiled engine's, move by
    move: same (pid, from_pc, alt) in the same deterministic order and
    structurally equal destination states.  This exercises every guard
-   and every effect of every action on every reachable input. *)
+   and every effect of every action on every reachable input.  Returns
+   how many states fail mutex and no-overflow. *)
 let assert_moves_agree name prog ~nprocs ~bound =
   let sys = MC.System.make prog ~nprocs ~bound in
   let g, stats = MC.Explore.run_graph ~max_states:cap sys in
   let states = ref 0 and moves = ref 0 in
+  let failing = [| 0; 0 |] in
   for id = 0 to MC.Vec.length g.states - 1 do
     let s = MC.Vec.get g.states id in
+    count_failing failing
+      (assert_staged_agrees (Printf.sprintf "%s state %d" name id) sys s);
     let reference = MC.System.successors_interpreted sys s in
     let compiled = MC.System.successors sys s in
     check int_t
@@ -45,22 +68,32 @@ let assert_moves_agree name prog ~nprocs ~bound =
   done;
   check bool_t (name ^ ": explored something") true (!states > 1);
   check int_t (name ^ ": visited all distinct states") stats.distinct !states;
-  ignore !moves
+  ignore !moves;
+  failing
 
 let moves_bakery () =
-  assert_moves_agree "bakery n2" (Algorithms.Bakery.program ()) ~nprocs:2
-    ~bound:6;
-  assert_moves_agree "bakery n3" (Algorithms.Bakery.program ()) ~nprocs:3
-    ~bound:8
+  (* Unbounded Bakery overflows M: the staged no-overflow is checked
+     against [holds] on violating states too. *)
+  let failing =
+    assert_moves_agree "bakery n2" (Algorithms.Bakery.program ()) ~nprocs:2
+      ~bound:6
+  in
+  check bool_t "bakery n2: some states overflow" true (failing.(1) > 0);
+  ignore
+    (assert_moves_agree "bakery n3" (Algorithms.Bakery.program ()) ~nprocs:3
+       ~bound:8)
 
 let moves_bakery_pp () =
-  assert_moves_agree "bakery_pp n2" (Core.Bakery_pp_model.program ()) ~nprocs:2
-    ~bound:2;
-  assert_moves_agree "bakery_pp n3" (Core.Bakery_pp_model.program ()) ~nprocs:3
-    ~bound:2;
-  assert_moves_agree "bakery_pp_fine n2"
-    (Core.Bakery_pp_model.program ~granularity:Algorithms.Common.Fine ())
-    ~nprocs:2 ~bound:2
+  List.iter
+    (fun (name, prog, nprocs) ->
+      ignore (assert_moves_agree name prog ~nprocs ~bound:2))
+    [
+      ("bakery_pp n2", Core.Bakery_pp_model.program (), 2);
+      ("bakery_pp n3", Core.Bakery_pp_model.program (), 3);
+      ( "bakery_pp_fine n2",
+        Core.Bakery_pp_model.program ~granularity:Algorithms.Common.Fine (),
+        2 );
+    ]
 
 (* ------------------------------------------- weak-register move order *)
 
@@ -91,6 +124,7 @@ let scratch_moves sys s =
 
 let weak_moves_agree () =
   let flicked = ref 0 in
+  let failing = [| 0; 0 |] in
   for seed = 1 to weak_programs do
     let nprocs = 2 + (seed mod 2) in
     let prog =
@@ -118,11 +152,18 @@ let weak_moves_agree () =
           differs "successors" (List.map key (MC.System.successors sys s));
           differs "successors_of_pid" per_pid;
           differs "iter_successors_scratch" (scratch_moves sys s);
-          List.iter (fun (_, _, _, f, _) -> if f > 0 then incr flicked) reference
+          List.iter (fun (_, _, _, f, _) -> if f > 0 then incr flicked) reference;
+          count_failing failing
+            (assert_staged_agrees
+               (Printf.sprintf "seed %d %s state %d" seed
+                  (Regsem.Model.to_string model) id)
+               sys s)
         done)
       [ Regsem.Model.Regular; Regsem.Model.Safe ]
   done;
-  check bool_t "some moves read flickered views" true (!flicked > 0)
+  check bool_t "some moves read flickered views" true (!flicked > 0);
+  check bool_t "some states violate mutex" true (failing.(0) > 0);
+  check bool_t "some states overflow" true (failing.(1) > 0)
 
 (* Once warm, the weak enumeration allocates nothing: its views live in
    the domain's frame, not in per-call copies and candidate lists. *)
@@ -143,6 +184,29 @@ let weak_scratch_allocates_nothing () =
   let per_state = (Gc.minor_words () -. w0) /. float_of_int n in
   if per_state >= 1.0 then
     Alcotest.failf "%.2f minor words per state over %d states" per_state n
+
+(* Once warm, a staged invariant allocates nothing per call: the
+   explorers run one on every new state. *)
+let staged_invariants_allocate_nothing () =
+  let sys =
+    MC.System.make ~register_model:Regsem.Model.Safe
+      (Core.Bakery_pp_model.program ()) ~nprocs:3 ~bound:4
+  in
+  let g, _ = MC.Explore.run_graph ~max_states:20_000 sys in
+  let n = MC.Vec.length g.states in
+  List.iter
+    (fun (inv : MC.Invariant.t) ->
+      let holds = MC.Invariant.stage inv sys in
+      ignore (holds (MC.Vec.get g.states 0));
+      let w0 = Gc.minor_words () in
+      for id = 0 to n - 1 do
+        ignore (holds (MC.Vec.get g.states id))
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_call >= 1.0 then
+        Alcotest.failf "%s: %.2f minor words per call over %d states" inv.name
+          per_call n)
+    staged_invariants
 
 (* ------------------------------------------------ engine-level agreement *)
 
@@ -298,6 +362,8 @@ let () =
             `Quick weak_moves_agree;
           Alcotest.test_case "weak-register moves allocate nothing" `Quick
             weak_scratch_allocates_nothing;
+          Alcotest.test_case "staged invariants allocate nothing" `Quick
+            staged_invariants_allocate_nothing;
         ] );
       ( "parallel",
         [

@@ -34,6 +34,11 @@ let vec_basics () =
 
 let sys_of ?(nprocs = 2) ?(bound = 3) prog = MC.System.make prog ~nprocs ~bound
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let state_roundtrip () =
   let sys = sys_of (Core.Bakery_pp_model.program ()) in
   let lay = MC.System.layout sys in
@@ -197,9 +202,15 @@ let refinement_negative () =
   | None -> Alcotest.fail "failure detail expected"
 
 let refinement_bakery_pp () =
-  let r = Core.Verify.refines_bakery ~nprocs:2 ~bound:2 () in
-  check bool_t "bakery_pp refines bakery" true r.included;
-  check bool_t "search complete" true r.complete
+  List.iter
+    (fun (bound, pairs, spec_states) ->
+      let r = Core.Verify.refines_bakery ~nprocs:2 ~bound () in
+      let at = Printf.sprintf " at N=2 M=%d" bound in
+      check bool_t ("bakery_pp refines bakery" ^ at) true r.included;
+      check bool_t ("search complete" ^ at) true r.complete;
+      check int_t ("impl pairs" ^ at) pairs r.impl_pairs;
+      check int_t ("spec states" ^ at) spec_states r.spec_states)
+    [ (2, 5_244, 910); (3, 7_784, 1_124) ]
 
 (* ---------------------------------------------------------------- lasso *)
 
@@ -222,6 +233,22 @@ let lasso_fair_variant () =
         w.victim_continuously_enabled
   | None -> Alcotest.fail "fair gate lasso expected at N=3 M=2"
 
+(* A search cut by its state budget proves no absence: at 5,000 states
+   the gate lasso is not yet in the explored prefix, and the report must
+   say inconclusive, not "no starvation lasso".  From 10,000 states the
+   prefix holds one. *)
+let lasso_truncated_is_inconclusive () =
+  let r = Core.Verify.starvation_lasso ~max_states:5_000 ~nprocs:3 ~bound:2 () in
+  check bool_t "no witness in the prefix" true (r.witness = None);
+  check bool_t "search incomplete" false r.complete;
+  let sys = Core.Verify.system ~nprocs:3 ~bound:2 () in
+  let text = MC.Report.lasso_string sys ~victim:0 r in
+  check bool_t "report says inconclusive" true (contains text "INCONCLUSIVE");
+  check bool_t "report claims no absence" false
+    (contains text "No starvation lasso");
+  let r = Core.Verify.starvation_lasso ~max_states:10_000 ~nprocs:3 ~bound:2 () in
+  check bool_t "found in a 10,000-state prefix" true (r.witness <> None)
+
 let lasso_none_in_waiting_room () =
   let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
   let r =
@@ -229,7 +256,8 @@ let lasso_none_in_waiting_room () =
       ~stuck_at:(MC.Lasso.stuck_at_kind Mxlang.Ast.Waiting)
       sys
   in
-  check bool_t "FCFS waiting room admits no lasso" true (r.witness = None)
+  check bool_t "FCFS waiting room admits no lasso" true (r.witness = None);
+  check bool_t "over the whole graph" true r.complete
 
 let lasso_cycle_is_closed () =
   (* The cycle's moves must all be valid transitions and return to the
@@ -528,7 +556,12 @@ let weak_counterexample_replays () =
 let coverage_counts () =
   let sys = sys_of ~nprocs:2 ~bound:2 (Core.Bakery_pp_model.program ()) in
   let c = MC.Coverage.measure sys in
-  check bool_t "total transitions positive" true (c.total_transitions > 0);
+  check int_t "stored transitions at N=2 M=2" 1_948 c.total_transitions;
+  check bool_t "graph complete" true c.complete;
+  let c3 =
+    MC.Coverage.measure (sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()))
+  in
+  check int_t "stored transitions at N=3 M=2" 128_138 c3.total_transitions;
   let fired name =
     (List.find (fun (e : MC.Coverage.entry) -> e.step_name = name) c.entries)
       .fired
@@ -537,6 +570,17 @@ let coverage_counts () =
   check bool_t "reset fired at M=2" true (fired "reset" > 0);
   check (Alcotest.list Alcotest.string) "full coverage at N=2 M=2" []
     (MC.Coverage.uncovered c)
+
+(* A label unfired in a truncated graph is not dead code: with the
+   budget cut at 200 states, coverage must not print "never fired". *)
+let coverage_truncated_is_inconclusive () =
+  let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
+  let c = MC.Coverage.measure ~max_states:200 sys in
+  check bool_t "graph incomplete" false c.complete;
+  check bool_t "some label unfired" true (MC.Coverage.uncovered c <> []);
+  let text = Format.asprintf "%a" MC.Coverage.pp c in
+  check bool_t "says inconclusive" true (contains text "INCONCLUSIVE");
+  check bool_t "claims no dead label" false (contains text "never fired")
 
 let coverage_uncovered_solo () =
   (* With one process the overflow machinery never fires: max is always
@@ -547,11 +591,6 @@ let coverage_uncovered_solo () =
     (List.mem "reset" (MC.Coverage.uncovered c))
 
 (* ------------------------------------------------------------------ dot *)
-
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
 
 let dot_export () =
   let sys = sys_of ~nprocs:2 ~bound:2 (Algorithms.No_lock.program ()) in
@@ -936,6 +975,8 @@ let () =
             lasso_fair_variant;
           Alcotest.test_case "none in the waiting room" `Quick
             lasso_none_in_waiting_room;
+          Alcotest.test_case "truncated search is inconclusive" `Quick
+            lasso_truncated_is_inconclusive;
           Alcotest.test_case "cycle closes" `Quick lasso_cycle_is_closed;
         ] );
       ( "parallel",
@@ -960,6 +1001,8 @@ let () =
           Alcotest.test_case "action counts" `Quick coverage_counts;
           Alcotest.test_case "dead branch at N=1" `Quick
             coverage_uncovered_solo;
+          Alcotest.test_case "truncated graph is inconclusive" `Quick
+            coverage_truncated_is_inconclusive;
         ] );
       ( "dot",
         [
