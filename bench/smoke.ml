@@ -9,15 +9,20 @@
 
    The tolerance is deliberately lenient: on a multi-core host pool4
    should beat pool1 outright (ratio >= 1), but CI for this repo runs
-   on a single recognized core, where four domains time-share one CPU
-   and the deque/hand-off coordination is pure overhead.  Measured
-   single-core ratios on the reference host sit around 0.2-0.9
-   depending on scheduler luck; the gate only catches collapses below
-   [min_ratio] (e.g. a livelocking quiescence protocol or a spin loop
-   that stops yielding), not the absence of parallel speedup the
-   hardware cannot provide. *)
+   on one or two cores, where four domains time-share them and the
+   deque/hand-off coordination is pure overhead.  The gate only
+   catches collapses below [min_ratio] (e.g. a livelocking quiescence
+   protocol or a spin loop that stops yielding), not the absence of
+   parallel speedup the hardware cannot provide.
 
-let min_ratio = 0.05
+   [min_ratio] is half the lowest ratio measured on a 2-vCPU host
+   (2026-10-17), rounded down: 38 runs read 0.27-0.77, of them 30 runs
+   of this executable alone (0.27-0.47), 5 under
+   `dune build @fuzz-smoke @bench-smoke` (0.38-0.51) and 3 under
+   `dune build @ci` (0.33-0.77).  Earlier runs on a single recognized
+   core read 0.2-0.9, also above this floor. *)
+
+let min_ratio = 0.13
 let reps = 3
 
 let () =

@@ -318,9 +318,10 @@ let check_cmd =
   in
   let fp_only_arg =
     let doc =
-      "With $(b,--parallel), keep only 63-bit state fingerprints in the \
-       visited set (TLC-style): ~10x less memory, a ~2^-63 per-pair chance \
-       of conflating two states."
+      "Keep only 63-bit state fingerprints in the visited set (TLC-style): \
+       ~10x less memory, a ~2^-63 per-pair chance of conflating two states. \
+       Runs the sharded engine, on one domain unless $(b,--parallel) says \
+       otherwise."
     in
     Arg.(value & flag & info [ "fp-only" ] ~doc)
   in
@@ -346,16 +347,18 @@ let check_cmd =
     let constraint_ =
       if cap > 0 then Some (Core.Verify.ticket_cap_constraint ~cap) else None
     in
+    (* Only the sharded engine keeps a fingerprint-only visited set. *)
+    let domains = if fp_only then max parallel 1 else parallel in
     let tl =
       telemetry_setup
-        ~name:(if parallel > 0 then "par_explore" else "explore")
+        ~name:(if domains > 0 then "par_explore" else "explore")
         ?flight_out ~flight_interval progress metrics_out trace_out
     in
     let r =
-      if parallel > 0 then
+      if domains > 0 then
         Modelcheck.Par_explore.run ?progress:tl.tl_progress
           ?metrics:tl.tl_metrics ~invariants ?constraint_ ~max_states
-          ~domains:parallel ~fingerprint_only:fp_only ~reduce sys
+          ~domains ~fingerprint_only:fp_only ~reduce sys
       else
         Modelcheck.Explore.run ?progress:tl.tl_progress ?metrics:tl.tl_metrics
           ~invariants ?constraint_ ~max_states ~reduce sys

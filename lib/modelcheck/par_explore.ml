@@ -1,14 +1,11 @@
 (* Sharded level-synchronized parallel BFS.
 
-   The previous engine parallelized only successor *generation*: workers
-   expanded slices of the frontier into buffers and the main domain then
-   deduplicated every candidate sequentially through one shared Store —
-   an Amdahl bottleneck that made pool4 measurably slower than pool1.
-
-   This engine shards the whole pipeline by state fingerprint
-   ({!Fingerprint}).  Domain [w] owns shard [w] of the visited set
-   ({!Shard_table}): it is the only domain that inserts there, so
-   deduplication runs with zero synchronization on the table itself.
+   The whole pipeline is sharded by state fingerprint ({!Fingerprint}),
+   not just successor generation, because deduplicating every candidate
+   on one domain is an Amdahl bottleneck.  Domain [w] owns shard [w] of
+   the visited set ({!Shard_table}): it is the only domain that inserts
+   there, so deduplication runs with zero synchronization on the table
+   itself.
    Within a BFS wave:
 
    - each domain drains its own work deque ({!Deque}) of frontier
@@ -240,12 +237,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         set (gauge m "par_explore.table_mb")
           (float_of_int (Shard_table.memory_bytes tbl) /. 1048576.0));
     Explore.record_finish ?progress ?metrics ~prefix:"par_explore" outcome
-      {
-        Explore.generated = stats.Explore.generated;
-        distinct = stats.Explore.distinct;
-        depth = stats.Explore.depth;
-        runtime = stats.Explore.runtime;
-      };
+      stats;
     { Explore.outcome; stats }
   in
   let exception Stop of Explore.result in

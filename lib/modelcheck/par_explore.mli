@@ -7,10 +7,7 @@
     Within a wave, domains expand their own work deques ({!Deque}),
     hand foreign-shard successors across in batches, steal work from
     each other when idle, and detect wave completion by quiescence (a
-    global in-flight counter).  This replaces the old design in which
-    workers only generated successors and one domain deduplicated
-    everything sequentially — the bottleneck that made pool4 slower
-    than pool1.
+    global in-flight counter).
 
     Waves remain globally synchronized, so the observable result is
     bit-identical to {!Explore.run}: states inserted during wave [d]

@@ -1,25 +1,18 @@
-(** Sharded, fingerprint-keyed visited set for the parallel explorer.
+(** Sharded visited set for the parallel explorer: one {!Store} per
+    shard, and the routing between them.
 
-    A state's {!Fingerprint.hash} picks its owning shard; each shard is
-    an independent open-addressing table (plus, in [Exact] mode, its own
-    chunked state arena), so per-shard single-writer insertion never
-    contends on shared memory — the replacement for the one global
-    {!Store} that made parallel BFS scale negatively.
+    A state's {!Fingerprint.hash} [fp] picks its owning shard
+    ([fp mod nshards]); that shard's store is keyed by [fp / nshards]
+    through {!Store.probe_key}, never by {!State.hash}.  Each shard has
+    a single writer, so insertion never contends on shared memory.
 
     Concurrency contract: at most one domain inserts into a given shard
     at a time; cross-shard reads of counters and stored states are only
     meaningful at a synchronization point (the engine's wave barrier). *)
 
-type mode =
-  | Exact
-      (** Keep full packed states: fingerprint-equal but distinct states
-          are both stored and counted as collisions; answers are
-          bit-identical to the sequential engine.  The default, and the
-          debug mode that measures the fingerprint collision rate. *)
-  | Fp_only
-      (** Keep only fingerprints (TLC's space-saving mode): ~10x less
-          memory per state, but fingerprint-equal states are conflated
-          — a collision can silently drop states. *)
+type mode = Store.mode =
+  | Exact  (** Full states; answers bit-identical to {!Explore.run}. *)
+  | Fp_only  (** Fingerprints only; see {!Store.mode}. *)
 
 type t
 
@@ -31,10 +24,8 @@ val create :
   unit ->
   t
 (** [hash] defaults to {!Fingerprint.hash}; it is injectable so tests
-    can force collisions.  [words] is the packed-state width. *)
-
-val mode : t -> mode
-val nshards : t -> int
+    can force collisions.  [words] is the packed-state width, which
+    each shard's store also reads off the first state it keeps. *)
 
 val fingerprint : t -> State.packed -> int
 val owner : t -> int -> int
@@ -52,17 +43,14 @@ val insert : t -> shard:int -> fp:int -> State.packed -> int
     [fingerprint t s] and [shard] its owner; only the shard's owning
     domain may call this. *)
 
-val count : t -> shard:int -> int
 val total : t -> int
 
 val collisions : t -> int
-(** Distinct-state/equal-fingerprint pairs detected ([Exact] mode only;
-    [Fp_only] cannot see them — that is its trade-off). *)
+(** Distinct-state/equal-fingerprint pairs detected, summed over the
+    shards ({!Store.collisions}). *)
 
 val get : t -> shard:int -> int -> State.packed
 (** Materialize a stored state ([Exact] mode only). *)
-
-val read_into : t -> shard:int -> int -> State.packed -> unit
 
 val memory_bytes : t -> int
 val occupancy : t -> int * int

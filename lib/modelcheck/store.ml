@@ -1,58 +1,63 @@
-(* The checker's state store: packed states in insertion order in a
-   chunked int arena, plus an open-addressing index from contents to id.
+(* An open-addressing index from key to insertion-order id, plus, in
+   [Exact] mode, the states themselves in a chunked int arena:
 
-   Replaces the generic [Hashtbl.Make] table and the
-   one-boxed-array-per-state storage on the hot path:
-
-   - probing allocates nothing (no key records, no [Some], no bucket
-     cells) and touches one word per step: each index entry packs a
-     31-bit hash tag with the state id;
-   - each stored state's full hash is kept in an id-indexed side vector,
-     so table growth re-places entries without rehashing any state;
+   - probing allocates nothing and touches one word per step: each
+     index entry packs a 31-bit key tag with the id;
+   - each entry's full key is kept in an id-indexed side vector, so
+     table growth re-places entries without rehashing any state, and
+     [Fp_only] compares keys there instead of states;
    - states live contiguously inside fixed-size arena chunks: storing
      one is a blit, not an allocation, equality on a probe hit reads
      sequential words, and the GC never traces millions of small
      arrays.  Chunks are never moved or copied once allocated — growing
      the store allocates a fresh chunk instead of re-blitting a doubled
-     arena, so insertion cost stays flat into the millions of states.
+     arena, so insertion cost stays flat into the millions of states. *)
 
-   Single-writer by design: probes are safe from any thread, but only
-   one thread may insert. *)
+type mode = Exact | Fp_only
 
 type t = {
+  mode : mode;
   mutable table : int array;
-      (* slot -> 0 when empty, else (hash high bits lsl 32) lor (id + 1) *)
+      (* slot -> 0 when empty, else (key high bits lsl 32) lor (id + 1) *)
   mutable mask : int;
-  hashes : int Vec.t;  (* id -> full hash, for growth *)
+  keys : int Vec.t;  (* id -> full key *)
   mutable chunks : int array array;
-      (* state [id] at [(id land chunk_mask) * words] in
+      (* [Exact]: state [id] at [(id land chunk_mask) * words] in
          [chunks.(id lsr chunk_bits)] *)
-  mutable words : int;  (* per-state size; fixed by the first [add_probed] *)
+  mutable words : int;  (* per-state size; fixed by the first stored state *)
   mutable count : int;
+  mutable collisions : int;
+  (* Where the last missed probe ended, for [add_probed]. *)
   mutable last_slot : int;
-  mutable last_hash : int;
+  mutable last_key : int;
+  mutable last_collided : bool;
 }
 
 let initial_slots = 4096
 let chunk_bits = 13
 let chunk_states = 1 lsl chunk_bits
 let chunk_mask = chunk_states - 1
-let tag_of h = (h lsr 32) lsl 32
+let tag_of key = (key lsr 31) lsl 32
+let entry_tag e = e land lnot 0xffff_ffff
 let id_of_entry e = (e land 0xffff_ffff) - 1
 
-let create () =
+let create ?(mode = Exact) () =
   {
+    mode;
     table = Array.make initial_slots 0;
     mask = initial_slots - 1;
-    hashes = Vec.create ();
+    keys = Vec.create ();
     chunks = [||];
     words = -1;
     count = 0;
+    collisions = 0;
     last_slot = 0;
-    last_hash = 0;
+    last_key = 0;
+    last_collided = false;
   }
 
 let length t = t.count
+let collisions t = t.collisions
 
 let read_into t id (dst : State.packed) =
   Array.blit t.chunks.(id lsr chunk_bits) ((id land chunk_mask) * t.words) dst
@@ -61,46 +66,52 @@ let read_into t id (dst : State.packed) =
 let get t id =
   Array.sub t.chunks.(id lsr chunk_bits) ((id land chunk_mask) * t.words) t.words
 
+let rec same_words chunk base (s : State.packed) i words =
+  i >= words
+  || Array.unsafe_get chunk (base + i) = Array.unsafe_get s i
+     && same_words chunk base s (i + 1) words
+
 (* [State.equal] on the arena-resident state, without materializing it.
    Indices are in range by construction (id < count, length s = words
    checked first), so the scan uses unsafe reads. *)
 let equal_at t id (s : State.packed) =
-  let words = t.words in
-  Array.length s = words
-  &&
-  let chunk = Array.unsafe_get t.chunks (id lsr chunk_bits) in
-  let base = (id land chunk_mask) * words in
-  let rec loop i =
-    i >= words
-    || Array.unsafe_get chunk (base + i) = Array.unsafe_get s i && loop (i + 1)
-  in
-  loop 0
+  Array.length s = t.words
+  && same_words
+       (Array.unsafe_get t.chunks (id lsr chunk_bits))
+       ((id land chunk_mask) * t.words)
+       s 0 t.words
 
-let probe t (s : State.packed) =
-  let h = State.hash s in
-  let table = t.table and mask = t.mask in
-  let tag = tag_of h in
-  let i = ref (h land mask) in
-  let found = ref (-1) in
-  let scanning = ref true in
-  while !scanning do
-    let e = Array.unsafe_get table !i in
-    if e = 0 then scanning := false
-    else if
-      tag_of e = tag
-      &&
-      let id = id_of_entry e in
-      equal_at t id s
-    then begin
-      found := id_of_entry e;
-      scanning := false
-    end
-    else i := (!i + 1) land mask
-  done;
-  t.last_slot <- !i;
-  t.last_hash <- h;
-  !found
+(* Look for [s] under [key] from slot [i]: the id of its entry, or -1
+   after remembering the free slot that ends its probe sequence, and
+   whether a genuine collision (a distinct state under the same key)
+   was passed on the way.  [Exact] compares contents on a tag match
+   before it reads the key vector, so a hit costs one miss into the
+   arena and the key is read only to notice a collision; [Fp_only]
+   takes an equal key as the state itself. *)
+let rec probe_from t key tag (s : State.packed) i collided =
+  let e = Array.unsafe_get t.table i in
+  if e = 0 then begin
+    t.last_slot <- i;
+    t.last_key <- key;
+    t.last_collided <- collided;
+    -1
+  end
+  else if entry_tag e <> tag then
+    probe_from t key tag s ((i + 1) land t.mask) collided
+  else
+    let id = id_of_entry e in
+    match t.mode with
+    | Exact ->
+        if equal_at t id s then id
+        else
+          probe_from t key tag s ((i + 1) land t.mask)
+            (collided || Vec.get t.keys id = key)
+    | Fp_only ->
+        if Vec.get t.keys id = key then id
+        else probe_from t key tag s ((i + 1) land t.mask) collided
 
+let probe_key t key s = probe_from t key (tag_of key) s (key land t.mask) false
+let probe t s = probe_key t (State.hash s) s
 let find_opt t s = match probe t s with -1 -> None | id -> Some id
 
 let grow_table t =
@@ -114,8 +125,7 @@ let grow_table t =
   for k = 0 to Array.length old - 1 do
     let e = Array.unsafe_get old k in
     if e <> 0 then begin
-      let h = Vec.get t.hashes (id_of_entry e) in
-      let i = ref (h land mask) in
+      let i = ref (Vec.get t.keys (id_of_entry e) land mask) in
       while Array.unsafe_get table !i <> 0 do
         i := (!i + 1) land mask
       done;
@@ -125,10 +135,9 @@ let grow_table t =
   t.table <- table;
   t.mask <- mask
 
-let add_probed t (s : State.packed) =
+let store_state t id (s : State.packed) =
   if t.words < 0 then t.words <- Array.length s;
   let words = t.words in
-  let id = t.count in
   let cid = id lsr chunk_bits in
   if cid >= Array.length t.chunks then begin
     let n = Array.length t.chunks in
@@ -138,10 +147,15 @@ let add_probed t (s : State.packed) =
   end;
   if Array.length t.chunks.(cid) = 0 then
     t.chunks.(cid) <- Array.make (chunk_states * words) 0;
-  Array.blit s 0 t.chunks.(cid) ((id land chunk_mask) * words) words;
+  Array.blit s 0 t.chunks.(cid) ((id land chunk_mask) * words) words
+
+let add_probed t (s : State.packed) =
+  let id = t.count in
+  (match t.mode with Exact -> store_state t id s | Fp_only -> ());
+  if t.last_collided then t.collisions <- t.collisions + 1;
+  ignore (Vec.push t.keys t.last_key);
+  t.table.(t.last_slot) <- tag_of t.last_key lor (id + 1);
   t.count <- id + 1;
-  ignore (Vec.push t.hashes t.last_hash);
-  t.table.(t.last_slot) <- tag_of t.last_hash lor (id + 1);
   (* Keep the load factor at or below 2/3: linear probing's sequential
      cache lines tolerate it well, and the smaller table keeps more of
      the index in cache than a half-full one twice the size. *)
@@ -163,4 +177,4 @@ let arena_bytes t =
   let chunk_words =
     Array.fold_left (fun acc c -> acc + Array.length c) 0 t.chunks
   in
-  (chunk_words + t.mask + 1 + Vec.length t.hashes) * word_bytes
+  (chunk_words + t.mask + 1 + Vec.length t.keys) * word_bytes

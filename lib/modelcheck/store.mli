@@ -1,52 +1,78 @@
-(** The checker's state store: packed states in insertion order in one
-    flat int arena, plus an allocation-free open-addressing index from
-    state contents to id.
+(** The checker's visited set, and its only one: an allocation-free
+    open-addressing index from a 63-bit key to an insertion-order id,
+    plus, in [Exact] mode, the packed states in one flat int arena.
 
-    Every stored state's hash is computed exactly once — a hash tag is
-    packed into the one-word index entry and the full hash kept in an
-    id-indexed side vector — so dedup lookups and table growth never
-    rehash a stored state.  Probing allocates nothing and touches one
-    word per step; storing a new state is an arena blit, not a boxed
-    allocation — at millions of states the GC otherwise spends more time
-    tracing state arrays than the search spends exploring.
+    Two hashes key it.  The sequential engine ({!Explore}, {!Refine})
+    calls {!probe}, {!add} and {!find_opt}, which key a state by
+    {!State.hash}.  Each {!Shard_table} shard calls {!probe_key} with
+    its state's {!Fingerprint.hash} divided by the shard count.  One
+    store must see one key function throughout.
 
-    All states in one store must have the same length (the packed layout
-    of one system).  Single-writer: only one thread may call
-    {!add_probed}/{!add}. *)
+    A key is computed once per stored state: a key tag is packed into
+    the one-word index entry and the full key kept in an id-indexed
+    side vector, so dedup lookups and table growth never rehash a
+    stored state.  Probing allocates nothing and touches one word per
+    step; storing a new state is an arena blit, not a boxed allocation
+    — at millions of states the GC otherwise spends more time tracing
+    state arrays than the search spends exploring.
+
+    All states in one store must have the same length (the packed
+    layout of one system).  Single-writer: a probe remembers where it
+    ended for the {!add_probed} after it, so only one thread may probe
+    and insert. *)
+
+type mode =
+  | Exact
+      (** Keep full packed states: states with equal keys but distinct
+          contents are both stored and counted as collisions, so answers
+          never depend on the key function.  The default. *)
+  | Fp_only
+      (** Keep only keys (TLC's space-saving mode): ~10x less memory
+          per state, but key-equal states are conflated — a collision
+          can silently drop states.  {!get} and {!read_into} fail. *)
 
 type t
 
-val create : unit -> t
+val create : ?mode:mode -> unit -> t
 val length : t -> int
 
 val probe : t -> State.packed -> int
-(** Id of an equal stored state, or [-1].  Remembers the final probe
-    position; a following {!add_probed} reuses it (and the hash) instead
-    of probing again. *)
+(** Id of an equal stored state, or [-1].  A miss remembers the final
+    probe position and key; a following {!add_probed} reuses them
+    instead of probing again. *)
+
+val probe_key : t -> int -> State.packed -> int
+(** [probe_key t key s] is {!probe} with a caller-computed [key] in
+    place of [State.hash s]. *)
 
 val add_probed : t -> State.packed -> int
-(** Insert a state known absent — immediately after a missed {!probe}
-    for an equal state — by copying it into the arena.  The caller keeps
-    ownership of [s] (scratch buffers can be inserted directly).
-    Returns the new id. *)
+(** Insert a state known absent — immediately after a missed probe for
+    it — by copying it into the arena ([Exact]) or keeping only its key
+    ([Fp_only]).  The caller keeps ownership of [s] (scratch buffers
+    can be inserted directly).  Returns the new id. *)
+
+val add : t -> State.packed -> int option
+(** {!probe} + {!add_probed}: [Some id] if the state was new. *)
+
+val find_opt : t -> State.packed -> int option
+(** Allocating convenience wrapper around {!probe}. *)
 
 val get : t -> int -> State.packed
-(** Materialize a fresh boxed copy of a stored state. *)
+(** Materialize a fresh boxed copy of a stored state ([Exact] only). *)
 
 val read_into : t -> int -> State.packed -> unit
 (** Copy a stored state into a caller-owned buffer of the right length
     (the allocation-free {!get}). *)
 
-val find_opt : t -> State.packed -> int option
-(** Allocating convenience wrapper around {!probe}. *)
+val collisions : t -> int
+(** Inserted states whose probe passed a distinct state under the same
+    key ([Exact] only; [Fp_only] cannot see them — that is its
+    trade-off). *)
 
 val load_factor : t -> float
-(** Occupied fraction of the open-addressing index (kept at or below
-    2/3 by growth); 0 when empty.  For progress telemetry. *)
+(** Occupied fraction of the index (kept at or below 2/3 by growth);
+    0 when empty.  For progress telemetry. *)
 
 val arena_bytes : t -> int
-(** Bytes held by allocated arena chunks plus the index table — the
-    store's resident memory, for progress telemetry. *)
-
-val add : t -> State.packed -> int option
-(** [probe] + [add_probed]: [Some id] if the state was new. *)
+(** Bytes held by allocated arena chunks, the index and the key
+    vector — the store's resident memory, for telemetry. *)

@@ -39,6 +39,27 @@ let run_capture args =
   in
   (code, slurp out, slurp err)
 
+(* The non-blank lines of a JSONL file, which is then removed. *)
+let read_jsonl path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       let l = input_line ic in
+       if String.trim l <> "" then lines := l :: !lines
+     done
+   with End_of_file -> close_in ic);
+  Sys.remove path;
+  List.rev !lines
+
+let metric_name line =
+  match Telemetry.Json.parse line with
+  | Error e -> Alcotest.fail ("unparseable metrics line: " ^ e)
+  | Ok v -> (
+      match Telemetry.Json.member "metric" v with
+      | Some (Telemetry.Json.Str n) -> Some n
+      | _ -> None)
+
 let help_smoke () =
   let code, out, _ = run_capture [ "--help" ] in
   check int_t "--help exits 0" 0 code;
@@ -81,16 +102,7 @@ let check_progress_metrics () =
     [ "generated"; "distinct"; "kstates_s" ];
   (* the metrics file is JSONL: every line parses, and the recorded
      counters are sane for this tiny configuration *)
-  let ic = open_in metrics in
-  let lines = ref [] in
-  (try
-     while true do
-       let l = input_line ic in
-       if String.trim l <> "" then lines := l :: !lines
-     done
-   with End_of_file -> close_in ic);
-  Sys.remove metrics;
-  let lines = List.rev !lines in
+  let lines = read_jsonl metrics in
   check bool_t "metrics file non-empty" true (lines <> []);
   let find_metric name =
     List.find_map
@@ -121,6 +133,35 @@ let check_progress_metrics () =
         (Telemetry.Json.member "nprocs" v <> None)
   | Error e -> Alcotest.fail e
 
+(* [--fp-only] without [--parallel] runs the one-domain sharded search,
+   the engine that keeps a fingerprint-only visited set. *)
+let check_fp_only_alone () =
+  let counts args =
+    let code, out, _ =
+      run_capture ([ "check"; "bakery_pp"; "-n"; "3"; "-m"; "2" ] @ args)
+    in
+    check int_t "check exits 0" 0 code;
+    let line =
+      List.find (contains ~affix:"states generated")
+        (String.split_on_char '\n' out)
+    in
+    Scanf.sscanf line
+      "Invariants hold. %d states generated, %d distinct, depth %d"
+      (fun g d k -> (g, d, k))
+  in
+  let metrics = Filename.temp_file "cli" ".jsonl" in
+  Sys.remove metrics;
+  let alone = counts [ "--fp-only"; "--metrics-out"; metrics ] in
+  let triple = Alcotest.(triple int int int) in
+  check triple "generated/distinct/depth as --parallel 1 --fp-only"
+    (counts [ "--parallel"; "1"; "--fp-only" ])
+    alone;
+  check triple "the pinned N=3/M=2 counts" (128_139, 47_343, 84) alone;
+  check bool_t "snapshot carries par_explore.distinct" true
+    (List.exists
+       (fun line -> metric_name line = Some "par_explore.distinct")
+       (read_jsonl metrics))
+
 (* ---------------------------------------------------------------- fuzz *)
 
 let fuzz_args = [ "fuzz"; "--seed"; "3"; "--count"; "5" ]
@@ -138,27 +179,9 @@ let fuzz_run_and_metrics () =
   check bool_t "regsem oracle in rotation" true (contains ~affix:"regsem" out);
   check bool_t "reduced oracle in rotation" true (contains ~affix:"reduced" out);
   (* metrics snapshot parses and records the case counters *)
-  let ic = open_in metrics in
-  let lines = ref [] in
-  (try
-     while true do
-       let l = input_line ic in
-       if String.trim l <> "" then lines := l :: !lines
-     done
-   with End_of_file -> close_in ic);
-  Sys.remove metrics;
-  check bool_t "metrics non-empty" true (!lines <> []);
-  let seen name =
-    List.exists
-      (fun line ->
-        match Telemetry.Json.parse line with
-        | Error e -> Alcotest.fail ("unparseable metrics line: " ^ e)
-        | Ok v -> (
-            match Telemetry.Json.member "metric" v with
-            | Some (Telemetry.Json.Str n) -> n = name
-            | _ -> false))
-      !lines
-  in
+  let lines = read_jsonl metrics in
+  check bool_t "metrics non-empty" true (lines <> []);
+  let seen name = List.exists (fun line -> metric_name line = Some name) lines in
   List.iter
     (fun m -> check bool_t (m ^ " recorded") true (seen m))
     [ "fuzz.compile.cases"; "fuzz.parallel.cases"; "fuzz.replay.cases" ]
@@ -562,6 +585,8 @@ let () =
         [
           Alcotest.test_case "check --progress --metrics-out" `Quick
             check_progress_metrics;
+          Alcotest.test_case "check --fp-only without --parallel" `Quick
+            check_fp_only_alone;
         ] );
       ( "fuzz",
         [

@@ -335,51 +335,130 @@ let par_agrees_with_sequential () =
         [ 1; 3 ])
     cases
 
+(* ---------------------------------------------------------------- store *)
+
+(* The one visited-set table, driven directly: both modes under a
+   constant key, growth past the point where the index starts to
+   quadruple, and [probe] as [probe_key] under [State.hash]. *)
+let store_one_table () =
+  (* A constant key puts every state on one probe chain: [Exact] tells
+     the states apart by content and counts each collision, [Fp_only]
+     takes the key for the state and answers the first id. *)
+  let few = Array.init 10 (fun i -> [| i; 2 * i; 3 * i |]) in
+  let exact = MC.Store.create () in
+  Array.iteri
+    (fun i s ->
+      check int_t "exact: a distinct state misses" (-1)
+        (MC.Store.probe_key exact 42 s);
+      check int_t "exact: ids follow insertion" i (MC.Store.add_probed exact s))
+    few;
+  check int_t "exact: every distinct state kept" 10 (MC.Store.length exact);
+  check int_t "exact: each insert after the first collided" 9
+    (MC.Store.collisions exact);
+  Array.iteri
+    (fun i s ->
+      check int_t "exact: probe finds each state" i
+        (MC.Store.probe_key exact 42 s);
+      check bool_t "exact: get reads it back" true
+        (MC.State.equal s (MC.Store.get exact i)))
+    few;
+  let fp = MC.Store.create ~mode:MC.Store.Fp_only () in
+  check int_t "fp-only: the first state misses" (-1)
+    (MC.Store.probe_key fp 42 few.(0));
+  check int_t "fp-only: first id" 0 (MC.Store.add_probed fp few.(0));
+  Array.iter
+    (fun s ->
+      check int_t "fp-only: any state under the key is the first" 0
+        (MC.Store.probe_key fp 42 s))
+    few;
+  check int_t "fp-only: one entry" 1 (MC.Store.length fp);
+  check int_t "fp-only: sees no collision" 0 (MC.Store.collisions fp);
+  (* 200,000 states pass 2^18 slots (full at 174,763), where growth
+     switches from doubling to quadrupling. *)
+  let n = 200_000 in
+  let state i = [| i; i lxor 0x5555; i * 7 |] in
+  let big = MC.Store.create () in
+  for i = 0 to n - 1 do
+    if MC.Store.add big (state i) <> Some i then
+      Alcotest.failf "insert %d did not get id %d" i i
+  done;
+  check int_t "all states kept" n (MC.Store.length big);
+  check bool_t "load factor at most 2/3" true
+    (MC.Store.load_factor big <= 2.0 /. 3.0);
+  let buf = Array.make 3 0 in
+  for i = 0 to n - 1 do
+    MC.Store.read_into big i buf;
+    if not (MC.State.equal buf (state i)) then
+      Alcotest.failf "read_into %d does not round-trip" i;
+    let s = state i in
+    if MC.Store.probe big s <> i then
+      Alcotest.failf "probe misses state %d after growth" i;
+    if MC.Store.probe_key big (MC.State.hash s) s <> i then
+      Alcotest.failf "probe_key under State.hash misses state %d" i
+  done;
+  let absent = state n in
+  check int_t "an absent state misses" (-1) (MC.Store.probe big absent);
+  check int_t "probe_key under State.hash misses it too" (-1)
+    (MC.Store.probe_key big (MC.State.hash absent) absent)
+
 (* ---------------------------------------------- sharding / fingerprints *)
 
+(* 1 shard and 3 (non-power-of-two, so the mod/div routing is
+   exercised), in both modes; stored states read back only in [Exact]. *)
 let shard_table_basics () =
   let sys = sys_of (Core.Bakery_pp_model.program ()) in
   let words = (MC.System.layout sys).MC.State.words in
-  (* 3 shards: non-power-of-two, so the mod/div routing is exercised *)
-  let tbl =
-    MC.Shard_table.create ~mode:MC.Shard_table.Exact ~nshards:3 ~words ()
-  in
   let s0 = MC.System.initial sys in
-  let fp = MC.Shard_table.fingerprint tbl s0 in
-  let sh = MC.Shard_table.owner tbl fp in
-  let local = MC.Shard_table.insert tbl ~shard:sh ~fp s0 in
-  check int_t "first insert gets local id 0" 0 local;
-  check int_t "duplicate insert returns -1" (-1)
-    (MC.Shard_table.insert tbl ~shard:sh ~fp s0);
-  let gid = MC.Shard_table.gid tbl ~shard:sh ~local in
-  check int_t "gid round-trips shard" sh (MC.Shard_table.shard_of_gid tbl gid);
-  check int_t "gid round-trips local" local (MC.Shard_table.local_of_gid tbl gid);
-  check bool_t "stored state reads back" true
-    (MC.State.equal s0 (MC.Shard_table.get tbl ~shard:sh local));
-  check int_t "total counts the one state" 1 (MC.Shard_table.total tbl);
-  (* bulk insert far past the initial table size to exercise growth *)
-  let n = 5_000 in
-  let states = Array.init n (fun i -> Array.make words (i + 7)) in
-  Array.iter
-    (fun s ->
-      let fp = MC.Shard_table.fingerprint tbl s in
-      let sh = MC.Shard_table.owner tbl fp in
-      check bool_t "bulk insert is new" true
-        (MC.Shard_table.insert tbl ~shard:sh ~fp s >= 0))
-    states;
-  check int_t "total after bulk" (n + 1) (MC.Shard_table.total tbl);
-  Array.iter
-    (fun s ->
-      let fp = MC.Shard_table.fingerprint tbl s in
-      let sh = MC.Shard_table.owner tbl fp in
-      check int_t "bulk reinsert dedups" (-1)
-        (MC.Shard_table.insert tbl ~shard:sh ~fp s))
-    states;
-  let mn, mx = MC.Shard_table.occupancy tbl in
-  check bool_t "occupancy sums to total" true
-    (mn > 0 && mx >= mn && MC.Shard_table.total tbl = n + 1);
-  check int_t "no collisions under the real fingerprint" 0
-    (MC.Shard_table.collisions tbl)
+  (* past 2/3 of every shard's 4,096 initial slots, so each one grows *)
+  let states = Array.init 10_000 (fun i -> Array.make words (i + 7)) in
+  List.iter
+    (fun (nshards, mode) ->
+      let tbl = MC.Shard_table.create ~mode ~nshards ~words () in
+      let label msg =
+        Printf.sprintf "%d shard(s), %s: %s" nshards
+          (match mode with
+          | MC.Shard_table.Exact -> "exact"
+          | MC.Shard_table.Fp_only -> "fp-only")
+          msg
+      in
+      let insert s =
+        let fp = MC.Shard_table.fingerprint tbl s in
+        MC.Shard_table.insert tbl ~shard:(MC.Shard_table.owner tbl fp) ~fp s
+      in
+      let local = insert s0 in
+      check int_t (label "first insert gets local id 0") 0 local;
+      check int_t (label "duplicate insert returns -1") (-1) (insert s0);
+      let sh = MC.Shard_table.owner tbl (MC.Shard_table.fingerprint tbl s0) in
+      let gid = MC.Shard_table.gid tbl ~shard:sh ~local in
+      check int_t (label "gid round-trips shard") sh
+        (MC.Shard_table.shard_of_gid tbl gid);
+      check int_t (label "gid round-trips local") local
+        (MC.Shard_table.local_of_gid tbl gid);
+      if mode = MC.Shard_table.Exact then
+        check bool_t (label "stored state reads back") true
+          (MC.State.equal s0 (MC.Shard_table.get tbl ~shard:sh local));
+      check int_t (label "total counts the one state") 1
+        (MC.Shard_table.total tbl);
+      Array.iter
+        (fun s ->
+          check bool_t (label "bulk insert is new") true (insert s >= 0))
+        states;
+      let n = Array.length states in
+      check int_t (label "total after bulk") (n + 1) (MC.Shard_table.total tbl);
+      Array.iter
+        (fun s -> check int_t (label "bulk reinsert dedups") (-1) (insert s))
+        states;
+      let mn, mx = MC.Shard_table.occupancy tbl in
+      check bool_t (label "occupancy sums to total") true
+        (mn > 0 && mx >= mn && MC.Shard_table.total tbl = n + 1);
+      check int_t (label "no collisions under the real fingerprint") 0
+        (MC.Shard_table.collisions tbl))
+    [
+      (1, MC.Shard_table.Exact);
+      (1, MC.Shard_table.Fp_only);
+      (3, MC.Shard_table.Exact);
+      (3, MC.Shard_table.Fp_only);
+    ]
 
 (* A pathological hash maps every state to one fingerprint.  Exact mode
    must shrug it off (full states break the ties) while *counting* the
@@ -938,6 +1017,11 @@ let () =
   Alcotest.run "modelcheck"
     [
       ("vec", [ Alcotest.test_case "growable vector" `Quick vec_basics ]);
+      ( "store",
+        [
+          Alcotest.test_case "one table: modes, growth, keys" `Quick
+            store_one_table;
+        ] );
       ( "state",
         [
           Alcotest.test_case "pack/unpack round trip" `Quick state_roundtrip;
