@@ -25,13 +25,27 @@ let model_arg =
   let doc = "Algorithm model name (see `bakery_cli list`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL" ~doc)
 
+(* -n and -m are checked here, once for every model subcommand: a value
+   below 1 exits 2 with a message naming the flag, as a bad
+   --register-model does. *)
+let at_least_one ~flag ~docv n =
+  if n < 1 then begin
+    Printf.eprintf "%s: %s must be at least 1, got %d\n" flag docv n;
+    exit 2
+  end;
+  n
+
 let nprocs_arg =
   let doc = "Number of processes (the paper's N)." in
-  Arg.(value & opt int 2 & info [ "n"; "nprocs" ] ~docv:"N" ~doc)
+  Term.(
+    const (at_least_one ~flag:"-n/--nprocs" ~docv:"N")
+    $ Arg.(value & opt int 2 & info [ "n"; "nprocs" ] ~docv:"N" ~doc))
 
 let bound_arg =
   let doc = "Register capacity (the paper's M)." in
-  Arg.(value & opt int 3 & info [ "m"; "bound" ] ~docv:"M" ~doc)
+  Term.(
+    const (at_least_one ~flag:"-m/--bound" ~docv:"M")
+    $ Arg.(value & opt int 3 & info [ "m"; "bound" ] ~docv:"M" ~doc))
 
 (* Every --register-model flag is a raw string fed through the harness
    enum parser in the term, so bad spellings exit 2 with the same
@@ -686,8 +700,15 @@ let lasso_cmd =
   in
   let run nprocs bound fair victim =
     let r =
-      Core.Verify.starvation_lasso ~require_victim_disabled:fair ~victim
-        ~nprocs ~bound ()
+      match
+        Core.Verify.starvation_lasso ~require_victim_disabled:fair ~victim
+          ~nprocs ~bound ()
+      with
+      | r -> r
+      | exception Invalid_argument _ when victim < 0 || victim >= nprocs ->
+          Printf.eprintf "--victim: PID must be in 0..%d for -n %d, got %d\n"
+            (nprocs - 1) nprocs victim;
+          exit 2
     in
     let sys = Core.Verify.system ~nprocs ~bound () in
     print_endline (Modelcheck.Report.lasso_string sys ~victim r);

@@ -232,22 +232,20 @@ let regsem_oracle ~program ~nprocs ~bound ~max_states =
             let atomic_lay = MC.System.layout ga.sys in
             let weak_lay = MC.System.layout gs.sys in
             let weak_init = MC.System.initial gs.sys in
-            let verdict = ref Pass in
-            (try
-               MC.Vec.iteri
-                 (fun i s ->
-                   let w = embed_atomic ~atomic_lay ~weak_lay ~weak_init s in
-                   if gs.id_of w = None then begin
-                     verdict :=
-                       fail "regsem_not_superset"
-                         "atomic state %d of %d is unreachable under the safe \
-                          model (atomic distinct %d, safe distinct %d)"
-                         i (MC.Vec.length ga.states) sa.distinct ss.distinct;
-                     raise Exit
-                   end)
-                 ga.states
-             with Exit -> ());
-            !verdict
+            let n = MC.Store.length ga.store in
+            let rec scan i =
+              if i = n then Pass
+              else
+                let s = MC.Store.get ga.store i in
+                let w = embed_atomic ~atomic_lay ~weak_lay ~weak_init s in
+                if MC.Store.find_opt gs.store w = None then
+                  fail "regsem_not_superset"
+                    "atomic state %d of %d is unreachable under the safe \
+                     model (atomic distinct %d, safe distinct %d)"
+                    i n sa.distinct ss.distinct
+                else scan (i + 1)
+            in
+            scan 0
           end)
 
 (* ------------------------------------------------------- reduced oracle *)
@@ -301,11 +299,10 @@ let ctrex_of = function
    is lost to the ample filter or a canonization bug). *)
 let orbit_count red (g : MC.Explore.graph) =
   let orbits = State_tbl.create 1024 in
-  MC.Vec.iter
-    (fun s ->
-      let c, _ = MC.Reduce.canon red s in
-      if not (State_tbl.mem orbits c) then State_tbl.add orbits c ())
-    g.states;
+  for id = 0 to MC.Store.length g.store - 1 do
+    let c, _ = MC.Reduce.canon red (MC.Store.get g.store id) in
+    if not (State_tbl.mem orbits c) then State_tbl.add orbits c ()
+  done;
   State_tbl.length orbits
 
 (* Reduced-vs-full claims, per enabled mode:

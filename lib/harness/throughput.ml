@@ -17,7 +17,9 @@ let wait_barrier barrier =
     Registers.Spin.relax ()
   done
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock, as [Explore.now] reads it: an NTP or
+   VM-migration step of the wall clock cannot distort a rate. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let run ?(workload = Shape.contended) ?(duration = 0.3) ?(seed = 7)
     ?(instrument = false) (lock : Locks.Lock_intf.instance) ~nprocs =

@@ -2,7 +2,8 @@
 
     Domains run the canonical cyclic-process loop — acquire, critical
     work, release, think — against one lock instance.  Results are
-    wall-clock throughput and per-domain entry counts.
+    throughput over elapsed time, read on the monotonic clock, and
+    per-domain entry counts.
 
     On this machine the domains may outnumber cores; every lock spins via
     {!Registers.Spin.relax}, which yields, so handoffs proceed at OS

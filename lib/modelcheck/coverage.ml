@@ -13,14 +13,13 @@ let of_graph (g : Explore.graph) =
   let total = ref 0 in
   (* Count every transition generated from a stored state (TLC's notion
      of action coverage), not just the BFS spanning-tree edges. *)
-  Vec.iteri
-    (fun _ s ->
-      List.iter
-        (fun (m : System.move) ->
-          counts.(m.from_pc) <- counts.(m.from_pc) + 1;
-          incr total)
-        (System.successors g.sys s))
-    g.states;
+  for id = 0 to Store.length g.store - 1 do
+    List.iter
+      (fun (m : System.move) ->
+        counts.(m.from_pc) <- counts.(m.from_pc) + 1;
+        incr total)
+      (System.successors g.sys (Store.get g.store id))
+  done;
   let entries =
     List.init (Array.length p.steps) (fun pc ->
         {

@@ -28,33 +28,33 @@ let any_critical sys s =
 
 let of_system ?(max_states = 500) ?constraint_ sys =
   let graph, _stats = Explore.run_graph ?constraint_ ~max_states sys in
+  let store = graph.store in
+  let n = Store.length store in
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out "digraph %s {\n" (Mxlang.Tla.module_name (System.program sys));
   out "  rankdir=TB;\n  node [shape=box, fontsize=9];\n";
-  Vec.iteri
-    (fun id s ->
-      out "  s%d [label=\"%s\"%s];\n" id
-        (escape (state_label sys s))
-        (if any_critical sys s then ", style=filled, fillcolor=lightcoral"
-         else if id = 0 then ", style=filled, fillcolor=lightblue"
-         else ""))
-    graph.states;
-  Vec.iteri
-    (fun id s ->
-      List.iter
-        (fun (m : System.move) ->
-          match graph.id_of m.dest with
-          | Some dst ->
-              out "  s%d -> s%d [label=\"p%d:%s\", fontsize=8];\n" id dst m.pid
-                (System.program sys).steps.(m.from_pc).step_name
-          | None -> ())
-        (System.successors sys s))
-    graph.states;
+  for id = 0 to n - 1 do
+    let s = Store.get store id in
+    out "  s%d [label=\"%s\"%s];\n" id
+      (escape (state_label sys s))
+      (if any_critical sys s then ", style=filled, fillcolor=lightcoral"
+       else if id = 0 then ", style=filled, fillcolor=lightblue"
+       else "")
+  done;
+  for id = 0 to n - 1 do
+    List.iter
+      (fun (m : System.move) ->
+        match Store.find_opt store m.dest with
+        | Some dst ->
+            out "  s%d -> s%d [label=\"p%d:%s\", fontsize=8];\n" id dst m.pid
+              (System.program sys).steps.(m.from_pc).step_name
+        | None -> ())
+      (System.successors sys (Store.get store id))
+  done;
   if not graph.complete then begin
     out "  cut [label=\"...\", shape=plaintext];\n";
-    out "  s0 -> cut [style=dashed, label=\"truncated at %d states\"];\n"
-      (Vec.length graph.states)
+    out "  s0 -> cut [style=dashed, label=\"truncated at %d states\"];\n" n
   end;
   out "}\n";
   Buffer.contents buf

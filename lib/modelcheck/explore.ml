@@ -7,11 +7,14 @@
    the arena only if genuinely new.  Most generated states of a big
    search are duplicates, so the steady state allocates nothing at all.
 
+   Each new state logs its parent's id and its packed move; [trace_of]
+   replays such logs for every explorer.
+
    [interpreted = true] swaps only the successor function: the AST
    interpreter's move list is copied into the same scratch buffer, move
    by move, and fed through the same loop, store, staged invariants and
    trace code — so the two successor engines are compared and timed
-   through one search. *)
+   through one search, and its traces check the compiled replay. *)
 
 type stats = { generated : int; distinct : int; depth : int; runtime : float }
 
@@ -25,36 +28,47 @@ type result = { outcome : outcome; stats : stats }
 
 type graph = {
   sys : System.t;
-  states : State.packed Vec.t;
+  store : Store.t;
   parent : int Vec.t;
-  via_pid : int Vec.t;
-  via_pc : int Vec.t;
-  id_of : State.packed -> int option;
+  via : int Vec.t;
   complete : bool;
 }
 
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let trace_of sys ~state_of ~parent ~via_pid ~via_pc id =
-  let p = System.program sys in
-  let rec walk id acc =
-    let pid = Vec.get via_pid id in
-    let entry =
-      {
-        Trace.pid;
-        step_name =
-          (if pid < 0 then "<init>" else p.steps.(Vec.get via_pc id).step_name);
-        state = state_of id;
-      }
-    in
-    let par = Vec.get parent id in
-    if par < 0 then entry :: acc else walk par (entry :: acc)
+(* Replay the log from the initial state, canonicalizing as the search
+   did, so that each rebuilt state is the one it stored. *)
+let trace_of sys red ~parent ~via ?stored id =
+  let steps = (System.program sys).steps in
+  let entry id pid step_name state =
+    Reduce.canonizer red state;
+    (match stored with
+    | Some get when not (State.equal (get id) state) ->
+        Printf.ksprintf failwith
+          "Explore.trace_of: the log does not rebuild stored state %d" id
+    | _ -> ());
+    { Trace.pid; step_name; state }
   in
-  walk id []
+  let rec path id acc =
+    if parent id < 0 then (id, acc) else path (parent id) (id :: acc)
+  in
+  let root, rest = path id [] in
+  let init = entry root (-1) "<init>" (System.initial sys) in
+  let prev = ref init in
+  let replay id =
+    let v = via id in
+    let pid = System.move_pid v and pc = System.move_pc v in
+    prev :=
+      entry id pid steps.(pc).step_name
+        (System.apply_move sys !prev.state ~pid ~pc ~alt:(System.move_alt v)
+           ~flick:(System.move_flick v));
+    !prev
+  in
+  Reduce.decanonicalize red (init :: List.map replay rest)
 
 let trace_to (g : graph) id =
-  trace_of g.sys ~state_of:(Vec.get g.states) ~parent:g.parent
-    ~via_pid:g.via_pid ~via_pc:g.via_pc id
+  trace_of g.sys (Reduce.make Reduce.Off g.sys) ~parent:(Vec.get g.parent)
+    ~via:(Vec.get g.via) ~stored:(Store.get g.store) id
 
 let default_invariants = lazy [ Invariant.mutex; Invariant.no_overflow ]
 
@@ -98,15 +112,14 @@ let record_finish ?progress ?metrics ~prefix outcome (stats : stats) =
 
 (* The search itself: dedup-before-copy BFS on the arena store, frontier
    as a cursor over an int vector.  Returns the result together with
-   the store and its parent links, which [run_graph] hands on. *)
+   the store and its search log, which [run_graph] hands on. *)
 let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     ~red ?progress ?metrics sys =
   let canon = Reduce.canonizer red in
   let t0 = now () in
   let idx = Store.create () in
   let parent = Vec.create () in
-  let via_pid = Vec.create () in
-  let via_pc = Vec.create () in
+  let via = Vec.create () in
   let generated = ref 0 in
   let max_depth = ref 0 in
   let wave = Wave.create () in
@@ -115,8 +128,8 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
   let current = Array.make lay.State.words 0 in
   let exception Stop of outcome in
   let trace id =
-    Reduce.decanonicalize red
-      (trace_of sys ~state_of:(Store.get idx) ~parent ~via_pid ~via_pc id)
+    trace_of sys red ~parent:(Vec.get parent) ~via:(Vec.get via)
+      ~stored:(Store.get idx) id
   in
   (* One tick per dequeued state; a disabled reporter costs one call to
      a static no-op closure, nothing else (E11 must not move). *)
@@ -203,22 +216,23 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     | Some c when not (c sys buf) -> ()
     | _ -> Wave.push wave id'
   in
-  let store_new ~parent:par ~pid ~pc buf =
+  let store_new ~parent:par ~move buf =
     let id' = Store.add_probed idx buf in
     ignore (Vec.push parent par);
-    ignore (Vec.push via_pid pid);
-    ignore (Vec.push via_pc pc);
+    ignore (Vec.push via move);
     vet id' buf
   in
   (* The expanded state's id and whether it had a move, shared with the
      per-move callback so that one closure serves the whole search. *)
   let from = ref 0 and any = ref false in
-  let on_move ~pid ~from_pc ~alt:_ ~flick:_ =
+  let on_move ~pid ~from_pc ~alt ~flick =
     any := true;
     incr generated;
     canon scratch;
     if Store.probe idx scratch = -1 then
-      store_new ~parent:!from ~pid ~pc:from_pc scratch
+      store_new ~parent:!from
+        ~move:(System.pack_move ~pid ~pc:from_pc ~alt ~flick)
+        scratch
   in
   let interpreted_moves only =
     List.iter
@@ -235,7 +249,7 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
       canon init;
       incr generated;
       if Store.probe idx init = -1 then
-        store_new ~parent:(-1) ~pid:(-1) ~pc:(-1) init;
+        store_new ~parent:(-1) ~move:(-1) init;
       (* BFS depth by wave boundary: ids enter the driver in depth
          order, so no per-state depth needs storing. *)
       Wave.drive ~on_wave wave (fun id ->
@@ -262,7 +276,7 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     }
   in
   record_finish ?progress ?metrics ~prefix:"explore" outcome stats;
-  ({ outcome; stats }, idx, parent, via_pid, via_pc)
+  ({ outcome; stats }, idx, parent, via)
 
 let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = true)
     ?(interpreted = false) ?(reduce = Reduce.Off) ?progress ?metrics sys =
@@ -277,30 +291,15 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
       Reduce.make reduce sys
     else Reduce.make Reduce.Off sys
   in
-  let r, _, _, _, _ =
+  let r, _, _, _ =
     search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
       ~red ?progress ?metrics sys
   in
   r
 
 let run_graph ?constraint_ ?(max_states = 5_000_000) sys =
-  let r, idx, parent, via_pid, via_pc =
+  let r, store, parent, via =
     search ~invariants:[] ~constraint_ ~max_states ~check_deadlock:false
       ~interpreted:false ~red:(Reduce.make Reduce.Off sys) sys
   in
-  (* Materialize boxed states for the graph consumers (lassos, coverage,
-     dot rendering): one pass, outside the search loop. *)
-  let states = Vec.create () in
-  for id = 0 to Store.length idx - 1 do
-    ignore (Vec.push states (Store.get idx id))
-  done;
-  ( {
-      sys;
-      states;
-      parent;
-      via_pid;
-      via_pc;
-      id_of = Store.find_opt idx;
-      complete = r.outcome <> Capacity;
-    },
-    r.stats )
+  ({ sys; store; parent; via; complete = r.outcome <> Capacity }, r.stats)

@@ -21,14 +21,13 @@ type outcome =
 
 type result = { outcome : outcome; stats : stats }
 
-(** Stored search graph, reusable by the SCC/lasso analyses. *)
+(** The search's own store and log, reusable by the SCC/lasso analyses
+    through {!Store.get}, {!Store.find_opt} and {!Store.length}. *)
 type graph = {
   sys : System.t;
-  states : State.packed Vec.t;
+  store : Store.t;  (** every stored state, by id in BFS order *)
   parent : int Vec.t;  (** parent state id; -1 for the root *)
-  via_pid : int Vec.t;
-  via_pc : int Vec.t;
-  id_of : State.packed -> int option;
+  via : int Vec.t;  (** the move from the parent ({!System.pack_move}) *)
   complete : bool;
       (** [false] if [max_states] stopped the search before the frontier
           emptied: the graph is then a BFS prefix of the reachable one,
@@ -59,7 +58,7 @@ val run :
     loop, store, staged invariants and trace code run on them — the
     reference for differential tests and the evaluator-layer baseline
     of the throughput experiment; outcome, traces, and state counts are
-    identical either way.
+    identical either way ({!trace_of} checks every trace state).
 
     [reduce] (default [Off]) enables state-space reduction ({!Reduce}):
     [Sym] canonicalizes states under pid permutation when the program
@@ -91,7 +90,8 @@ val run_graph :
     graph says so ([complete = false]). *)
 
 val trace_to : graph -> int -> Trace.t
-(** Reconstruct the BFS path from the root to a stored state id. *)
+(** The BFS path from the root to a stored state id: {!trace_of} over
+    the graph's log, checked against its store. *)
 
 val now : unit -> float
 (** Seconds on the monotonic clock, the time base of [stats.runtime]:
@@ -113,12 +113,17 @@ val record_finish :
 
 val trace_of :
   System.t ->
-  state_of:(int -> State.packed) ->
-  parent:int Vec.t ->
-  via_pid:int Vec.t ->
-  via_pc:int Vec.t ->
+  Reduce.t ->
+  parent:(int -> int) ->
+  via:(int -> int) ->
+  ?stored:(int -> State.packed) ->
   int ->
   Trace.t
-(** {!trace_to} over any id-indexed representation of the search —
-    {!Par_explore} stores states in a {!Store} arena rather than a
-    boxed-state graph and materializes only the trace path. *)
+(** The path from the root to state [id] of any search that logged,
+    per state, its parent's id ([-1] for the root) and its move
+    ({!System.pack_move}).  It replays the moves from the initial state,
+    canonicalizing under [red] as the search did, and returns the run in
+    original process ids; it reads no state, so a fingerprint-only
+    search gets its traces too.  [stored] looks up the search's states
+    by id, if it kept them, and every rebuilt state is checked.
+    @raise Failure if one differs from the stored state. *)

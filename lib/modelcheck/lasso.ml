@@ -16,31 +16,30 @@ type redge = { dst : int; e_pid : int; e_pc : int; cs_entry : bool }
 
 let find ?constraint_ ?(max_states = 2_000_000) ?(require_victim_disabled = false)
     ~victim ~stuck_at sys =
+  if victim < 0 || victim >= System.nprocs sys then
+    invalid_arg (Printf.sprintf "Lasso.find: no process %d" victim);
   let graph, stats = Explore.run_graph ?constraint_ ~max_states sys in
+  let store = graph.store in
   let lay = System.layout sys in
   let prog = System.program sys in
-  let n = Vec.length graph.states in
-  let restricted i =
-    stuck_at prog (State.pc lay (Vec.get graph.states i) victim)
-  in
+  let n = Store.length store in
+  let restricted i = stuck_at prog (State.pc lay (Store.get store i) victim) in
   (* Successor edges inside the restriction: non-victim moves between
      restricted states that stayed inside the explored graph. *)
   let edges_of i =
-    let s = Vec.get graph.states i in
+    let s = Store.get store i in
     List.filter_map
       (fun (m : System.move) ->
         if m.pid = victim then None
         else
-          match graph.id_of m.dest with
-          | None -> None
-          | Some j ->
-              if restricted j then
-                let was_cs =
-                  System.kind_of_pc sys m.from_pc = Mxlang.Ast.Critical
-                in
-                let now_cs = System.in_critical sys m.dest m.pid in
-                Some { dst = j; e_pid = m.pid; e_pc = m.from_pc; cs_entry = (now_cs && not was_cs) }
-              else None)
+          match Store.find_opt store m.dest with
+          | Some j when restricted j ->
+              let was_cs =
+                System.kind_of_pc sys m.from_pc = Mxlang.Ast.Critical
+              in
+              let now_cs = System.in_critical sys m.dest m.pid in
+              Some { dst = j; e_pid = m.pid; e_pc = m.from_pc; cs_entry = (now_cs && not was_cs) }
+          | _ -> None)
       (System.successors sys s)
   in
   (* Iterative Tarjan over the restricted subgraph. *)
@@ -111,7 +110,7 @@ let find ?constraint_ ?(max_states = 2_000_000) ?(require_victim_disabled = fals
         restricted i
         && comp.(i) >= 0
         && (not (Hashtbl.mem disabled_in comp.(i)))
-        && not (System.enabled sys (Vec.get graph.states i) victim)
+        && not (System.enabled sys (Store.get store i) victim)
       then Hashtbl.add disabled_in comp.(i) i
     done;
   (* Look for an SCC-internal edge that is a CS entry; any such edge lies
@@ -166,7 +165,7 @@ let find ?constraint_ ?(max_states = 2_000_000) ?(require_victim_disabled = fals
         {
           Trace.pid;
           step_name = (if pid < 0 then "<loop>" else prog.steps.(pc).step_name);
-          state = Vec.get graph.states id;
+          state = Store.get store id;
         }
       in
       (* Cycle: u --e0--> e0.dst --...--> waypoint --...--> u, where the
@@ -183,7 +182,7 @@ let find ?constraint_ ?(max_states = 2_000_000) ?(require_victim_disabled = fals
       let cycle = entry_of e0.dst e0.e_pid e0.e_pc :: cycle_tail in
       let prefix = Explore.trace_to graph u in
       let cycle_states =
-        Vec.get graph.states u :: List.map (fun (t : Trace.entry) -> t.state) cycle
+        Store.get store u :: List.map (fun (t : Trace.entry) -> t.state) cycle
       in
       let victim_continuously_enabled =
         List.for_all (fun s -> System.enabled sys s victim) cycle_states

@@ -47,7 +47,8 @@ val find :
     at least one state where the victim has no enabled action are
     accepted.  Such a cycle starves the victim without ever violating
     weak fairness — the paper's "extremely slow process" scenario in its
-    strongest form. *)
+    strongest form.
+    @raise Invalid_argument if [victim] is not a pid of [sys]. *)
 
 val stuck_at_kind : Mxlang.Ast.kind -> Mxlang.Ast.program -> int -> bool
 (** Convenience predicate: the victim's step has the given kind. *)

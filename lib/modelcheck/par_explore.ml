@@ -41,12 +41,13 @@
    and [depth] all match the sequential engine on a Pass, and a
    violation is still reported with a shortest counterexample.
 
+   Each shard logs the parent gid and packed move of every state it
+   inserts, and {!Explore.trace_of} replays those logs into
+   counterexamples in both modes, as it does for every explorer.
    Fingerprint-only mode ([fingerprint_only:true]) additionally drops
    the stored states, TLC-style: the visited set keeps 63-bit
    fingerprints only, cutting memory per state by ~an order of
-   magnitude at a ~2^-63-per-pair risk of conflating two states.
-   Counterexample traces are then rebuilt by replaying the recorded
-   (pid, pc, alt) parent chain from the initial state. *)
+   magnitude at a ~2^-63-per-pair risk of conflating two states. *)
 
 let now = Explore.now
 
@@ -68,17 +69,6 @@ let rec publish inbox b =
   let head = Atomic.get inbox in
   b.b_next <- head;
   if not (Atomic.compare_and_set inbox head b) then publish inbox b
-
-(* (pid, pc, alt, flick) packed into one int; pc and alt are tiny by
-   construction (mxlang programs have dozens of steps), pid fits 12
-   bits, and the flicker rank is capped at 2^26 by {!Regsem.Flicker} —
-   62 bits total. *)
-let pack_via ~pid ~pc ~alt ~flick =
-  (flick lsl 36) lor (pid lsl 24) lor (pc lsl 8) lor alt
-let via_pid v = (v lsr 24) land 0xfff
-let via_pc v = (v lsr 8) land 0xffff
-let via_alt v = v land 0xff
-let via_flick v = v lsr 36
 
 (* Per-domain mutable state.  Written only by its domain during a wave;
    read by the main domain after the pool barrier. *)
@@ -132,7 +122,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let words = lay.State.words in
   let mode = if fingerprint_only then Shard_table.Fp_only else Shard_table.Exact in
   let tbl = Shard_table.create ?hash ~mode ~nshards:ndomains ~words () in
-  (* Per-shard parent metadata, indexed by local id. *)
+  (* Per-shard search log (parent gid, packed move) by local id. *)
   let meta_parent = Array.init ndomains (fun _ -> Vec.create ()) in
   let meta_via = Array.init ndomains (fun _ -> Vec.create ()) in
   let cur = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
@@ -177,36 +167,17 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     match constraint_ with None -> true | Some c -> c sys s
   in
   let depth = ref 0 in
-  (* Counterexample reconstruction by replay: collect the (pid, pc,
-     alt) chain from the root, then re-execute it from the initial
-     state — works identically whether or not states were stored. *)
-  let trace gid =
-    let rec chain gid acc =
-      let sh = Shard_table.shard_of_gid tbl gid in
-      let lc = Shard_table.local_of_gid tbl gid in
-      let parent = Vec.get meta_parent.(sh) lc in
-      if parent < 0 then acc
-      else chain parent (Vec.get meta_via.(sh) lc :: acc)
-    in
-    let p = System.program sys in
-    let init = System.initial sys in
-    let s = ref init in
-    (* Recorded (pid, pc, alt, flick) tuples are relative to the
-       *canonical* parent states the search expanded, so the replay must
-       re-canonicalize after every move; the resulting canonical-
-       coordinates trace is mapped back to a genuine original-pid run at
-       the end. *)
-    let rest =
-      List.map
-        (fun via ->
-          let pid = via_pid via and pc = via_pc via and alt = via_alt via in
-          s := System.apply_move sys !s ~pid ~pc ~alt ~flick:(via_flick via);
-          canon !s;
-          { Trace.pid; step_name = p.steps.(pc).step_name; state = !s })
-        (chain gid [])
-    in
-    Reduce.decanonicalize red
-      ({ Trace.pid = -1; step_name = "<init>"; state = init } :: rest)
+  (* In [Exact] mode the shards' states check the replayed traces. *)
+  let at f gid =
+    let shard = Shard_table.shard_of_gid tbl gid in
+    f ~shard (Shard_table.local_of_gid tbl gid)
+  in
+  let trace =
+    Explore.trace_of sys red
+      ~parent:(at (fun ~shard -> Vec.get meta_parent.(shard)))
+      ~via:(at (fun ~shard -> Vec.get meta_via.(shard)))
+      ?stored:
+        (if fingerprint_only then None else Some (at (Shard_table.get tbl)))
   in
   let total_generated () =
     Array.fold_left (fun acc d -> acc + d.d_generated) 1 dstates
@@ -347,7 +318,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       canon d.d_scratch;
       let fp = Shard_table.fingerprint tbl d.d_scratch in
       let o = Shard_table.owner tbl fp in
-      let via = pack_via ~pid ~pc:from_pc ~alt ~flick in
+      let via = System.pack_move ~pid ~pc:from_pc ~alt ~flick in
       if o = w || !inline then
         insert_candidate o d ~fp ~parent:d.d_gid ~via d.d_scratch
       else route d o ~fp ~parent:d.d_gid ~via d.d_scratch

@@ -41,12 +41,13 @@ val run :
     [domains], is left running on return, and must not be used
     concurrently from another thread.
 
-    [fingerprint_only] switches the visited set to
-    {!Shard_table.Fp_only}: ~10x less memory per state, a ~2^-63
-    per-pair chance of conflating two states, and counterexample
-    traces rebuilt by replaying recorded (pid, pc, alt) moves from the
-    initial state.  [hash] overrides the fingerprint function (tests
-    inject colliding hashes with it).
+    Counterexample traces in either mode are rebuilt by
+    {!Explore.trace_of} from each shard's log of parents and packed
+    moves.  [fingerprint_only] switches the visited set to
+    {!Shard_table.Fp_only}: ~10x less memory per state and a ~2^-63
+    per-pair chance of conflating two states, with the same traces.
+    [hash] overrides the fingerprint function (tests inject colliding
+    hashes with it).
 
     [reduce] composes with the sharding exactly as in {!Explore.run}:
     successors are canonicalized ({!Reduce}) before fingerprinting, so

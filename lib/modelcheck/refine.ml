@@ -84,21 +84,22 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
         | Some c -> fun s -> c spec s);
     }
   in
-  (* Implementation store with parent pointers for counterexamples. *)
+  (* Implementation store and search log: each state's first parent and
+     packed move, which [Explore.trace_of] replays into a counterexample. *)
   let impl_store = Store.create () in
-  let parent = Vec.create () and via_pid = Vec.create () and via_pc = Vec.create () in
-  let intern_impl ~p ~pid ~pc s =
+  let parent = Vec.create () and via = Vec.create () in
+  let intern_impl ~p ~move s =
     let id = Store.probe impl_store s in
     if id >= 0 then id
     else begin
       ignore (Vec.push parent p);
-      ignore (Vec.push via_pid pid);
-      ignore (Vec.push via_pc pc);
+      ignore (Vec.push via move);
       Store.add_probed impl_store s
     end
   in
   let impl_trace =
-    Explore.trace_of impl ~state_of:(Store.get impl_store) ~parent ~via_pid ~via_pc
+    Explore.trace_of impl (Reduce.make Reduce.Off impl) ~parent:(Vec.get parent)
+      ~via:(Vec.get via) ~stored:(Store.get impl_store)
   in
   (* Pairs (impl id, spec set) already visited. *)
   let pair_seen = Hashtbl.create 4096 in
@@ -118,7 +119,7 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
   let included, failure, complete =
     try
       let i0 = System.initial impl in
-      let i0_id = intern_impl ~p:(-1) ~pid:(-1) ~pc:(-1) i0 in
+      let i0_id = intern_impl ~p:(-1) ~move:(-1) i0 in
       let o0 = obs_impl impl i0 in
       let s0 = System.initial spec in
       if not (obs_equal (obs_spec spec s0) o0) then
@@ -129,7 +130,11 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
           List.iter
             (fun (m : System.move) ->
               let o' = obs_impl impl m.dest in
-              let id' = intern_impl ~p:impl_id ~pid:m.pid ~pc:m.from_pc m.dest in
+              let move =
+                System.pack_move ~pid:m.pid ~pc:m.from_pc ~alt:m.alt
+                  ~flick:m.flick
+              in
+              let id' = intern_impl ~p:impl_id ~move m.dest in
               if obs_equal o' o then enqueue id' set o
               else begin
                 let set' =

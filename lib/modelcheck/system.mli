@@ -35,7 +35,9 @@ val make :
     ceilings are derived ({!Regsem.Domain}), and per-action static read
     sets are tabulated for the flicker enumerator; {!program} then
     returns the transformed program (commit steps visible, so traces
-    show writes landing). *)
+    show writes landing).
+    @raise Invalid_argument if its moves would not fit {!pack_move}:
+    over 4,096 processes, 65,536 steps or 256 alternatives in a step. *)
 
 val layout : t -> State.layout
 val program : t -> Mxlang.Ast.program
@@ -88,13 +90,20 @@ val successors_interpreted : t -> State.packed -> move list
     and the "before" engine of the throughput experiment.  Honors the
     register model with the same move order as the compiled engine. *)
 
+val pack_move : pid:int -> pc:int -> alt:int -> flick:int -> int
+(** One move in one int, the unit of every explorer's search log; the
+    [move_*] decoders read its fields back. *)
+
+val move_pid : int -> int
+val move_pc : int -> int
+val move_alt : int -> int
+val move_flick : int -> int
+
 val apply_move :
   t -> State.packed -> pid:int -> pc:int -> alt:int -> flick:int -> State.packed
-(** Re-execute one recorded move (no guard check): the destination of
-    alternative [alt] of step [pc] fired by [pid] under flicker view
-    [flick].  Used to replay a parent chain of (pid, pc, alt, flick)
-    tuples into a concrete trace when the explorer kept only
-    fingerprints. *)
+(** Re-execute one recorded move (no guard check): a fresh copy of the
+    destination of alternative [alt] of step [pc] fired by [pid] under
+    flicker view [flick].  {!Explore.trace_of} replays logs with it. *)
 
 val flick_assignment :
   t -> State.packed -> pid:int -> pc:int -> alt:int -> flick:int -> (int * int) list

@@ -571,6 +571,50 @@ let report_kill_mid_flight () =
   check bool_t "killed-run report has series" true
     (contains ~affix:"## Time series" out)
 
+(* ------------------------------------------------- shared model flags *)
+
+let model_size_usage_errors () =
+  (* -n and -m below 1 are usage errors naming the flag, on every
+     subcommand that builds a model, rather than an uncaught exception
+     from the evaluator *)
+  List.iter
+    (fun args ->
+      List.iter
+        (fun (flag, bad) ->
+          let code, _, err = run_capture (args @ [ flag; bad ]) in
+          let what = String.concat " " (args @ [ flag; bad ]) in
+          check int_t (what ^ " exits 2") 2 code;
+          check bool_t (what ^ " names the flag") true
+            (contains ~affix:flag err))
+        [ ("-n", "0"); ("-m", "0") ])
+    [
+      [ "check"; "bakery_pp" ];
+      [ "sim"; "bakery_pp" ];
+      [ "explain"; "--model"; "bakery_pp" ];
+      [ "lasso" ];
+      [ "refine" ];
+      [ "verify" ];
+      [ "graph"; "bakery_pp" ];
+      [ "fuzz"; "--count"; "1" ];
+    ]
+
+let lasso_victim_usage_error () =
+  (* a victim that is not one of the -n processes is a usage error, not
+     a verdict about a process that does not exist *)
+  List.iter
+    (fun args ->
+      let code, out, err = run_capture ("lasso" :: args) in
+      let what = String.concat " " ("lasso" :: args) in
+      check int_t (what ^ " exits 2") 2 code;
+      check bool_t (what ^ " names --victim") true
+        (contains ~affix:"--victim" err);
+      check Alcotest.string (what ^ " reports no verdict") "" out)
+    [
+      [ "-n"; "3"; "-m"; "2"; "--victim=3" ];
+      [ "-n"; "3"; "-m"; "2"; "--victim=-1" ];
+      [ "-n"; "2"; "-m"; "2"; "--victim"; "5" ];
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -622,6 +666,12 @@ let () =
           Alcotest.test_case "usage errors" `Quick report_usage_errors;
           Alcotest.test_case "SIGTERM leaves whole lines" `Quick
             report_kill_mid_flight;
+        ] );
+      ( "model flags",
+        [
+          Alcotest.test_case "-n and -m below 1" `Quick model_size_usage_errors;
+          Alcotest.test_case "lasso --victim out of range" `Quick
+            lasso_victim_usage_error;
         ] );
       ( "reduce",
         [

@@ -45,8 +45,8 @@ let assert_moves_agree name prog ~nprocs ~bound =
   let g, stats = MC.Explore.run_graph ~max_states:cap sys in
   let states = ref 0 and moves = ref 0 in
   let failing = [| 0; 0 |] in
-  for id = 0 to MC.Vec.length g.states - 1 do
-    let s = MC.Vec.get g.states id in
+  for id = 0 to MC.Store.length g.store - 1 do
+    let s = MC.Store.get g.store id in
     count_failing failing
       (assert_staged_agrees (Printf.sprintf "%s state %d" name id) sys s);
     let reference = MC.System.successors_interpreted sys s in
@@ -135,8 +135,8 @@ let weak_moves_agree () =
       (fun model ->
         let sys = MC.System.make ~register_model:model prog ~nprocs ~bound:3 in
         let g, _ = MC.Explore.run_graph ~max_states:weak_cap sys in
-        for id = 0 to MC.Vec.length g.states - 1 do
-          let s = MC.Vec.get g.states id in
+        for id = 0 to MC.Store.length g.store - 1 do
+          let s = MC.Store.get g.store id in
           let reference = List.map key (MC.System.successors_interpreted sys s) in
           let per_pid =
             List.concat_map
@@ -173,13 +173,14 @@ let weak_scratch_allocates_nothing () =
       (Core.Bakery_pp_model.program ()) ~nprocs:3 ~bound:4
   in
   let g, _ = MC.Explore.run_graph ~max_states:20_000 sys in
-  let n = MC.Vec.length g.states in
+  let states = Array.init (MC.Store.length g.store) (MC.Store.get g.store) in
+  let n = Array.length states in
   let scratch = Array.make (MC.System.layout sys).words 0 in
   let noop ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ = () in
-  MC.System.iter_successors_scratch sys (MC.Vec.get g.states 0) ~scratch noop;
+  MC.System.iter_successors_scratch sys states.(0) ~scratch noop;
   let w0 = Gc.minor_words () in
   for id = 0 to n - 1 do
-    MC.System.iter_successors_scratch sys (MC.Vec.get g.states id) ~scratch noop
+    MC.System.iter_successors_scratch sys states.(id) ~scratch noop
   done;
   let per_state = (Gc.minor_words () -. w0) /. float_of_int n in
   if per_state >= 1.0 then
@@ -193,14 +194,15 @@ let staged_invariants_allocate_nothing () =
       (Core.Bakery_pp_model.program ()) ~nprocs:3 ~bound:4
   in
   let g, _ = MC.Explore.run_graph ~max_states:20_000 sys in
-  let n = MC.Vec.length g.states in
+  let states = Array.init (MC.Store.length g.store) (MC.Store.get g.store) in
+  let n = Array.length states in
   List.iter
     (fun (inv : MC.Invariant.t) ->
       let holds = MC.Invariant.stage inv sys in
-      ignore (holds (MC.Vec.get g.states 0));
+      ignore (holds states.(0));
       let w0 = Gc.minor_words () in
       for id = 0 to n - 1 do
-        ignore (holds (MC.Vec.get g.states id))
+        ignore (holds states.(id))
       done;
       let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
       if per_call >= 1.0 then

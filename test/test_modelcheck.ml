@@ -130,25 +130,130 @@ let explore_capacity () =
   | MC.Explore.Capacity -> ()
   | _ -> Alcotest.fail "expected capacity exhaustion"
 
+(* Every later entry of a trace is a move, of the named process and
+   label, out of the entry before it. *)
+let check_connected what sys (tr : MC.Trace.t) =
+  let steps = (MC.System.program sys).Mxlang.Ast.steps in
+  let rec walk = function
+    | (a : MC.Trace.entry) :: (b : MC.Trace.entry) :: rest ->
+        check bool_t (what ^ ": consecutive trace states are connected") true
+          (List.exists
+             (fun (m : MC.System.move) ->
+               m.pid = b.pid
+               && steps.(m.from_pc).Mxlang.Ast.step_name = b.step_name
+               && MC.State.equal m.dest b.state)
+             (MC.System.successors sys a.state));
+        walk (b :: rest)
+    | _ -> ()
+  in
+  walk tr
+
 let trace_states_connected () =
   (* Every state in a counterexample trace must follow from its
      predecessor by exactly one move. *)
   let sys = sys_of ~nprocs:2 ~bound:2 (Algorithms.Bakery.program ()) in
   let r = MC.Explore.run ~invariants:[ MC.Invariant.no_overflow ] sys in
-  match r.outcome with
-  | MC.Explore.Violation { trace; _ } ->
-      let rec walk = function
-        | a :: (b : MC.Trace.entry) :: rest ->
-            let succs = MC.System.successors sys a.MC.Trace.state in
-            check bool_t "consecutive trace states are connected" true
-              (List.exists
-                 (fun (m : MC.System.move) -> MC.State.equal m.dest b.state)
-                 succs);
-            walk (b :: rest)
-        | _ -> ()
-      in
-      walk trace
-  | _ -> Alcotest.fail "expected overflow violation"
+  (match r.outcome with
+  | MC.Explore.Violation { trace; _ } -> check_connected "bakery" sys trace
+  | _ -> Alcotest.fail "expected overflow violation");
+  (* So must every path [trace_to] replays out of a graph's log, and it
+     must end at the state the graph stored under that id: every 97th
+     id of a capped graph, for every registry model under atomic and
+     safe registers.  A model whose weak reads can feed an out-of-range
+     index stops its search with [Eval.Error] and has no graph. *)
+  let graphs = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun register_model ->
+          let what = name ^ " " ^ Regsem.Model.to_string register_model in
+          let sys = MC.System.make ~register_model prog ~nprocs:2 ~bound:2 in
+          match MC.Explore.run_graph ~max_states:3_000 sys with
+          | exception Mxlang.Eval.Error _ -> ()
+          | g, _ ->
+              incr graphs;
+              let id = ref 0 in
+              while !id < MC.Store.length g.store do
+                let tr = MC.Explore.trace_to g !id in
+                let last = List.nth tr (List.length tr - 1) in
+                check bool_t (what ^ ": trace ends at the stored state") true
+                  (MC.State.equal last.state (MC.Store.get g.store !id));
+                check_connected what sys tr;
+                id := !id + 97
+              done)
+        [ Regsem.Model.Atomic; Regsem.Model.Safe ])
+    Harness.Registry.models;
+  check bool_t "most models explored under both register models" true
+    (!graphs > List.length Harness.Registry.models)
+
+(* With a [stored] lookup, the replay is checked state by state: a log
+   with one wrong move raises instead of returning a wrong path, and
+   without the lookup the same log yields a path that misses the stored
+   state. *)
+let trace_replay_checks_stored () =
+  let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
+  let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
+  let target = MC.Store.length g.store - 1 in
+  let bad = MC.Vec.get g.parent target in
+  (* the move that reached [bad], swapped for another move out of its
+     parent that leads elsewhere *)
+  let from = MC.Store.get g.store (MC.Vec.get g.parent bad) in
+  let wrong =
+    List.find
+      (fun (m : MC.System.move) ->
+        not (MC.State.equal m.dest (MC.Store.get g.store bad)))
+      (MC.System.successors sys from)
+  in
+  let via id =
+    if id = bad then
+      MC.System.pack_move ~pid:wrong.pid ~pc:wrong.from_pc ~alt:wrong.alt
+        ~flick:wrong.flick
+    else MC.Vec.get g.via id
+  in
+  let red = MC.Reduce.make MC.Reduce.Off sys in
+  let replay ?stored () =
+    MC.Explore.trace_of sys red ~parent:(MC.Vec.get g.parent) ~via ?stored
+      target
+  in
+  (match replay ~stored:(MC.Store.get g.store) () with
+  | _ -> Alcotest.fail "a wrong logged move must not yield a trace"
+  | exception Failure _ -> ());
+  let tr = replay () in
+  let last = List.nth tr (List.length tr - 1) in
+  check bool_t "unchecked replay misses the stored state" false
+    (MC.State.equal last.state (MC.Store.get g.store target))
+
+(* Every explorer logs moves packed by [System.pack_move], so [make]
+   refuses a program whose moves would not fit, and the fields of a
+   move that fits read back unchanged. *)
+let system_move_widths () =
+  let wide alts =
+    let b = Mxlang.Builder.create ~title:"wide" in
+    let l = Mxlang.Builder.fresh_label b "l" in
+    Mxlang.Builder.define b l ~kind:Mxlang.Ast.Plain
+      (List.init alts (fun _ -> Mxlang.Builder.goto l));
+    Mxlang.Builder.build b
+  in
+  ignore (sys_of ~nprocs:2 (wide 256));
+  (match sys_of ~nprocs:2 (wide 257) with
+  | _ -> Alcotest.fail "a 257-alternative step must be rejected"
+  | exception Invalid_argument _ -> ());
+  (match sys_of ~nprocs:4097 (wide 1) with
+  | _ -> Alcotest.fail "4,097 processes must be rejected"
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun (pid, pc, alt, flick) ->
+      let v = MC.System.pack_move ~pid ~pc ~alt ~flick in
+      check
+        Alcotest.(list int)
+        "fields round-trip" [ pid; pc; alt; flick ]
+        [
+          MC.System.move_pid v;
+          MC.System.move_pc v;
+          MC.System.move_alt v;
+          MC.System.move_flick v;
+        ])
+    [ (0, 0, 0, 0); (4095, 65535, 255, (1 lsl 26) - 1); (3, 17, 2, 5) ]
 
 (* ----------------------------------------------------------- invariants *)
 
@@ -258,6 +363,19 @@ let lasso_none_in_waiting_room () =
   in
   check bool_t "FCFS waiting room admits no lasso" true (r.witness = None);
   check bool_t "over the whole graph" true r.complete
+
+let lasso_victim_out_of_range () =
+  let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
+  List.iter
+    (fun victim ->
+      match
+        MC.Lasso.find ~victim
+          ~stuck_at:(MC.Lasso.stuck_at_label Core.Bakery_pp_model.gate_label)
+          sys
+      with
+      | _ -> Alcotest.failf "victim %d of 3 processes must be rejected" victim
+      | exception Invalid_argument _ -> ())
+    [ -1; 3; 5 ]
 
 let lasso_cycle_is_closed () =
   (* The cycle's moves must all be valid transitions and return to the
@@ -500,33 +618,41 @@ let collision_injection () =
    engine — including counterexamples, which it reconstructs by
    replaying recorded moves rather than reading stored states. *)
 let sharded_fp_only_agrees () =
+  let naive = Harness.Registry.find_model "bakery_mod_naive" in
   let cases =
     [
-      (Core.Bakery_pp_model.program (), 2, 2);
-      (Algorithms.No_lock.program (), 2, 4);
-      (Algorithms.Bakery.program (), 2, 2);
+      (Core.Bakery_pp_model.program (), 2, 2, Regsem.Model.Atomic);
+      (Algorithms.No_lock.program (), 2, 4, Regsem.Model.Atomic);
+      (Algorithms.Bakery.program (), 2, 2, Regsem.Model.Atomic);
+      (naive, 3, 2, Regsem.Model.Atomic);
+      (naive, 3, 2, Regsem.Model.Safe);
     ]
   in
   List.iter
-    (fun (prog, n, m) ->
-      let sys = sys_of ~nprocs:n ~bound:m prog in
+    (fun (prog, n, m, register_model) ->
+      let sys = MC.System.make ~register_model prog ~nprocs:n ~bound:m in
       let seq = MC.Explore.run sys in
       List.iter
         (fun domains ->
+          let what =
+            Printf.sprintf "%s N=%d M=%d %s (%d domains, fp-only)"
+              prog.Mxlang.Ast.title n m
+              (Regsem.Model.to_string register_model)
+              domains
+          in
           let par =
             MC.Par_explore.run ~domains ~fingerprint_only:true sys
           in
-          check bool_t
-            (Printf.sprintf "%s N=%d M=%d (%d domains, fp-only): same outcome"
-               prog.Mxlang.Ast.title n m domains)
-            true
+          check bool_t (what ^ ": same outcome") true
             (outcome_equal seq.outcome par.outcome);
           if seq.outcome = MC.Explore.Pass then
-            check int_t
-              (Printf.sprintf
-                 "%s N=%d M=%d (%d domains, fp-only): same state count"
-                 prog.Mxlang.Ast.title n m domains)
-              seq.stats.distinct par.stats.distinct)
+            check int_t (what ^ ": same state count") seq.stats.distinct
+              par.stats.distinct;
+          (* One domain fixes the search order, so the trace replayed
+             without states is the exact-mode one, state for state. *)
+          if domains = 1 then
+            check bool_t (what ^ ": exact-mode outcome and trace") true
+              ((MC.Par_explore.run ~domains sys).outcome = par.outcome))
         [ 1; 3 ])
     cases
 
@@ -706,11 +832,10 @@ end)
 
 let orbit_count red (g : MC.Explore.graph) =
   let orbits = State_tbl.create 256 in
-  MC.Vec.iter
-    (fun s ->
-      let c, _ = MC.Reduce.canon red s in
-      if not (State_tbl.mem orbits c) then State_tbl.add orbits c ())
-    g.states;
+  for id = 0 to MC.Store.length g.store - 1 do
+    let c, _ = MC.Reduce.canon red (MC.Store.get g.store id) in
+    if not (State_tbl.mem orbits c) then State_tbl.add orbits c ()
+  done;
   State_tbl.length orbits
 
 (* Every later trace entry must be an actual move of the named process
@@ -852,9 +977,9 @@ let prop_reduce_group_action =
         QCheck.Test.fail_report "reduction inactive on a certified program";
       let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
       let mutex = MC.Invariant.mutex and no_ovf = MC.Invariant.no_overflow in
-      let n = min 60 (MC.Vec.length g.states) in
+      let n = min 60 (MC.Store.length g.store) in
       for i = 0 to n - 1 do
-        let s = MC.Vec.get g.states i in
+        let s = MC.Store.get g.store i in
         let c, perm = MC.Reduce.canon red s in
         (* idempotence *)
         let c2, _ = MC.Reduce.canon red c in
@@ -953,10 +1078,12 @@ let prop_canonizer_matches_reference =
             QCheck.Test.fail_report "reduction inactive on a certified program";
           let canonize = MC.Reduce.canonizer red in
           let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
-          for i = 0 to min 60 (MC.Vec.length g.states) - 1 do
+          for i = 0 to min 60 (MC.Store.length g.store) - 1 do
             List.iter
               (fun p ->
-                let s = MC.Reduce.permute red ~perm:p (MC.Vec.get g.states i) in
+                let s =
+                  MC.Reduce.permute red ~perm:p (MC.Store.get g.store i)
+                in
                 let c, perm = MC.Reduce.canon red s in
                 let in_place = Array.copy s in
                 canonize in_place;
@@ -982,13 +1109,13 @@ let reduce_canonizer_allocation_free () =
   let calls = 10_000 in
   let g, _ = MC.Explore.run_graph ~max_states:3_000 sys in
   let inputs = MC.Vec.create () in
-  MC.Vec.iter
-    (fun s ->
-      if MC.Vec.length inputs < calls then
-        List.iter
-          (fun (m : MC.System.move) -> ignore (MC.Vec.push inputs m.dest))
-          (MC.System.successors sys (fst (MC.Reduce.canon red s))))
-    g.states;
+  for id = 0 to MC.Store.length g.store - 1 do
+    if MC.Vec.length inputs < calls then
+      List.iter
+        (fun (m : MC.System.move) -> ignore (MC.Vec.push inputs m.dest))
+        (MC.System.successors sys
+           (fst (MC.Reduce.canon red (MC.Store.get g.store id))))
+  done;
   check bool_t "enough successors" true (MC.Vec.length inputs >= calls);
   let scratch = Array.copy (MC.Vec.get inputs 0) in
   let words = Array.length scratch in
@@ -1037,6 +1164,10 @@ let () =
           Alcotest.test_case "state constraint closes infinite space" `Quick
             explore_constraint_closes_space;
           Alcotest.test_case "max_states capacity" `Quick explore_capacity;
+          Alcotest.test_case "replay checks the stored states" `Quick
+            trace_replay_checks_stored;
+          Alcotest.test_case "packed moves bound the program" `Quick
+            system_move_widths;
           Alcotest.test_case "trace states are connected" `Quick
             trace_states_connected;
         ] );
@@ -1062,6 +1193,8 @@ let () =
           Alcotest.test_case "truncated search is inconclusive" `Quick
             lasso_truncated_is_inconclusive;
           Alcotest.test_case "cycle closes" `Quick lasso_cycle_is_closed;
+          Alcotest.test_case "victim out of range" `Quick
+            lasso_victim_out_of_range;
         ] );
       ( "parallel",
         [
