@@ -25,46 +25,61 @@ let model_arg =
   let doc = "Algorithm model name (see `bakery_cli list`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL" ~doc)
 
-(* -n and -m are checked here, once for every model subcommand: a value
-   below 1 exits 2 with a message naming the flag, as a bad
-   --register-model does. *)
-let at_least_one ~flag ~docv n =
-  if n < 1 then begin
-    Printf.eprintf "%s: %s must be at least 1, got %d\n" flag docv n;
-    exit 2
-  end;
-  n
+(* A flag value the program cannot run with is a usage error: it exits
+   2 with a message naming the flag. *)
+let or_usage_error = function
+  | Ok v -> v
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
+
+(* Every integer flag with a floor is checked here, once, in its term:
+   -n/-m and the other sizes at least 1, budgets and counts at least 0. *)
+let int_flag ?(min = 0) names ~default ~docv ~doc =
+  let flag =
+    String.concat "/"
+      (List.map (fun n -> if String.length n = 1 then "-" ^ n else "--" ^ n) names)
+  in
+  let at_least n =
+    if n < min then begin
+      Printf.eprintf "%s: %s must be at least %d, got %d\n" flag docv min n;
+      exit 2
+    end;
+    n
+  in
+  Term.(const at_least $ Arg.(value & opt int default & info names ~docv ~doc))
+
+let probability_flag long ~doc =
+  let in_unit p =
+    if not (p >= 0.0 && p <= 1.0) then begin
+      Printf.eprintf "--%s: P must be in [0, 1], got %g\n" long p;
+      exit 2
+    end;
+    p
+  in
+  Term.(const in_unit $ Arg.(value & opt float 0.0 & info [ long ] ~docv:"P" ~doc))
 
 let nprocs_arg =
-  let doc = "Number of processes (the paper's N)." in
-  Term.(
-    const (at_least_one ~flag:"-n/--nprocs" ~docv:"N")
-    $ Arg.(value & opt int 2 & info [ "n"; "nprocs" ] ~docv:"N" ~doc))
+  int_flag ~min:1 [ "n"; "nprocs" ] ~default:2 ~docv:"N"
+    ~doc:"Number of processes (the paper's N)."
 
 let bound_arg =
-  let doc = "Register capacity (the paper's M)." in
-  Term.(
-    const (at_least_one ~flag:"-m/--bound" ~docv:"M")
-    $ Arg.(value & opt int 3 & info [ "m"; "bound" ] ~docv:"M" ~doc))
+  int_flag ~min:1 [ "m"; "bound" ] ~default:3 ~docv:"M"
+    ~doc:"Register capacity (the paper's M)."
 
 (* Every --register-model flag is a raw string fed through the harness
    enum parser in the term, so bad spellings exit 2 with the same
    message shape as the other Argscan-backed flags (--rate etc.). *)
 let parse_register_model raw =
-  match
-    Harness.Argscan.parse_enum ~docv:"MODEL" ~flag:"--register-model"
-      ~values:
-        [
-          ("atomic", Regsem.Model.Atomic);
-          ("regular", Regsem.Model.Regular);
-          ("safe", Regsem.Model.Safe);
-        ]
-      raw
-  with
-  | Ok m -> m
-  | Error msg ->
-      prerr_endline msg;
-      exit 2
+  or_usage_error
+    (Harness.Argscan.parse_enum ~docv:"MODEL" ~flag:"--register-model"
+       ~values:
+         [
+           ("atomic", Regsem.Model.Atomic);
+           ("regular", Regsem.Model.Regular);
+           ("safe", Regsem.Model.Safe);
+         ]
+       raw)
 
 let register_model_flag ~default ~doc =
   Term.(
@@ -86,14 +101,9 @@ let register_model_arg =
 (* --reduce takes the same raw-string-through-Argscan route, so a bad
    spelling exits 2 with the shared usage-error shape. *)
 let parse_reduce raw =
-  match
-    Harness.Argscan.parse_enum ~docv:"MODE" ~flag:"--reduce"
-      ~values:Modelcheck.Reduce.mode_values raw
-  with
-  | Ok m -> m
-  | Error msg ->
-      prerr_endline msg;
-      exit 2
+  or_usage_error
+    (Harness.Argscan.parse_enum ~docv:"MODE" ~flag:"--reduce"
+       ~values:Modelcheck.Reduce.mode_values raw)
 
 let reduce_doc =
   "State-space reduction: $(b,none) (default), $(b,sym) (canonicalize \
@@ -307,16 +317,15 @@ let show_cmd =
 
 let check_cmd =
   let cap_arg =
-    let doc =
-      "State constraint: cap every cell of the model's $(i,number)-like \
-       variables at this value (closes infinite spaces, e.g. the original \
-       bakery).  0 disables."
-    in
-    Arg.(value & opt int 0 & info [ "cap" ] ~docv:"CAP" ~doc)
+    int_flag [ "cap" ] ~default:0 ~docv:"CAP"
+      ~doc:
+        "State constraint: cap every cell of the model's $(i,number)-like \
+         variables at this value (closes infinite spaces, e.g. the original \
+         bakery).  0 disables."
   in
   let max_states_arg =
-    let doc = "Abort after storing this many distinct states." in
-    Arg.(value & opt int 5_000_000 & info [ "max-states" ] ~docv:"K" ~doc)
+    int_flag ~min:1 [ "max-states" ] ~default:5_000_000 ~docv:"K"
+      ~doc:"Abort after storing this many distinct states."
   in
   let no_overflow_arg =
     let doc = "Also check the no-overflow invariant (on by default)." in
@@ -327,8 +336,8 @@ let check_cmd =
     Arg.(value & flag & info [ "coverage" ] ~doc)
   in
   let parallel_arg =
-    let doc = "Use the level-synchronized parallel BFS engine with this many domains." in
-    Arg.(value & opt int 0 & info [ "parallel" ] ~docv:"D" ~doc)
+    int_flag [ "parallel" ] ~default:0 ~docv:"D"
+      ~doc:"Use the level-synchronized parallel BFS engine with this many domains."
   in
   let fp_only_arg =
     let doc =
@@ -428,9 +437,8 @@ let check_cmd =
 
 let sim_cmd =
   let steps_arg =
-    Arg.(
-      value & opt int 500_000
-      & info [ "steps" ] ~docv:"STEPS" ~doc:"Atomic steps to simulate.")
+    int_flag [ "steps" ] ~default:500_000 ~docv:"STEPS"
+      ~doc:"Atomic steps to simulate."
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -443,16 +451,15 @@ let sim_cmd =
     Arg.(value & opt string "uniform" & info [ "sched" ] ~docv:"S" ~doc)
   in
   let crash_arg =
-    let doc = "Per-step crash probability (0 disables; paper 1.2 cond 4)." in
-    Arg.(value & opt float 0.0 & info [ "crash" ] ~docv:"P" ~doc)
+    probability_flag "crash"
+      ~doc:"Per-step crash probability (0 disables; paper 1.2 cond 4)."
   in
   let flicker_arg =
-    let doc =
-      "Weak-register flicker probability: reads of cells being written \
-       return perturbed values drawn from $(b,--register-model)'s \
-       candidate set (0 disables)."
-    in
-    Arg.(value & opt float 0.0 & info [ "flicker" ] ~docv:"P" ~doc)
+    probability_flag "flicker"
+      ~doc:
+        "Weak-register flicker probability: reads of cells being written \
+         return perturbed values drawn from $(b,--register-model)'s \
+         candidate set (0 disables)."
   in
   let flicker_model_arg =
     register_model_flag ~default:Regsem.Model.Safe
@@ -534,7 +541,7 @@ let sim_cmd =
     Printf.printf "crashes: %d  flickers: %d\n" r.crashes r.flickers;
     Printf.printf "throughput: %.4f CS/step  fairness (Jain): %.3f\n"
       (Schedsim.Metrics.throughput r)
-      (Schedsim.Metrics.jain_fairness r);
+      (Workload.Fairness.jain r.cs_entries);
     if r.mutex_violations > 0 || r.overflow_events > 0 then exit 1
   in
   Cmd.v
@@ -564,15 +571,14 @@ let explain_cmd =
     Arg.(value & opt (some string) None & info [ "repro" ] ~docv:"FILE" ~doc)
   in
   let max_steps_arg =
-    let doc =
-      "Show at most $(docv) step blocks, keeping the most recent ones \
-       (the violation neighbourhood); 0 shows every step."
-    in
-    Arg.(value & opt int 0 & info [ "max-steps" ] ~docv:"K" ~doc)
+    int_flag [ "max-steps" ] ~default:0 ~docv:"K"
+      ~doc:
+        "Show at most $(docv) step blocks, keeping the most recent ones \
+         (the violation neighbourhood); 0 shows every step."
   in
   let max_states_arg =
-    let doc = "Exploration budget for the --model path." in
-    Arg.(value & opt int 5_000_000 & info [ "max-states" ] ~docv:"K" ~doc)
+    int_flag ~min:1 [ "max-states" ] ~default:5_000_000 ~docv:"K"
+      ~doc:"Exploration budget for the --model path."
   in
   let trace_out_arg =
     let doc =
@@ -782,9 +788,8 @@ let tla_cmd =
 
 let graph_cmd =
   let max_states_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "max-states" ] ~docv:"K" ~doc:"Cap on rendered states.")
+    int_flag ~min:1 [ "max-states" ] ~default:200 ~docv:"K"
+      ~doc:"Cap on rendered states."
   in
   let out_arg =
     Arg.(
@@ -816,9 +821,7 @@ let fuzz_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Fuzzer PRNG seed.")
   in
   let count_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "count" ] ~docv:"K" ~doc:"Cases to run per oracle.")
+    int_flag [ "count" ] ~default:50 ~docv:"K" ~doc:"Cases to run per oracle."
   in
   let oracle_arg =
     let doc =
@@ -853,8 +856,8 @@ let fuzz_cmd =
     Arg.(value & opt int 120 & info [ "max-steps" ] ~docv:"LEN" ~doc)
   in
   let max_states_arg =
-    let doc = "Exploration budget per generated program (engine oracles)." in
-    Arg.(value & opt int 20_000 & info [ "max-states" ] ~docv:"K" ~doc)
+    int_flag ~min:1 [ "max-states" ] ~default:20_000 ~docv:"K"
+      ~doc:"Exploration budget per generated program (engine oracles)."
   in
   let out_arg =
     let doc = "Write shrunk $(b,.repro) files for every failure into $(docv)." in
@@ -923,27 +926,12 @@ let fuzz_cmd =
           match oracles with
           | [] -> Fuzz.Oracle.all
           | names ->
-              List.map
-                (fun n ->
-                  match Fuzz.Oracle.of_name n with
-                  | Ok o -> o
-                  | Error e ->
-                      Printf.eprintf "%s\n" e;
-                      exit 2)
-                names
+              List.map (fun n -> or_usage_error (Fuzz.Oracle.of_name n)) names
         in
         let models =
           match models with [] -> Fuzz.Driver_params.default.models | l -> l
         in
-        List.iter
-          (fun m ->
-            match Harness.Registry.find_model m with
-            | _ -> ()
-            | exception Not_found ->
-                Printf.eprintf "unknown model %S; try: %s\n" m
-                  (String.concat ", " Harness.Registry.model_names);
-                exit 2)
-          models;
+        List.iter (fun m -> ignore (find_model m)) models;
         let tl =
           telemetry_setup ~name:"fuzz" ?flight_out ~flight_interval progress
             metrics_out trace_out
@@ -985,19 +973,17 @@ let fuzz_cmd =
 (* -------------------------------------------------------------- bench *)
 
 (* `bench locks`: the SLO observatory as a CLI verb — open-loop seeded
-   traffic against chosen locks, scorecards to stdout and (stamped with
-   run metadata) appended to a BENCH_locks.json-style file. *)
+   traffic against chosen locks, scorecards to stdout and, as E13's and
+   E16's are, recorded for the scorecard history. *)
 let run_locks ~tl ~quick ~seed ~rate_raw ~ops ~duration_raw ~algos ~domains
-    ~vbound ~out =
+    ~vbound =
   let parse_pos ~docv ~flag raw =
-    match Harness.Argscan.parse_suffixed ~docv ~flag raw with
-    | Ok v when v > 0.0 -> v
-    | Ok _ ->
-        Printf.eprintf "%s: %s must be positive\n" flag docv;
-        exit 2
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
+    let v = or_usage_error (Harness.Argscan.parse_suffixed ~docv ~flag raw) in
+    if not (v > 0.0) then begin
+      Printf.eprintf "%s: %s must be positive\n" flag docv;
+      exit 2
+    end;
+    v
   in
   let rate = parse_pos ~docv:"RATE" ~flag:"--rate" rate_raw in
   let budget =
@@ -1035,14 +1021,7 @@ let run_locks ~tl ~quick ~seed ~rate_raw ~ops ~duration_raw ~algos ~domains
         "inv"; "jain"; "behind"; "SLO"; "overflow";
       ]
   in
-  let cell ns =
-    match ns with
-    | 0 -> "-"
-    | ns when ns < 1_000 -> Printf.sprintf "%dns" ns
-    | ns when ns < 1_000_000 -> Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
-    | ns -> Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
-  in
-  let timestamp = Unix.time () in
+  let cell = Harness.Experiments.ns_cell in
   let cards =
     List.map
       (fun algo ->
@@ -1068,9 +1047,9 @@ let run_locks ~tl ~quick ~seed ~rate_raw ~ops ~duration_raw ~algos ~domains
           (cell card.p999_ns)
           (cell card.max_stall_ns)
           card.inversions card.jain card.behind
-          (if card.slo_pass then "pass"
-           else "FAIL: " ^ String.concat "; " card.slo_reasons)
+          (Harness.Experiments.slo_cell card)
           overflow_cell;
+        Harness.Experiments.record_scorecard card;
         card)
       algos
   in
@@ -1089,33 +1068,75 @@ let run_locks ~tl ~quick ~seed ~rate_raw ~ops ~duration_raw ~algos ~domains
              (ticket %d)\n"
             card.algo vbound at tk
       | _ -> ())
-    cards;
-  let rows =
-    List.map
-      (fun card ->
-        match Workload.Scorecard.to_json card with
-        | Telemetry.Json.Obj fields ->
-            Telemetry.Json.Obj
-              (fields
-              @ [ ("timestamp", Telemetry.Json.Num timestamp) ]
-              @ Telemetry.Runmeta.to_fields (Telemetry.Runmeta.capture ())
-              @ Telemetry.Metrics.gc_fields ())
-        | j -> j)
-      cards
-  in
-  (match Workload.Suite.load_rows out with
-  | Ok _ -> ()
-  | Error reason -> Printf.eprintf "warning: %s; starting fresh\n" reason);
-  Workload.Suite.append_rows out rows;
-  Printf.printf "appended %d scorecard(s) to %s\n" (List.length rows) out;
-  tl.tl_finish ()
+    cards
+
+(* Everything `bench` runs by id, in the order `all` runs it: the
+   experiments, the figures, then the microbenchmarks.  Each job renders
+   its tables or charts as text blocks. *)
+let bench_jobs =
+  List.map
+    (fun (e : Harness.Experiments.experiment) ->
+      (e.id, e.summary, fun ~quick -> List.map Harness.Table.render (e.run ~quick)))
+    Harness.Experiments.all
+  @ [
+      ( "figures",
+        "F1-F2: overflow and reset scaling as ASCII charts",
+        fun ~quick -> List.map snd (Harness.Figures.all ~quick) );
+      ( "micro",
+        "Uncontended acquire+release latency per lock family (Bechamel)",
+        fun ~quick -> [ Harness.Table.render (Harness.Micro.table ~quick) ] );
+    ]
+
+let run_job ~quick ~tl (id, summary, blocks) =
+  Printf.printf
+    "---------------------------------------------------------------\n\
+     %s: %s\n\n%!"
+    (String.uppercase_ascii id) summary;
+  let t0 = Unix.gettimeofday () in
+  Telemetry.Span.run
+    (Option.value tl.tl_trace ~default:Telemetry.Sink.null)
+    ~name:("bench." ^ id)
+    (fun () -> List.iter print_endline (blocks ~quick));
+  let wall = Unix.gettimeofday () -. t0 in
+  Printf.printf "(%s took %.1fs)\n\n%!" id wall;
+  Option.iter
+    (fun m -> Telemetry.Metrics.(set (gauge m ("bench." ^ id ^ ".wall_s")) wall))
+    tl.tl_metrics;
+  Option.iter
+    (fun p ->
+      Telemetry.Progress.force p (fun () ->
+          Telemetry.Json.[ ("experiment", Str id); ("wall_s", Num wall) ]))
+    tl.tl_progress
 
 let bench_cmd =
   let ids_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all), or 'locks' for the open-loop SLO suite.")
+    let doc =
+      "What to run, in order: experiment ids (see $(b,bakery_cli list)), \
+       $(b,figures), $(b,micro), or $(b,all), the default (every \
+       experiment, then the figures, then the microbenchmarks); or \
+       $(b,locks) alone for the open-loop SLO suite."
+    in
+    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Small sizes (seconds, not minutes).")
+  in
+  let json_arg =
+    let doc =
+      "Also write every datapoint the run recorded, stamped with run \
+       metadata, to $(docv) as a JSON array."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  in
+  let check_regress_arg =
+    let doc =
+      "Gate the run against history: exit 1 when a fresh E11/E12/E14/E15 \
+       states/sec datapoint falls more than 15% below the best prior one \
+       in BENCH_modelcheck.json, or a scorecard's goodput or p99 against \
+       the best prior row of its cell in $(b,--out); exit 2 when the run \
+       recorded neither."
+    in
+    Arg.(value & flag & info [ "check-regress" ] ~doc)
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Arrival-schedule seed for `bench locks` (same seed, same schedule).")
@@ -1130,51 +1151,29 @@ let bench_cmd =
     Arg.(value & opt (some string) None & info [ "duration" ] ~docv:"DURATION" ~doc:"Wall-clock budget for `bench locks`; unit suffixes (30s, 250ms) accepted.")
   in
   let algo_arg =
-    Arg.(value & opt_all string [] & info [ "algo" ] ~docv:"LOCK" ~doc:"Lock families to score (repeatable; default bakery and bakery_pp).")
+    let families =
+      List.map
+        (fun (f : Locks.Lock_intf.family) -> (f.family_name, f.family_name))
+        Harness.Registry.lock_families
+    in
+    Term.(
+      const
+        (List.map (fun raw ->
+             or_usage_error
+               (Harness.Argscan.parse_enum ~docv:"LOCK" ~flag:"--algo"
+                  ~values:families raw)))
+      $ Arg.(value & opt_all string [] & info [ "algo" ] ~docv:"LOCK" ~doc:"Lock families to score (repeatable; default bakery and bakery_pp)."))
   in
   let domains_arg =
-    Arg.(value & opt int 2 & info [ "domains" ] ~docv:"D" ~doc:"Worker domains for `bench locks`.")
+    int_flag ~min:1 [ "domains" ] ~default:2 ~docv:"D"
+      ~doc:"Worker domains for `bench locks`."
   in
   let vbound_arg =
-    Arg.(value & opt int 64 & info [ "virtual-bound" ] ~docv:"M" ~doc:"Register width the overflow observatory judges tickets against (also the bound for bound-sensitive locks).")
+    int_flag ~min:1 [ "virtual-bound" ] ~default:64 ~docv:"M"
+      ~doc:"Register width the overflow observatory judges tickets against (also the bound for bound-sensitive locks)."
   in
   let out_arg =
-    Arg.(value & opt string "BENCH_locks.json" & info [ "out" ] ~docv:"FILE" ~doc:"Scorecard history file `bench locks` appends to.")
-  in
-  let run_experiments ~ids ~quick ~tl =
-    let trace = Option.value tl.tl_trace ~default:Telemetry.Sink.null in
-    List.iter
-      (fun id ->
-        match Harness.Experiments.find id with
-        | e ->
-            Printf.printf "%s: %s\n\n" (String.uppercase_ascii e.id) e.summary;
-            let t0 = Unix.gettimeofday () in
-            Telemetry.Span.run trace ~name:("bench." ^ e.id) (fun () ->
-                List.iter
-                  (fun t ->
-                    print_string (Harness.Table.render t);
-                    print_newline ())
-                  (e.run ~quick));
-            let wall = Unix.gettimeofday () -. t0 in
-            Option.iter
-              (fun m ->
-                Telemetry.Metrics.set
-                  (Telemetry.Metrics.gauge m ("bench." ^ e.id ^ ".wall_s"))
-                  wall)
-              tl.tl_metrics;
-            Option.iter
-              (fun p ->
-                Telemetry.Progress.force p (fun () ->
-                    [
-                      ("experiment", Telemetry.Json.Str e.id);
-                      ("wall_s", Telemetry.Json.Num wall);
-                    ]))
-              tl.tl_progress
-        | exception Not_found ->
-            Printf.eprintf "unknown experiment %S\n" id;
-            exit 2)
-      ids;
-    tl.tl_finish ()
+    Arg.(value & opt string "BENCH_locks.json" & info [ "out" ] ~docv:"FILE" ~doc:"Scorecard history the run's scorecards (E13, E16, `bench locks`) are appended to.")
   in
   let bench_reduce_arg =
     let doc =
@@ -1184,9 +1183,25 @@ let bench_cmd =
     in
     Arg.(value & opt (some string) None & info [ "reduce" ] ~docv:"MODE" ~doc)
   in
-  let run ids quick seed rate_raw ops duration_raw algos domains vbound out
-      reduce progress metrics_out trace_out flight_out flight_interval =
-    let ids = if ids = [] then List.map (fun (e : Harness.Experiments.experiment) -> e.id) Harness.Experiments.all else ids in
+  let run ids quick json check_regress seed rate_raw ops duration_raw algos
+      domains vbound out reduce progress metrics_out trace_out flight_out
+      flight_interval =
+    let known =
+      List.map (fun (id, _, _) -> (id, id)) bench_jobs
+      @ [ ("all", "all"); ("locks", "locks") ]
+    in
+    List.iter
+      (fun id ->
+        ignore
+          (or_usage_error
+             (Harness.Argscan.parse_enum ~docv:"ID" ~flag:"bench" ~values:known
+                id)))
+      ids;
+    let locks = List.mem "locks" ids in
+    if locks && List.length ids > 1 then begin
+      prerr_endline "bench locks does not combine with experiment ids";
+      exit 2
+    end;
     Option.iter
       (fun raw ->
         Harness.Experiments.e15_modes :=
@@ -1194,33 +1209,43 @@ let bench_cmd =
           | Modelcheck.Reduce.Off -> [ Modelcheck.Reduce.Off ]
           | m -> [ Modelcheck.Reduce.Off; m ])
       reduce;
-    let locks = List.mem "locks" ids in
     (* bench locks: the observatory pushes one flight sample per poll
        itself — a second pull sampler would only interleave noise. *)
     let tl =
       telemetry_setup ~name:"bench" ?flight_out ~flight_interval
         ~flight_pull:(not locks) progress metrics_out trace_out
     in
-    if locks then begin
-      if List.length ids > 1 then begin
-        prerr_endline "bench locks does not combine with experiment ids";
-        exit 2
-      end;
+    if locks then
       run_locks ~tl ~quick ~seed ~rate_raw ~ops ~duration_raw ~algos ~domains
-        ~vbound ~out
-    end
-    else run_experiments ~ids ~quick ~tl
+        ~vbound
+    else begin
+      Printf.printf "Bakery++ reproduction bench (%s mode, %d core(s))\n\n"
+        (if quick then "quick" else "full")
+        (Domain.recommended_domain_count ());
+      List.iter
+        (fun id ->
+          List.iter (run_job ~quick ~tl)
+            (List.filter (fun (j, _, _) -> id = "all" || j = id) bench_jobs))
+        (if ids = [] then [ "all" ] else ids)
+    end;
+    tl.tl_finish ();
+    exit
+      (Harness.History.record ?json ~check_regress
+         ~modelcheck:"BENCH_modelcheck.json" ~scorecards:out
+         (Harness.Experiments.take_metrics ())
+         (Harness.Experiments.take_scorecards ()))
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Regenerate experiment tables (see EXPERIMENTS.md), or `bench \
-          locks` for open-loop SLO scorecards")
+         "Regenerate experiment tables, figures and microbenchmarks (see \
+          EXPERIMENTS.md), or `bench locks` for open-loop SLO scorecards; \
+          every run appends what it recorded to the BENCH histories")
     Term.(
-      const run $ ids_arg $ quick_arg $ seed_arg $ rate_arg $ ops_arg
-      $ duration_arg $ algo_arg $ domains_arg $ vbound_arg $ out_arg
-      $ bench_reduce_arg $ progress_arg $ metrics_out_arg $ trace_out_arg
-      $ flight_out_arg $ flight_interval_arg)
+      const run $ ids_arg $ quick_arg $ json_arg $ check_regress_arg $ seed_arg
+      $ rate_arg $ ops_arg $ duration_arg $ algo_arg $ domains_arg $ vbound_arg
+      $ out_arg $ bench_reduce_arg $ progress_arg $ metrics_out_arg
+      $ trace_out_arg $ flight_out_arg $ flight_interval_arg)
 
 (* ------------------------------------------------------------- report *)
 

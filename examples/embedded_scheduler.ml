@@ -51,7 +51,7 @@ let () =
       (Schedsim.Metrics.label_count prog r Core.Bakery_pp_model.gate_label)
       r.crashes;
     Printf.printf "  fairness (Jain): %.3f   FCFS inversions: %d\n"
-      (Schedsim.Metrics.jain_fairness r)
+      (Workload.Fairness.jain r.cs_entries)
       r.fcfs_inversions;
     assert (r.overflow_events = 0);
     assert (r.mutex_violations = 0);

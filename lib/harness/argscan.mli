@@ -1,9 +1,9 @@
-(** Minimal argv scanning for the bench driver.
+(** Minimal argv scanning whose errors name the offending flag.
 
-    The driver's options ([--quick], [--json FILE]) ride alongside
-    positional experiment ids, so they are plucked out of the raw list
-    before dispatch.  This lives in the library (rather than inline in
-    [bench/main.ml]) so the parsing rules are unit-testable: a value
+    {!extract_presence} and {!extract_value} pluck options ([--quick],
+    [--json FILE]) out of a raw argument list that also carries
+    positional words; {!parse_enum} and {!parse_suffixed} read one
+    flag's value for the CLI.  The rules are unit-testable: a value
     flag given twice, left dangling at the end of the line, or
     interleaved with another option ([--json --quick out.json]) is an
     error, not a silent misparse. *)

@@ -47,16 +47,17 @@ let outcome_cell (r : MC.Explore.result) =
 
 let gran_name = Algorithms.Common.granularity_name
 
+let ns_cell = function
+  | 0 -> "-"
+  | ns when ns < 1_000 -> Printf.sprintf "%dns" ns
+  | ns when ns < 1_000_000 -> Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
+  | ns -> Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
+
 (* Render an [acq_pXX_ns] entry from instrumented lock stats (see
-   Locks.Latency) as a human latency cell; "-" when the lock was run
-   uninstrumented or never acquired. *)
+   Locks.Latency); "-" when the lock was run uninstrumented or never
+   acquired. *)
 let latency_cell stats key =
-  match List.assoc_opt key stats with
-  | None | Some 0 -> "-"
-  | Some ns when ns < 1_000 -> Printf.sprintf "%dns" ns
-  | Some ns when ns < 1_000_000 ->
-      Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
-  | Some ns -> Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
+  ns_cell (Option.value (List.assoc_opt key stats) ~default:0)
 
 (* ------------------------------------------------------------------ E1 *)
 
@@ -558,7 +559,7 @@ let e8 ~quick =
       Table.add_rowf uniform "%s|%d|%s|%s|%.3f|%d" name
         (Schedsim.Runner.total_cs r)
         inversions overtakes
-        (Schedsim.Metrics.jain_fairness r)
+        (Workload.Fairness.jain r.cs_entries)
         (Schedsim.Metrics.max_waiting_time r))
     algos;
   let handicap =
@@ -592,7 +593,7 @@ let e8 ~quick =
         else float_of_int r.cs_entries.(0) /. float_of_int total
       in
       Table.add_rowf handicap "%s|%d|%.4f|%.3f" name total share
-        (Schedsim.Metrics.jain_fairness r))
+        (Workload.Fairness.jain r.cs_entries))
     algos;
   [ uniform; handicap ]
 
@@ -958,7 +959,6 @@ let e13 ~quick =
   let algos = [ "bakery"; "bakery_pp"; "ticket"; "ttas" ] in
   let resolve = lock_resolver () in
   let seed = 42 in
-  let cell ns = latency_cell [ ("v", ns) ] "v" in
   List.iter
     (fun nprocs ->
       List.iter
@@ -975,8 +975,9 @@ let e13 ~quick =
             ~metric:(Printf.sprintf "%s/d%d/p99_ns" algo nprocs)
             (float_of_int card.p99_ns);
           Table.add_rowf t "%s|%d|%.0f|%d|%.0f|%s|%s|%s|%s|%d|%.3f|%d|%s"
-            algo nprocs rate ops card.goodput (cell card.p50_ns)
-            (cell card.p99_ns) (cell card.p999_ns) (cell card.max_stall_ns)
+            algo nprocs rate ops card.goodput (ns_cell card.p50_ns)
+            (ns_cell card.p99_ns) (ns_cell card.p999_ns)
+            (ns_cell card.max_stall_ns)
             card.inversions card.jain card.behind (slo_cell card))
         algos)
     domain_counts;
@@ -1124,7 +1125,7 @@ let e16 ~quick =
         (float_of_int card.p99_ns);
       Table.add_rowf t "%s|%d|%.0f|%.0f|%.0f|%s|%d|%s|%s|%s" algo nprocs rate
         dur card.goodput
-        (latency_cell [ ("v", card.p99_ns) ] "v")
+        (ns_cell card.p99_ns)
         (List.length samples) (v p99_drift) (v heap_drift) (slo_cell card))
     [ "bakery_pp"; "ticket" ];
   [ t ]

@@ -2,7 +2,7 @@
     EXPERIMENTS.md).  Each returns one or more rendered-ready tables.
 
     [quick:true] shrinks every run (used by the test suite to keep
-    [dune runtest] fast); the bench executable uses [quick:false]. *)
+    [dune runtest] fast); [bakery_cli bench] passes [--quick]'s value. *)
 
 type experiment = {
   id : string;
@@ -114,6 +114,12 @@ val take_scorecards :
   unit -> (Workload.Scorecard.t * (string * Telemetry.Json.t) list) list
 (** All (scorecard, extra-fields) pairs recorded since the last call,
     oldest first; clears the buffer. *)
+
+val ns_cell : int -> string
+(** Nanoseconds as a table cell: ["850ns"], ["1.2us"], ["3.45ms"]; ["-"] for 0. *)
+
+val slo_cell : Workload.Scorecard.t -> string
+(** ["pass"], or ["FAIL: "] and the scorecard's SLO reasons. *)
 
 val lock_resolver : ?bound:int -> unit -> Workload.Suite.resolver
 (** The zoo resolver the observatory cells use: looks the family up in

@@ -39,13 +39,6 @@ let maximum xs =
   check_nonempty xs;
   Array.fold_left max xs.(0) xs
 
-let jain xs =
-  check_nonempty xs;
-  let sum = Array.fold_left ( +. ) 0.0 xs in
-  let sumsq = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
-  if sumsq = 0.0 then 1.0
-  else sum *. sum /. (float_of_int (Array.length xs) *. sumsq)
-
 let format_si v =
   let magnitude = abs_float v in
   let scaled, suffix =

@@ -12,8 +12,5 @@ val percentile : float array -> float -> float
 val minimum : float array -> float
 val maximum : float array -> float
 
-val jain : float array -> float
-(** Jain's fairness index; 1.0 when all entries are equal. *)
-
 val format_si : float -> string
 (** Human-readable engineering notation: 12.3k, 4.56M, ... *)

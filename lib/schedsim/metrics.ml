@@ -2,13 +2,6 @@ let throughput (r : Runner.result) =
   if r.steps = 0 then 0.0
   else float_of_int (Runner.total_cs r) /. float_of_int r.steps
 
-let jain_fairness (r : Runner.result) =
-  let xs = Array.map float_of_int r.cs_entries in
-  let n = float_of_int (Array.length xs) in
-  let sum = Array.fold_left ( +. ) 0.0 xs in
-  let sumsq = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
-  if sumsq = 0.0 then 1.0 else sum *. sum /. (n *. sumsq)
-
 let label_count (p : Mxlang.Ast.program) (r : Runner.result) name =
   let pc = ref (-1) in
   Array.iteri (fun i (s : Mxlang.Ast.step) -> if s.step_name = name then pc := i) p.steps;

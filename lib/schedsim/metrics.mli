@@ -3,11 +3,6 @@
 val throughput : Runner.result -> float
 (** Total critical-section entries per simulated step. *)
 
-val jain_fairness : Runner.result -> float
-(** Jain's fairness index over per-process CS entries: 1.0 is perfectly
-    fair, 1/N is maximally unfair.  Processes are cyclic and symmetric in
-    the paper's system model, so a FCFS lock should score close to 1. *)
-
 val label_count : Mxlang.Ast.program -> Runner.result -> string -> int
 (** Total executions (all processes) of the step with the given label
     name; raises [Not_found] for an unknown label.  Used to count

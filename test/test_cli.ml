@@ -20,11 +20,13 @@ let cli =
   Filename.concat (Filename.concat (Filename.concat here "..") "bin")
     "bakery_cli.exe"
 
-let run_capture args =
+let run_capture ?cwd args =
   let out = Filename.temp_file "cli" ".out" in
   let err = Filename.temp_file "cli" ".err" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli)
+    Printf.sprintf "%s%s %s > %s 2> %s"
+      (match cwd with Some d -> "cd " ^ Filename.quote d ^ " && " | None -> "")
+      (Filename.quote cli)
       (String.concat " " (List.map Filename.quote args))
       (Filename.quote out) (Filename.quote err)
   in
@@ -443,7 +445,66 @@ let bench_locks_usage_errors () =
     (contains ~affix:"--duration" err);
   let code, _, err = run_capture [ "bench"; "locks"; "e11" ] in
   check int_t "locks mixed with experiment ids exits 2" 2 code;
-  check bool_t "mixing error mentions locks" true (contains ~affix:"locks" err)
+  check bool_t "mixing error mentions locks" true (contains ~affix:"locks" err);
+  List.iter
+    (fun (flag, args) ->
+      let code, out, err = run_capture ([ "bench"; "locks"; "--ops"; "10" ] @ args) in
+      let what = String.concat " " args in
+      check int_t (what ^ " exits 2") 2 code;
+      check bool_t (what ^ " names " ^ flag) true (contains ~affix:flag err);
+      check Alcotest.string (what ^ " runs nothing") "" out)
+    [
+      ("--domains", [ "--domains"; "0" ]);
+      ("--domains", [ "--domains=-1" ]);
+      ("--virtual-bound", [ "--virtual-bound"; "0" ]);
+      ("--algo", [ "--algo"; "nosuch" ]);
+    ];
+  let _, _, err = run_capture [ "bench"; "locks"; "--algo"; "nosuch" ] in
+  List.iter
+    (fun (f : Locks.Lock_intf.family) ->
+      check bool_t ("--algo lists " ^ f.family_name) true
+        (contains ~affix:f.family_name err))
+    Harness.Registry.lock_families
+
+(* ------------------------------------------------------------- bench *)
+
+(* Runs [args] in a fresh directory, since every bench run appends to
+   BENCH_modelcheck.json in its working directory: the exit code,
+   stdout, stderr and the rows left in that file.  The directory is
+   removed afterwards. *)
+let bench_in_temp_dir args =
+  let dir = Filename.temp_dir "cli_bench" "" in
+  let code, out, err = run_capture ~cwd:dir args in
+  let history = Filename.concat dir "BENCH_modelcheck.json" in
+  let rows = Workload.Suite.load_rows history in
+  if Sys.file_exists history then Sys.remove history;
+  Sys.rmdir dir;
+  (code, out, err, rows)
+
+let bench_persists_datapoints () =
+  let code, out, err, rows =
+    bench_in_temp_dir [ "bench"; "--quick"; "e11"; "figures" ]
+  in
+  if code <> 0 then Alcotest.fail ("bench failed: " ^ out ^ err);
+  check bool_t "figures printed F1" true (contains ~affix:"F1" out);
+  let rows = match rows with Ok rows -> rows | Error e -> Alcotest.fail e in
+  check bool_t "e11 left datapoints" true (rows <> []);
+  List.iter
+    (fun row ->
+      List.iter
+        (fun field ->
+          check bool_t (field ^ " present") true
+            (Telemetry.Json.member field row <> None))
+        [ "experiment"; "metric"; "value"; "timestamp"; "engine" ])
+    rows
+
+let bench_check_regress_needs_datapoints () =
+  let code, _, err, _ =
+    bench_in_temp_dir [ "bench"; "--quick"; "--check-regress"; "e1" ]
+  in
+  check int_t "nothing to gate exits 2" 2 code;
+  check bool_t "error names --check-regress" true
+    (contains ~affix:"--check-regress" err)
 
 (* ------------------------------------------------------------- report *)
 
@@ -598,6 +659,34 @@ let model_size_usage_errors () =
       [ "fuzz"; "--count"; "1" ];
     ]
 
+let out_of_range_usage_errors () =
+  (* an out-of-range number is a usage error naming the flag, not a run
+     that silently does nothing or something other than what was asked *)
+  List.iter
+    (fun (flag, args) ->
+      let code, out, err = run_capture args in
+      let what = String.concat " " args in
+      check int_t (what ^ " exits 2") 2 code;
+      check bool_t (what ^ " names " ^ flag) true (contains ~affix:flag err);
+      check Alcotest.string (what ^ " runs nothing") "" out)
+    [
+      ("--crash", [ "sim"; "bakery"; "-n"; "2"; "-m"; "3"; "--crash"; "2.0" ]);
+      ("--crash", [ "sim"; "bakery"; "--crash=-0.5" ]);
+      ("--flicker", [ "sim"; "bakery"; "--flicker"; "1.5" ]);
+      ("--steps", [ "sim"; "bakery"; "--steps=-5" ]);
+      ("--parallel", [ "check"; "bakery_pp"; "--parallel=-1" ]);
+      ("--cap", [ "check"; "bakery"; "--cap=-1" ]);
+      ("--max-states", [ "check"; "bakery_pp"; "--max-states=-5" ]);
+      ("--max-states", [ "check"; "bakery_pp"; "--max-states"; "0" ]);
+      ( "--max-states",
+        [ "explain"; "--model"; "bakery_mod_naive"; "--max-states"; "0" ] );
+      ( "--max-steps",
+        [ "explain"; "--model"; "bakery_mod_naive"; "--max-steps=-1" ] );
+      ("--max-states", [ "graph"; "bakery_pp"; "--max-states"; "0" ]);
+      ("--count", [ "fuzz"; "--count=-1" ]);
+      ("--max-states", [ "fuzz"; "--count"; "1"; "--max-states"; "0" ]);
+    ]
+
 let lasso_victim_usage_error () =
   (* a victim that is not one of the -n processes is a usage error, not
      a verdict about a process that does not exist *)
@@ -646,6 +735,13 @@ let () =
             bench_locks_deterministic;
           Alcotest.test_case "usage errors" `Quick bench_locks_usage_errors;
         ] );
+      ( "bench",
+        [
+          Alcotest.test_case "datapoints persisted" `Quick
+            bench_persists_datapoints;
+          Alcotest.test_case "--check-regress with nothing to gate" `Quick
+            bench_check_regress_needs_datapoints;
+        ] );
       ( "explain",
         [
           Alcotest.test_case "--repro acceptance scenario" `Quick explain_repro;
@@ -670,6 +766,8 @@ let () =
       ( "model flags",
         [
           Alcotest.test_case "-n and -m below 1" `Quick model_size_usage_errors;
+          Alcotest.test_case "out-of-range numbers" `Quick
+            out_of_range_usage_errors;
           Alcotest.test_case "lasso --victim out of range" `Quick
             lasso_victim_usage_error;
         ] );

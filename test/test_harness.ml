@@ -25,10 +25,11 @@ let stats_basics () =
   check float_t "stddev of singleton" 0.0 (S.stddev [| 3.0 |])
 
 let stats_jain () =
-  check float_t "jain equal" 1.0 (S.jain [| 5.0; 5.0; 5.0 |]);
-  let unfair = S.jain [| 10.0; 0.0; 0.0; 0.0 |] in
+  let jain = Workload.Fairness.jain in
+  check float_t "jain equal" 1.0 (jain [| 5; 5; 5 |]);
+  let unfair = jain [| 10; 0; 0; 0 |] in
   check bool_t "jain maximally unfair is 1/N" true (abs_float (unfair -. 0.25) < 1e-9);
-  check float_t "jain all zero" 1.0 (S.jain [| 0.0; 0.0 |])
+  check float_t "jain all zero" 1.0 (jain [| 0; 0 |])
 
 let stats_errors () =
   (match S.mean [||] with
@@ -170,6 +171,114 @@ let figures_smoke () =
       check bool_t (id ^ " rendered") true (String.length chart > 200))
     (Harness.Figures.all ~quick:true)
 
+(* -------------------------------------------------------------- history *)
+
+module J = Telemetry.Json
+
+(* [f ()] with stdout sent to a temp file; returns its result and what
+   it printed. *)
+let with_stdout f =
+  let path = Filename.temp_file "history" ".out" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
+  let ic = open_in_bin path in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (r, out)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let metric = "bakery_pp_n3_m2/compiled/states_per_sec"
+
+let e11 value : Harness.Experiments.datapoint =
+  {
+    dp_exp = "e11";
+    dp_metric = metric;
+    dp_value = value;
+    dp_engine = Some "compiled";
+    dp_wall_s = Some 0.1;
+  }
+
+(* One gated run of [fresh] against the history at [path]; scorecards go
+   to a file that is removed afterwards. *)
+let gate path fresh =
+  let cards = Filename.temp_file "history" ".locks.json" in
+  Sys.remove cards;
+  let r =
+    with_stdout (fun () ->
+        Harness.History.record ~check_regress:true ~modelcheck:path
+          ~scorecards:cards [ fresh ] [])
+  in
+  check bool_t "no scorecard file without scorecards" false
+    (Sys.file_exists cards);
+  r
+
+let prior_row value =
+  Printf.sprintf {|{"experiment": "e11", "metric": %S, "value": %s}|} metric
+    value
+
+let history_gate () =
+  let path = Filename.temp_file "history" ".json" in
+  write_file path ("[" ^ prior_row "1000" ^ "]");
+  let code, out = gate path (e11 500.0) in
+  check int_t "half the best prior fails" 1 code;
+  check bool_t "the line says REGRESSION" true (contains out "REGRESSION");
+  let code, out = gate path (e11 900.0) in
+  check int_t "0.9x the best prior passes" 0 code;
+  check bool_t "the line shows the best prior" true (contains out "1000");
+  (match Workload.Suite.load_rows path with
+  | Ok rows -> check int_t "both fresh rows appended" 3 (List.length rows)
+  | Error e -> Alcotest.fail e);
+  Sys.remove path
+
+let history_malformed_prior () =
+  let path = Filename.temp_file "history" ".json" in
+  write_file path
+    ("[" ^ prior_row "1000" ^ ", " ^ prior_row {|"fast"|}
+    ^ {|, {"experiment": "e11", "value": 5}]|});
+  let code, out = gate path (e11 950.0) in
+  Sys.remove path;
+  check int_t "gated against the numeric row" 0 code;
+  check bool_t "malformed rows counted" true
+    (contains out "skipping 2 malformed prior row(s)")
+
+let history_damaged_file () =
+  let path = Filename.temp_file "history" ".json" in
+  write_file path {|{"not": "an array"}|};
+  let code, out = gate path (e11 950.0) in
+  check int_t "no prior, no regression" 0 code;
+  check bool_t "damage reported" true (contains out "not a JSON array");
+  (match Workload.Suite.load_rows path with
+  | Ok [ row ] ->
+      check bool_t "replaced by the fresh row" true
+        (J.member "metric" row = Some (J.Str metric))
+  | Ok _ | Error _ -> Alcotest.fail "the damaged history was not replaced");
+  Sys.remove path
+
+let history_stamp () =
+  let row = Harness.History.stamp ~timestamp:42.0 [ ("k", J.Str "v") ] in
+  check bool_t "own fields kept" true (J.member "k" row = Some (J.Str "v"));
+  check bool_t "timestamp" true (J.member "timestamp" row = Some (J.Num 42.0));
+  List.iter
+    (fun field ->
+      check bool_t (field ^ " stamped") true (J.member field row <> None))
+    [ "git_rev"; "gc_minor"; "gc_major"; "gc_heap_mb" ]
+
 (* ------------------------------------------------------------- registry *)
 
 let registry_families () =
@@ -245,6 +354,14 @@ let () =
           Alcotest.test_case "log axes" `Quick chart_log_axes;
           Alcotest.test_case "error cases" `Quick chart_errors;
           Alcotest.test_case "figures (quick)" `Slow figures_smoke;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "states/sec gate" `Quick history_gate;
+          Alcotest.test_case "malformed prior rows" `Quick
+            history_malformed_prior;
+          Alcotest.test_case "damaged history file" `Quick history_damaged_file;
+          Alcotest.test_case "stamped rows" `Quick history_stamp;
         ] );
       ("registry", [ Alcotest.test_case "lock families" `Quick registry_families ]);
       ( "experiments",

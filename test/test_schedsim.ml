@@ -302,7 +302,7 @@ let metrics_throughput_and_jain () =
   let r = Schedsim.Runner.run prog cfg in
   let tp = Schedsim.Metrics.throughput r in
   check bool_t "throughput positive" true (tp > 0.0);
-  let j = Schedsim.Metrics.jain_fairness r in
+  let j = Workload.Fairness.jain r.cs_entries in
   check bool_t "jain in (0,1]" true (j > 0.0 && j <= 1.0);
   check bool_t "ticket lock is fair" true (j > 0.9);
   let entries = Schedsim.Metrics.cs_entry_times r in
