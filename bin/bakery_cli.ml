@@ -33,13 +33,14 @@ let or_usage_error = function
       prerr_endline msg;
       exit 2
 
+let flag_name names =
+  String.concat "/"
+    (List.map (fun n -> if String.length n = 1 then "-" ^ n else "--" ^ n) names)
+
 (* Every integer flag with a floor is checked here, once, in its term:
    -n/-m and the other sizes at least 1, budgets and counts at least 0. *)
 let int_flag ?(min = 0) names ~default ~docv ~doc =
-  let flag =
-    String.concat "/"
-      (List.map (fun n -> if String.length n = 1 then "-" ^ n else "--" ^ n) names)
-  in
+  let flag = flag_name names in
   let at_least n =
     if n < min then begin
       Printf.eprintf "%s: %s must be at least %d, got %d\n" flag docv min n;
@@ -48,6 +49,31 @@ let int_flag ?(min = 0) names ~default ~docv ~doc =
     n
   in
   Term.(const at_least $ Arg.(value & opt int default & info names ~docv ~doc))
+
+(* Every flag that names a file to write is checked here, once, in its
+   term: a missing or unwritable directory exits 2 before the run, not
+   with an uncaught exception after it. *)
+let out_file names ~doc =
+  let flag = flag_name names in
+  let writable path =
+    let dir = Filename.dirname path in
+    let ok =
+      try
+        Unix.access dir [ Unix.W_OK ];
+        Sys.is_directory dir
+      with Unix.Unix_error _ -> false
+    in
+    if not ok then begin
+      Printf.eprintf
+        "%s: cannot write %s: directory %s is missing or not writable\n" flag
+        path dir;
+      exit 2
+    end;
+    path
+  in
+  Term.(
+    const (Option.map writable)
+    $ Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc))
 
 let probability_flag long ~doc =
   let in_unit p =
@@ -129,26 +155,25 @@ let progress_arg =
   Arg.(value & flag & info [ "progress" ] ~doc)
 
 let metrics_out_arg =
-  let doc =
-    "When the run finishes, append a metrics snapshot to $(docv) as JSON \
-     lines (one self-contained object per instrument, stamped with run \
-     metadata)."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+  out_file [ "metrics-out" ]
+    ~doc:
+      "When the run finishes, append a metrics snapshot to $(docv): a run \
+       record header (run metadata), then one JSON line per instrument."
 
 let trace_out_arg =
-  let doc = "Append progress and span events to $(docv) as JSON lines." in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  out_file [ "trace-out" ]
+    ~doc:
+      "Append progress and span events to $(docv): a run record header, \
+       then one JSON line per event."
 
 let flight_out_arg =
-  let doc =
-    "Record a flight record to $(docv): schema-versioned time-series \
-     snapshots (throughput, frontier, shard balance, latency \
-     percentiles, GC gauges) as JSON lines, one per sampler interval, \
-     flushed per line so a killed run still leaves a readable record.  \
-     Feed it to $(b,bakery_cli report)."
-  in
-  Arg.(value & opt (some string) None & info [ "flight-out" ] ~docv:"FILE" ~doc)
+  out_file [ "flight-out" ]
+    ~doc:
+      "Append a flight record to $(docv): a run record header, then \
+       time-series snapshots (throughput, frontier, shard balance, latency \
+       percentiles, GC gauges) as JSON lines, one per sampler interval, \
+       flushed per line so a killed run still leaves a readable record.  \
+       Feed it to $(b,bakery_cli report)."
 
 let flight_interval_arg =
   let doc = "Flight-recorder sampling interval, seconds." in
@@ -163,27 +188,6 @@ type telemetry = {
       (* write the metrics snapshot and close every sink; idempotent *)
 }
 
-let write_metrics_snapshot path m =
-  (* Refresh the GC gauges so every snapshot carries allocation health
-     alongside the run's own instruments. *)
-  Telemetry.Metrics.observe_gc m;
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  let t = Unix.time () in
-  let meta = Telemetry.Runmeta.to_fields (Telemetry.Runmeta.capture ()) in
-  List.iter
-    (fun (name, v) ->
-      let obj =
-        Telemetry.Json.Obj
-          (("metric", Telemetry.Json.Str name)
-          :: ("value", Telemetry.Metrics.value_to_json v)
-          :: ("t", Telemetry.Json.Num t)
-          :: meta)
-      in
-      output_string oc (Telemetry.Json.to_string obj);
-      output_char oc '\n')
-    (Telemetry.Metrics.snapshot m);
-  close_out oc
-
 (* Progress lines go to stderr when [--progress] is set and are mirrored
    into the trace file when [--trace-out] is set; either flag alone also
    works.  The metrics registry exists when [--metrics-out] or
@@ -197,16 +201,12 @@ let write_metrics_snapshot path m =
    paths flush the metrics snapshot and close every sink too. *)
 let telemetry_setup ~name ?flight_out ?(flight_interval = 0.25)
     ?(flight_pull = true) progress metrics_out trace_out =
-  let trace = Option.map Telemetry.Sink.jsonl trace_out in
-  (* Every JSONL trace file opens with a self-describing header line
-     (schema version + run metadata) so later builds can refuse files
-     they cannot read instead of misparsing them. *)
-  Option.iter
-    (fun (s : Telemetry.Sink.t) ->
-      s.emit
-        (Telemetry.Sink.event ~kind:"header" ~name:"trace"
-           (Telemetry.Runmeta.header_fields ())))
-    trace;
+  let trace =
+    Option.map (Telemetry.Sink.jsonl Telemetry.Record.Events) trace_out
+  in
+  let snapshot =
+    Option.map (Telemetry.Sink.jsonl Telemetry.Record.Metrics) metrics_out
+  in
   let progress_sink =
     match (progress, trace) with
     | false, None -> None
@@ -238,10 +238,24 @@ let telemetry_setup ~name ?flight_out ?(flight_interval = 0.25)
     if not !finished then begin
       finished := true;
       Option.iter Obs.Recorder.stop tl_flight;
-      (match (metrics_out, tl_metrics) with
-      | Some path, Some m -> write_metrics_snapshot path m
+      (match (snapshot, tl_metrics) with
+      | Some (sink : Telemetry.Sink.t), Some m ->
+          (* Refresh the GC gauges so every snapshot carries allocation
+             health alongside the run's own instruments. *)
+          Telemetry.Metrics.observe_gc m;
+          List.iter
+            (fun (metric, v) ->
+              sink.emit
+                (Telemetry.Sink.event ~kind:"metric" ~name
+                   [
+                     ("metric", Telemetry.Json.Str metric);
+                     ("value", Telemetry.Metrics.value_to_json v);
+                   ]))
+            (Telemetry.Metrics.snapshot m)
       | _ -> ());
-      Option.iter (fun (s : Telemetry.Sink.t) -> s.close ()) trace
+      List.iter
+        (Option.iter (fun (s : Telemetry.Sink.t) -> s.close ()))
+        [ snapshot; trace ]
     end
   in
   at_exit tl_finish;
@@ -250,12 +264,11 @@ let telemetry_setup ~name ?flight_out ?(flight_interval = 0.25)
 (* ----------------------------------------------- counterexample export *)
 
 let chrome_out_arg =
-  let doc =
-    "Export a causal trace of the run as Chrome trace-event JSON to \
-     $(docv) — load it in ui.perfetto.dev or chrome://tracing (one track \
-     per process)."
-  in
-  Arg.(value & opt (some string) None & info [ "chrome-out" ] ~docv:"FILE" ~doc)
+  out_file [ "chrome-out" ]
+    ~doc:
+      "Export a causal trace of the run as Chrome trace-event JSON to \
+       $(docv) — load it in ui.perfetto.dev or chrome://tracing (one track \
+       per process)."
 
 (* Re-walk a checker counterexample through the AST interpreter to
    recover per-step reads/writes, reduce the violated invariant to its
@@ -349,11 +362,10 @@ let check_cmd =
     Arg.(value & flag & info [ "fp-only" ] ~doc)
   in
   let dot_out_arg =
-    let doc =
-      "Export the counterexample as Graphviz DOT to $(docv), with the \
-       violating edge and final state highlighted."
-    in
-    Arg.(value & opt (some string) None & info [ "dot-out" ] ~docv:"FILE" ~doc)
+    out_file [ "dot-out" ]
+      ~doc:
+        "Export the counterexample as Graphviz DOT to $(docv), with the \
+         violating edge and final state highlighted."
   in
   let run model nprocs bound register_model reduce cap max_states with_overflow
       coverage parallel fp_only chrome_out dot_out progress metrics_out
@@ -581,18 +593,17 @@ let explain_cmd =
       ~doc:"Exploration budget for the --model path."
   in
   let trace_out_arg =
-    let doc =
-      "Also write the causal trace as self-describing JSONL (schema + run \
-       metadata header, then one event per line) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+    out_file [ "trace-out" ]
+      ~doc:
+        "Also write the causal trace to $(docv) as a run record: a header \
+         carrying the run metadata and the trace identity, then one event \
+         per line."
   in
   let dot_out_arg =
-    let doc =
-      "Also write the counterexample path as Graphviz DOT to $(docv) \
-       (--model and program-case repros only)."
-    in
-    Arg.(value & opt (some string) None & info [ "dot-out" ] ~docv:"FILE" ~doc)
+    out_file [ "dot-out" ]
+      ~doc:
+        "Also write the counterexample path as Graphviz DOT to $(docv) \
+         (--model and program-case repros only)."
   in
   let run model repro nprocs bound register_model reduce max_states max_steps
       chrome_out trace_out dot_out =
@@ -603,7 +614,7 @@ let explain_cmd =
         (fun path ->
           Trace.Jsonl.write ~path tr;
           Printf.printf "wrote %s (schema %d causal trace)\n" path
-            Telemetry.Runmeta.trace_schema_version)
+            Telemetry.Record.schema)
         trace_out
     in
     let explain_check program ~model ~nprocs ~bound ~max_states =
@@ -764,11 +775,7 @@ let refine_cmd =
 (* ---------------------------------------------------------------- tla *)
 
 let tla_cmd =
-  let out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the module to FILE.")
-  in
+  let out_arg = out_file [ "o"; "output" ] ~doc:"Write the module to $(docv)." in
   let run model out =
     let p = find_model model in
     let text = Mxlang.Tla.export p in
@@ -791,11 +798,7 @@ let graph_cmd =
     int_flag ~min:1 [ "max-states" ] ~default:200 ~docv:"K"
       ~doc:"Cap on rendered states."
   in
-  let out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write DOT to FILE.")
-  in
+  let out_arg = out_file [ "o"; "output" ] ~doc:"Write DOT to $(docv)." in
   let run model nprocs bound max_states out =
     let p = find_model model in
     let sys = Modelcheck.System.make p ~nprocs ~bound in
@@ -1092,12 +1095,12 @@ let run_job ~quick ~tl (id, summary, blocks) =
     "---------------------------------------------------------------\n\
      %s: %s\n\n%!"
     (String.uppercase_ascii id) summary;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.Clock.now_s () in
   Telemetry.Span.run
     (Option.value tl.tl_trace ~default:Telemetry.Sink.null)
     ~name:("bench." ^ id)
     (fun () -> List.iter print_endline (blocks ~quick));
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Telemetry.Clock.now_s () -. t0 in
   Printf.printf "(%s took %.1fs)\n\n%!" id wall;
   Option.iter
     (fun m -> Telemetry.Metrics.(set (gauge m ("bench." ^ id ^ ".wall_s")) wall))
@@ -1122,11 +1125,10 @@ let bench_cmd =
     Arg.(value & flag & info [ "quick" ] ~doc:"Small sizes (seconds, not minutes).")
   in
   let json_arg =
-    let doc =
-      "Also write every datapoint the run recorded, stamped with run \
-       metadata, to $(docv) as a JSON array."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+    out_file [ "json" ]
+      ~doc:
+        "Also write every datapoint the run recorded, stamped with run \
+         metadata, to $(docv) as a JSON array."
   in
   let check_regress_arg =
     let doc =
@@ -1173,7 +1175,10 @@ let bench_cmd =
       ~doc:"Register width the overflow observatory judges tickets against (also the bound for bound-sensitive locks)."
   in
   let out_arg =
-    Arg.(value & opt string "BENCH_locks.json" & info [ "out" ] ~docv:"FILE" ~doc:"Scorecard history the run's scorecards (E13, E16, `bench locks`) are appended to.")
+    out_file [ "out" ]
+      ~doc:
+        "Scorecard history the run's scorecards (E13, E16, `bench locks`) \
+         are appended to; BENCH_locks.json when absent."
   in
   let bench_reduce_arg =
     let doc =
@@ -1231,7 +1236,8 @@ let bench_cmd =
     tl.tl_finish ();
     exit
       (Harness.History.record ?json ~check_regress
-         ~modelcheck:"BENCH_modelcheck.json" ~scorecards:out
+         ~modelcheck:"BENCH_modelcheck.json"
+         ~scorecards:(Option.value out ~default:"BENCH_locks.json")
          (Harness.Experiments.take_metrics ())
          (Harness.Experiments.take_scorecards ()))
   in
@@ -1250,106 +1256,56 @@ let bench_cmd =
 (* ------------------------------------------------------------- report *)
 
 (* Everything a run leaves behind — flight record, metrics snapshot,
-   trace, scorecard history — rendered into one deterministic markdown
-   document.  Determinism is load-bearing: the same inputs must produce
-   byte-identical output on any machine (golden-tested), so the verdict
-   diff between two runs is exactly the run difference. *)
+   event stream, BENCH history — rendered into one deterministic
+   markdown document.  Determinism is load-bearing: the same inputs must
+   produce byte-identical output on any machine (golden-tested), so the
+   verdict diff between two runs is exactly the run difference. *)
 let report_cmd =
-  let flight_arg =
+  let files_arg =
     Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight" ] ~docv:"FILE"
-          ~doc:"Flight-record JSONL written by --flight-out.")
-  in
-  let metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Metrics-snapshot JSONL written by --metrics-out.")
-  in
-  let report_trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Trace JSONL written by --trace-out.")
-  in
-  let bench_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "bench" ] ~docv:"FILE"
+      value & pos_all string []
+      & info [] ~docv:"FILE"
           ~doc:
-            "A BENCH_*.json history file (repeatable); scorecard rows \
-             are diffed against their best prior cell.")
+            "Run records (--flight-out, --metrics-out, --trace-out), routed \
+             by their headers, and BENCH_*.json histories (a JSON array), \
+             in any order.  Of several flight, metrics or event runs the \
+             last one read is rendered; histories are joined in \
+             command-line order, and scorecard rows are diffed against \
+             their best prior cell.")
   in
   let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the report here instead of stdout.")
+    out_file [ "o"; "out" ] ~doc:"Write the report to $(docv) instead of stdout."
   in
-  let run flight metrics trace bench out =
-    let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
-    let flight_header, samples =
-      match flight with
-      | None -> (None, [])
-      | Some p -> (
-          match Obs.Flight.load p with
-          | Ok (h, s) -> (h, s)
-          | Error e -> fail "%s: %s" p e)
+  let run files out =
+    if files = [] then begin
+      prerr_endline "report: no FILE given";
+      exit 2
+    end;
+    (* A BENCH history is one JSON array; a run record is JSON lines. *)
+    let holds_array path =
+      try
+        In_channel.with_open_bin path (fun ic ->
+            let rec first () =
+              match In_channel.input_char ic with
+              | Some (' ' | '\t' | '\r' | '\n') -> first ()
+              | c -> c = Some '['
+            in
+            first ())
+      with Sys_error _ -> false
     in
-    let jsonl_rows p =
-      match open_in p with
-      | exception Sys_error e -> fail "%s" e
-      | ic ->
-          let rec go lineno acc =
-            match input_line ic with
-            | exception End_of_file -> List.rev acc
-            | "" -> go (lineno + 1) acc
-            | line -> (
-                match Telemetry.Json.parse line with
-                | Ok j -> go (lineno + 1) (j :: acc)
-                | Error e -> fail "%s:%d: %s" p lineno e)
-          in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> go 1 [])
+    let input =
+      List.fold_left
+        (fun (input : Obs.Report.input) path ->
+          if holds_array path then
+            {
+              input with
+              bench =
+                input.bench @ or_usage_error (Workload.Suite.load_rows path);
+            }
+          else or_usage_error (Obs.Report.add_record input path))
+        Obs.Report.empty files
     in
-    let metrics_rows =
-      match metrics with None -> [] | Some p -> jsonl_rows p
-    in
-    let trace_rows =
-      match trace with
-      | None -> []
-      | Some p ->
-          List.filter
-            (fun j ->
-              match Telemetry.Json.member "kind" j with
-              | Some (Telemetry.Json.Str "header") -> false
-              | _ -> true)
-            (jsonl_rows p)
-    in
-    let bench_rows =
-      List.concat_map
-        (fun p ->
-          match Workload.Suite.load_rows p with
-          | Ok rows -> rows
-          | Error e -> fail "%s: %s" p e)
-        bench
-    in
-    let doc =
-      Obs.Report.render
-        {
-          Obs.Report.flight_header;
-          flight = samples;
-          metrics = metrics_rows;
-          trace = trace_rows;
-          bench = bench_rows;
-        }
-    in
+    let doc = Obs.Report.render input in
     match out with
     | None -> print_string doc
     | Some p ->
@@ -1361,10 +1317,8 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Render a deterministic markdown run report from flight \
-          records, metrics snapshots, traces and BENCH_*.json rows")
-    Term.(
-      const run $ flight_arg $ metrics_arg $ report_trace_arg $ bench_arg
-      $ out_arg)
+          records, metrics snapshots, event streams and BENCH_*.json rows")
+    Term.(const run $ files_arg $ out_arg)
 
 let () =
   let info =

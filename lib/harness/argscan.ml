@@ -1,8 +1,3 @@
-let extract_presence ~flag args =
-  (List.mem flag args, List.filter (fun a -> a <> flag) args)
-
-let looks_like_flag v = String.length v >= 2 && String.sub v 0 2 = "--"
-
 (* Unit suffixes accepted by value flags like [--duration 30s] and
    [--rate 50k].  Case matters: [M] is mega, [m] would be ambiguous
    (milli? minutes?) and is rejected outright. *)
@@ -57,18 +52,3 @@ let parse_enum ?(docv = "VALUE") ~flag ~values raw =
       Error
         (Printf.sprintf "%s: unknown %s %S (valid: %s)" flag docv raw
            (String.concat "|" (List.map fst values)))
-
-let extract_value ?(docv = "VALUE") ~flag args =
-  let err fmt = Printf.ksprintf (fun m -> Error (flag ^ ": " ^ m)) fmt in
-  let rec go acc seen = function
-    | [] -> Ok (seen, List.rev acc)
-    | a :: rest when a = flag -> (
-        match (seen, rest) with
-        | Some _, _ -> err "given more than once"
-        | None, [] -> err "missing %s (flag is the last argument)" docv
-        | None, v :: _ when looks_like_flag v ->
-            err "missing %s (next argument %S is itself an option)" docv v
-        | None, v :: rest' -> go acc (Some v) rest')
-    | a :: rest -> go (a :: acc) seen rest
-  in
-  go [] None args

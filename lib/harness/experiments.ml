@@ -355,8 +355,8 @@ let e5 ~quick =
       in
       let snap = Core.Bakery_pp_lock.snapshot lock in
       Table.add_rowf real "%d|%s|%s|%.2f|%d|%s|%s" n
-        (Stats.format_si b.ops_per_sec)
-        (Stats.format_si p.ops_per_sec)
+        (Table.format_si b.ops_per_sec)
+        (Table.format_si p.ops_per_sec)
         (p.ops_per_sec /. b.ops_per_sec)
         snap.resets
         (latency_cell p.lock_stats "acq_p50_ns")
@@ -401,7 +401,7 @@ let e6 ~quick =
         else float_of_int s.gate_spins /. float_of_int s.acquires
       in
       Table.add_rowf real "%d|%s|%d|%.1f|%.2f|%d" m
-        (Stats.format_si r.ops_per_sec)
+        (Table.format_si r.ops_per_sec)
         s.resets per_k spins_per s.peak_ticket)
     ms;
   let sim =
@@ -478,7 +478,7 @@ let e7 ~quick =
               | None -> "-"
             in
             Table.add_rowf t "%s|%d|%s|%d|%s|%s|%s" family.family_name n
-              (Stats.format_si r.ops_per_sec)
+              (Table.format_si r.ops_per_sec)
               r.space_words peak
               (latency_cell r.lock_stats "acq_p50_ns")
               (latency_cell r.lock_stats "acq_p95_ns")

@@ -76,3 +76,15 @@ let to_csv t =
   emit t.headers;
   List.iter emit (List.rev t.rows);
   Buffer.contents buf
+
+let format_si v =
+  let magnitude = abs_float v in
+  let scaled, suffix =
+    if magnitude >= 1e9 then (v /. 1e9, "G")
+    else if magnitude >= 1e6 then (v /. 1e6, "M")
+    else if magnitude >= 1e3 then (v /. 1e3, "k")
+    else (v, "")
+  in
+  if suffix = "" && abs_float (Float.round v -. v) < 1e-9 then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.2f%s" scaled suffix

@@ -18,3 +18,7 @@ val to_csv : t -> string
 
 val cells_of_string : string -> string list
 (** Split a "|"-separated row specification. *)
+
+val format_si : float -> string
+(** Human-readable engineering notation for a table cell: 12.30k,
+    4.56M, ... *)

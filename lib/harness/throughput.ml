@@ -17,10 +17,6 @@ let wait_barrier barrier =
     Registers.Spin.relax ()
   done
 
-(* Seconds on the monotonic clock, as [Explore.now] reads it: an NTP or
-   VM-migration step of the wall clock cannot distort a rate. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 let run ?(workload = Shape.contended) ?(duration = 0.3) ?(seed = 7)
     ?(instrument = false) (lock : Locks.Lock_intf.instance) ~nprocs =
   if nprocs < 1 then invalid_arg "Throughput.run: nprocs must be >= 1";
@@ -43,11 +39,11 @@ let run ?(workload = Shape.contended) ?(duration = 0.3) ?(seed = 7)
   in
   let domains = Array.init nprocs (fun i -> Domain.spawn (fun () -> worker i)) in
   wait_barrier barrier;
-  let t0 = now () in
+  let t0 = Telemetry.Clock.now_s () in
   Unix.sleepf duration;
   Atomic.set stop true;
   let counts = Array.map (fun d -> fst (Domain.join d)) domains in
-  let elapsed = now () -. t0 in
+  let elapsed = Telemetry.Clock.now_s () -. t0 in
   let total = Array.fold_left ( + ) 0 counts in
   {
     nprocs;
@@ -72,13 +68,13 @@ let run_until_overflow ?(workload = Shape.contended) ?(max_seconds = 20.0)
   let stop = Atomic.make false in
   let tripped = Atomic.make false in
   let barrier = Atomic.make (nprocs + 1) in
-  let deadline_guard t0 = now () -. t0 > max_seconds in
+  let deadline_guard t0 = Telemetry.Clock.now_s () -. t0 > max_seconds in
   let worker i =
     let rng = Prng.Rng.create (100 + i) in
     let sink = ref 0 in
     let count = ref 0 in
     wait_barrier barrier;
-    let t0 = now () in
+    let t0 = Telemetry.Clock.now_s () in
     (try
        while not (Atomic.get stop) do
          lock.acquire i;
@@ -96,9 +92,9 @@ let run_until_overflow ?(workload = Shape.contended) ?(max_seconds = 20.0)
   in
   let domains = Array.init nprocs (fun i -> Domain.spawn (fun () -> worker i)) in
   wait_barrier barrier;
-  let t0 = now () in
+  let t0 = Telemetry.Clock.now_s () in
   let counts = Array.map Domain.join domains in
-  let elapsed = now () -. t0 in
+  let elapsed = Telemetry.Clock.now_s () -. t0 in
   {
     acquires_before = Array.fold_left ( + ) 0 counts;
     seconds_before = elapsed;

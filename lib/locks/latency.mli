@@ -1,10 +1,11 @@
 (** A generic acquire-latency histogram wrapper for the lock zoo.
 
     Wraps any {!Lock_intf.instance} so every [acquire] is timed on the
-    monotonised clock into a fixed-bucket histogram, and the wrapped
-    instance's [stats] report latency percentiles through the existing
-    [LOCK.stats] hook — so the E5/E7 harness tables get percentile
-    columns for free, for every lock, with no per-lock changes.
+    monotonic clock ({!Telemetry.Clock.now_s}) into a fixed-bucket
+    histogram, and the wrapped instance's [stats] report latency
+    percentiles through the existing [LOCK.stats] hook — so the E5/E7
+    harness tables get percentile columns for free, for every lock,
+    with no per-lock changes.
 
     The timing adds two clock reads and one atomic increment per
     acquire; wrap only when the numbers are wanted. *)

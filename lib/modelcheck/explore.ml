@@ -34,8 +34,6 @@ type graph = {
   complete : bool;
 }
 
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 (* Replay the log from the initial state, canonicalizing as the search
    did, so that each rebuilt state is the one it stored. *)
 let trace_of sys red ~parent ~via ?stored id =
@@ -116,7 +114,7 @@ let record_finish ?progress ?metrics ~prefix outcome (stats : stats) =
 let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     ~red ?progress ?metrics sys =
   let canon = Reduce.canonizer red in
-  let t0 = now () in
+  let t0 = Telemetry.Clock.now_s () in
   let idx = Store.create () in
   let parent = Vec.create () in
   let via = Vec.create () in
@@ -138,7 +136,7 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     | None -> fun () -> ()
     | Some p ->
         let fields () =
-          let elapsed = now () -. t0 in
+          let elapsed = Telemetry.Clock.now_s () -. t0 in
           [
             ("depth", Telemetry.Json.Num (float_of_int !max_depth));
             ("generated", Telemetry.Json.Num (float_of_int !generated));
@@ -161,7 +159,7 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     | None -> None
     | Some m -> Some (Telemetry.Metrics.histogram m "explore.wave_s")
   in
-  let wave_t0 = ref (now ()) in
+  let wave_t0 = ref (Telemetry.Clock.now_s ()) in
   (* Live gauges feed the flight-recorder sampler: refreshed once per
      wave (never per state), and registered only when a registry was
      asked for, so an uninstrumented run stays bit-identical.  Named
@@ -188,14 +186,14 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
         Telemetry.Metrics.set g_frontier (float_of_int frontier);
         Telemetry.Metrics.set g_gen (float_of_int !generated);
         Telemetry.Metrics.set g_dist (float_of_int (Store.length idx));
-        let elapsed = now () -. t0 in
+        let elapsed = Telemetry.Clock.now_s () -. t0 in
         Telemetry.Metrics.set g_rate
           (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
            else 0.0));
     match wave_hist with
     | None -> ()
     | Some h ->
-        let t = now () in
+        let t = Telemetry.Clock.now_s () in
         Telemetry.Metrics.observe h (t -. !wave_t0);
         wave_t0 := t
   in
@@ -272,7 +270,7 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
       generated = !generated;
       distinct = Store.length idx;
       depth = !max_depth;
-      runtime = now () -. t0;
+      runtime = Telemetry.Clock.now_s () -. t0;
     }
   in
   record_finish ?progress ?metrics ~prefix:"explore" outcome stats;

@@ -8,7 +8,7 @@ type stats = {
   generated : int;  (** successor states generated (with duplicates) *)
   distinct : int;  (** distinct states stored *)
   depth : int;  (** BFS depth reached *)
-  runtime : float;  (** seconds *)
+  runtime : float;  (** seconds on {!Telemetry.Clock.now_s} *)
 }
 
 type outcome =
@@ -92,10 +92,6 @@ val run_graph :
 val trace_to : graph -> int -> Trace.t
 (** The BFS path from the root to a stored state id: {!trace_of} over
     the graph's log, checked against its store. *)
-
-val now : unit -> float
-(** Seconds on the monotonic clock, the time base of [stats.runtime]:
-    a wall-clock step during a search cannot distort it. *)
 
 val outcome_tag : outcome -> string
 (** Short machine tag: ["pass"], ["violation:<invariant>"],

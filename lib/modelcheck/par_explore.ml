@@ -49,8 +49,6 @@
    fingerprints only, cutting memory per state by ~an order of
    magnitude at a ~2^-63-per-pair risk of conflating two states. *)
 
-let now = Explore.now
-
 let batch_cap = 64
 let steal_max = 64
 
@@ -117,7 +115,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     | None, Some _ -> invalid_arg "Par_explore.run: domains must be >= 1"
     | None, None -> min 8 (Domain.recommended_domain_count ())
   in
-  let t0 = now () in
+  let t0 = Telemetry.Clock.now_s () in
   let lay = System.layout sys in
   let words = lay.State.words in
   let mode = if fingerprint_only then Shard_table.Fp_only else Shard_table.Exact in
@@ -188,7 +186,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         Explore.generated = total_generated ();
         distinct = Shard_table.total tbl;
         depth = !depth;
-        runtime = now () -. t0;
+        runtime = Telemetry.Clock.now_s () -. t0;
       }
     in
     (match metrics with
@@ -441,7 +439,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         in
         set "par_explore.frontier_depth" (float_of_int frontier);
         set "par_explore.max_states" (float_of_int max_states);
-        let elapsed = now () -. t0 in
+        let elapsed = Telemetry.Clock.now_s () -. t0 in
         let generated = total_generated () in
         let mn, mx = Shard_table.occupancy tbl in
         set "par_explore.live_generated" (float_of_int generated);
@@ -464,7 +462,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     | None -> ()
     | Some p ->
         let fields () =
-          let elapsed = now () -. t0 in
+          let elapsed = Telemetry.Clock.now_s () -. t0 in
           let generated = total_generated () in
           let mn, mx = Shard_table.occupancy tbl in
           let base =
@@ -496,7 +494,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           | None -> base
           | Some (pl, last_busy, last_wall) ->
               let busy = Pool.busy_ns pl in
-              let wall = now () in
+              let wall = Telemetry.Clock.now_s () in
               let dt = wall -. !last_wall in
               let fractions =
                 Array.mapi
@@ -556,7 +554,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     let pool_for_stats =
       match stats_pool with
       | None -> None
-      | Some pl -> Some (pl, ref (Pool.busy_ns pl), ref (now ()))
+      | Some pl ->
+          Some (pl, ref (Pool.busy_ns pl), ref (Telemetry.Clock.now_s ()))
     in
     let init = System.initial sys in
     canon init;

@@ -1,7 +1,5 @@
 module Json = Telemetry.Json
 
-let schema_version = 1
-
 type sample = { seq : int; at_s : float; values : (string * float) list }
 
 let sample ~seq ~at_s values =
@@ -11,14 +9,12 @@ let sample ~seq ~at_s values =
     values = List.sort (fun (a, _) (b, _) -> compare a b) values;
   }
 
-let sample_to_json s =
-  Json.Obj
-    [
-      ("kind", Json.Str "flight");
-      ("seq", Json.Num (float_of_int s.seq));
-      ("at_s", Json.Num s.at_s);
-      ("values", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.values));
-    ]
+let sample_fields s =
+  [
+    ("seq", Json.Num (float_of_int s.seq));
+    ("at_s", Json.Num s.at_s);
+    ("values", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.values));
+  ]
 
 let sample_of_json j =
   match (Json.member "seq" j, Json.member "at_s" j, Json.member "values" j) with
@@ -34,51 +30,6 @@ let sample_of_json j =
           Ok (sample ~seq:(int_of_float sq) ~at_s:at values)
       | _ -> Error "flight sample: seq/at_s not numeric")
   | _ -> Error "flight sample: missing seq, at_s or values"
-
-let header_json () =
-  Json.Obj
-    (("kind", Json.Str "flight_header")
-    :: ("schema", Json.Num (float_of_int schema_version))
-    :: Telemetry.Runmeta.to_fields (Telemetry.Runmeta.capture ()))
-
-let check_header j =
-  match Json.member "schema" j with
-  | Some (Json.Num v) when int_of_float v = schema_version -> Ok ()
-  | Some (Json.Num v) ->
-      Error
-        (Printf.sprintf "flight header: schema %d, this reader speaks %d"
-           (int_of_float v) schema_version)
-  | _ -> Error "flight header: missing schema field"
-
-let load path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      let rec go lineno acc header =
-        match input_line ic with
-        | exception End_of_file -> Ok (header, List.rev acc)
-        | "" -> go (lineno + 1) acc header
-        | line -> (
-            match Json.parse line with
-            | Error e ->
-                Error (Printf.sprintf "line %d: %s" lineno e)
-            | Ok j -> (
-                match Json.member "kind" j with
-                | Some (Json.Str "flight_header") -> (
-                    match check_header j with
-                    | Ok () -> go (lineno + 1) acc (Some j)
-                    | Error e ->
-                        Error (Printf.sprintf "line %d: %s" lineno e))
-                | Some (Json.Str "flight") -> (
-                    match sample_of_json j with
-                    | Ok s -> go (lineno + 1) (s :: acc) header
-                    | Error e ->
-                        Error (Printf.sprintf "line %d: %s" lineno e))
-                (* Foreign kinds pass through untouched: a tee'd sink may
-                   interleave progress events with flight samples. *)
-                | _ -> go (lineno + 1) acc header))
-      in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> go 1 [] None)
 
 let names samples =
   List.sort_uniq compare

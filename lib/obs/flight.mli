@@ -1,17 +1,11 @@
-(** Flight-record format: schema-versioned time-series snapshots.
+(** Flight samples: the body of a {!Telemetry.Record.Flight} run.
 
-    A flight record is a JSONL file: one self-describing header line
-    followed by one line per sample.  Each sample is a numeric
-    key-value snapshot of whatever the producer chose to record —
-    explorer throughput, live lock percentiles, GC gauges — stamped
-    with a sequence number and seconds since the recorder started.
-    The format is append-only and every line is flushed as written, so
-    a run killed mid-flight leaves a well-formed prefix ready for
-    [bakery_cli report]. *)
-
-val schema_version : int
-(** Version of the sample line shape; {!load} refuses files whose
-    header declares a different version. *)
+    Each sample is a numeric key-value snapshot of whatever the
+    producer chose to record — explorer throughput, live lock
+    percentiles, GC gauges — stamped with a sequence number and seconds
+    since the recorder started.  The record is append-only and every
+    line is flushed as written, so a run killed mid-flight leaves a
+    well-formed prefix ready for [bakery_cli report]. *)
 
 type sample = {
   seq : int;  (** 0-based, gap-free as written (gaps mean ring drops) *)
@@ -22,18 +16,10 @@ type sample = {
 val sample : seq:int -> at_s:float -> (string * float) list -> sample
 (** Sorts [values] by name (deterministic JSON and lookups). *)
 
-val sample_to_json : sample -> Telemetry.Json.t
+val sample_fields : sample -> (string * Telemetry.Json.t) list
+(** [seq], [at_s] and [values]: the fields of a ["flight"] event. *)
+
 val sample_of_json : Telemetry.Json.t -> (sample, string) result
-
-val header_json : unit -> Telemetry.Json.t
-(** [{"kind": "flight_header", "schema": v, <runmeta>}] — the first
-    line of every flight record. *)
-
-val load : string -> (Telemetry.Json.t option * sample list, string) result
-(** Parse a flight-record file: the header (if any) and all samples in
-    file order.  [Error] on unreadable files, malformed lines, or a
-    header with the wrong schema version.  An empty file is
-    [Ok (None, \[\])]. *)
 
 (** {1 Series extraction} *)
 

@@ -4,7 +4,7 @@ type t = {
   mutable next_seq : int;
   mutable n_dropped : int;
   born : float;
-  sink : out_channel option;
+  sink : Telemetry.Sink.t option;
   mutable sampler : Domain.id Domain.t option;
   mutable poll : (unit -> (string * float) list) option;
   stopping : bool Atomic.t;
@@ -14,16 +14,7 @@ type t = {
 }
 
 let create ?(capacity = 4096) ?path () =
-  let sink =
-    match path with
-    | None -> None
-    | Some p ->
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 p in
-        output_string oc (Telemetry.Json.to_string (Flight.header_json ()));
-        output_char oc '\n';
-        flush oc;
-        Some oc
-  in
+  let sink = Option.map (Telemetry.Sink.jsonl Telemetry.Record.Flight) path in
   {
     capacity = max 1 capacity;
     ring = Array.make (max 1 capacity) None;
@@ -54,14 +45,12 @@ let record_locked t values =
     if t.ring.(slot) <> None then t.n_dropped <- t.n_dropped + 1;
     t.ring.(slot) <- Some s;
     t.next_seq <- t.next_seq + 1;
-    match t.sink with
-    | None -> ()
-    | Some oc ->
-        output_string oc (Telemetry.Json.to_string (Flight.sample_to_json s));
-        output_char oc '\n';
-        (* Per-line flush: the crash-forensics contract (a killed run
-           leaves only whole lines) is the point of the sink. *)
-        flush oc
+    Option.iter
+      (fun (sink : Telemetry.Sink.t) ->
+        sink.emit
+          (Telemetry.Sink.event ~kind:"flight" ~name:"recorder"
+             (Flight.sample_fields s)))
+      t.sink
   end
 
 let record t values = locked t (fun () -> record_locked t values)
@@ -119,7 +108,7 @@ let stop t =
         | Some poll -> ( try record_locked t (poll ()) with _ -> ())
         | None -> ());
         t.stopped <- true;
-        match t.sink with Some oc -> close_out_noerr oc | None -> ()
+        Option.iter (fun (sink : Telemetry.Sink.t) -> sink.close ()) t.sink
       end)
 
 let samples t =

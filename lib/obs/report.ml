@@ -4,12 +4,43 @@ type input = {
   flight_header : Json.t option;
   flight : Flight.sample list;
   metrics : Json.t list;
-  trace : Json.t list;
+  events : Json.t list;
   bench : Json.t list;
 }
 
 let empty =
-  { flight_header = None; flight = []; metrics = []; trace = []; bench = [] }
+  { flight_header = None; flight = []; metrics = []; events = []; bench = [] }
+
+type line = Sample of Flight.sample | Row of Json.t
+
+let add_record input path =
+  let module R = Telemetry.Record in
+  (* A flight run's lines other than samples are passed over. *)
+  let decode name j =
+    match (name, Json.member "kind" j) with
+    | R.Flight, Some (Json.Str "flight") ->
+        Result.map (fun s -> Sample s) (Flight.sample_of_json j)
+    | _ -> Ok (Row j)
+  in
+  let rows = List.filter_map (function Row j -> Some j | _ -> None) in
+  Result.map
+    (List.fold_left
+       (fun input (run : line R.run) ->
+         match run.name with
+         | R.Flight ->
+             {
+               input with
+               flight_header = Some run.header;
+               flight =
+                 List.filter_map
+                   (function Sample s -> Some s | _ -> None)
+                   run.body;
+             }
+         | R.Metrics -> { input with metrics = rows run.body }
+         | R.Events -> { input with events = rows run.body }
+         | R.Trace -> assert false (* refused by [accept] *))
+       input)
+    (R.read ~accept:[ R.Events; R.Flight; R.Metrics ] ~decode path)
 
 (* ------------------------------------------------------------ format *)
 
@@ -245,18 +276,15 @@ let render input =
         (Printf.sprintf "- flight: %d samples over %s s, %d series (schema %s)\n"
            (List.length samples) (fnum span) (List.length names)
            (match input.flight_header with
-           | Some h -> (
-               match num_member "schema" h with
-               | Some v -> fnum v
-               | None -> "?")
+           | Some _ -> string_of_int Telemetry.Record.schema
            | None -> "?")));
   if input.metrics <> [] then
     Buffer.add_string buf
       (Printf.sprintf "- metrics snapshot: %d instruments\n"
          (List.length input.metrics));
-  if input.trace <> [] then
+  if input.events <> [] then
     Buffer.add_string buf
-      (Printf.sprintf "- trace: %d events\n" (List.length input.trace));
+      (Printf.sprintf "- trace: %d events\n" (List.length input.events));
   if input.bench <> [] then
     Buffer.add_string buf
       (Printf.sprintf "- bench rows: %d (%d scorecard cells)\n"
@@ -407,8 +435,8 @@ let render input =
          cells)
   end;
 
-  (* Trace *)
-  if input.trace <> [] then begin
+  (* Events *)
+  if input.events <> [] then begin
     let tbl = Hashtbl.create 16 in
     List.iter
       (fun row ->
@@ -417,7 +445,7 @@ let render input =
         in
         Hashtbl.replace tbl kind
           (1 + Option.value ~default:0 (Hashtbl.find_opt tbl kind)))
-      input.trace;
+      input.events;
     let rows =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
       |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -1,25 +1,2 @@
-(* Monotonised wall clock.
-
-   [Unix.gettimeofday] can step backwards (NTP, VM migration); a span
-   or rate computed across such a step would be negative.  We keep the
-   largest reading ever returned in an [Atomic] holding the float's
-   bit pattern and clamp every new reading to it with a CAS loop, so
-   the published sequence is non-decreasing across domains. *)
-
 let wall_s = Unix.gettimeofday
-
-let high_water = Atomic.make (Int64.bits_of_float 0.0)
-
-let now_s () =
-  let t = Unix.gettimeofday () in
-  let rec publish () =
-    let prev = Atomic.get high_water in
-    let prev_t = Int64.float_of_bits prev in
-    if t <= prev_t then prev_t
-    else if Atomic.compare_and_set high_water prev (Int64.bits_of_float t)
-    then t
-    else publish ()
-  in
-  publish ()
-
-let now_ns () = int_of_float (now_s () *. 1e9)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

@@ -1,19 +1,10 @@
-(** Time sources for the telemetry subsystem.
-
-    The stdlib exposes no monotonic clock, so {!now_s} monotonises the
-    wall clock: it never goes backwards, even across NTP adjustments,
-    by clamping each reading to the largest value any domain has
-    observed.  Good enough for progress intervals and latency
-    histograms; not a substitute for a hardware timestamp counter. *)
+(** Time sources for the telemetry subsystem. *)
 
 val wall_s : unit -> float
 (** Wall-clock seconds since the Unix epoch (for run metadata and
     JSONL timestamps). *)
 
 val now_s : unit -> float
-(** Monotonised wall clock, seconds.  Never decreases between any two
-    calls, across all domains. *)
-
-val now_ns : unit -> int
-(** {!now_s} scaled to integer nanoseconds (for latency arithmetic
-    without float rounding surprises in stats counters). *)
+(** Seconds on the monotonic clock, from an arbitrary origin: the time
+    base of every duration, rate and latency in the repo.  An NTP or
+    VM-migration step of the wall clock cannot distort it. *)

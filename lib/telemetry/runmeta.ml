@@ -91,33 +91,3 @@ let to_fields m =
     ("os", Json.Str m.os);
     ("ocaml", Json.Str m.ocaml);
   ]
-
-(* Trace files are long-lived artifacts (attached to issues, replayed
-   months later); the schema version lets readers fail with a clear
-   message instead of silently misparsing.  Bump on any incompatible
-   change to the JSONL event shape. *)
-let trace_schema_version = 1
-
-let header_fields () =
-  ("schema", Json.Num (float_of_int trace_schema_version))
-  :: to_fields (capture ())
-
-let check_schema line =
-  match Json.member "schema" line with
-  | None ->
-      Error
-        "first line carries no schema field: not a versioned trace \
-         (produced by an older build?)"
-  | Some (Json.Num v) when Float.is_integer v ->
-      let v = int_of_float v in
-      if v = trace_schema_version then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "trace schema %d is not readable by this build (it reads \
-              schema %d)"
-             v trace_schema_version)
-  | Some j ->
-      Error
-        (Printf.sprintf "malformed schema field %s (expected an integer)"
-           (Json.to_string j))

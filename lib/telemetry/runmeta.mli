@@ -18,17 +18,3 @@ val capture : unit -> t
 
 val to_fields : t -> (string * Json.t) list
 (** [git_rev], [host], [nprocs], [os], [ocaml]. *)
-
-val trace_schema_version : int
-(** Version of the JSONL trace-event shape.  Bumped on incompatible
-    changes; readers refuse files with a different version. *)
-
-val header_fields : unit -> (string * Json.t) list
-(** [("schema", v)] followed by {!to_fields} of {!capture} — the payload
-    of the self-describing header line every [--trace-out] JSONL file
-    starts with. *)
-
-val check_schema : Json.t -> (unit, string) result
-(** Validate a parsed header line: [Error] with a human-readable reason
-    when the schema field is missing, malformed, or from an
-    incompatible version. *)

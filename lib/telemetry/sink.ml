@@ -44,8 +44,11 @@ let stderr_human () =
   in
   { emit; close = (fun () -> ()) }
 
-let jsonl path =
+let jsonl name path =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  output_string oc (Json.to_string (Record.header name));
+  output_char oc '\n';
+  flush oc;
   let mutex = Mutex.create () in
   let closed = ref false in
   let emit e =

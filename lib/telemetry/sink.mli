@@ -28,12 +28,14 @@ val stderr_human : unit -> t
     seconds since the sink was created.  Numeric fields print
     compactly; strings print bare unless they contain spaces. *)
 
-val jsonl : string -> t
-(** Appends one JSON object per event to the file (created if
-    missing): [{"t": ..., "kind": ..., "name": ..., <fields>}].
-    Serialized by an internal mutex and flushed after every line, so a
-    run killed mid-flight leaves a well-formed prefix; [close] flushes
-    and closes. *)
+val jsonl : Record.name -> string -> t
+(** [jsonl name path] appends a run to the run record at [path]
+    (created if missing): the {!Record.header} of [name], written when
+    the file opens, then one JSON object per event:
+    [{"t": ..., "kind": ..., "name": ..., <fields>}].  Serialized by an
+    internal mutex and flushed after every line, so a run killed
+    mid-flight leaves a well-formed prefix; [close] flushes and
+    closes. *)
 
 val tee : t list -> t
 (** Fan out to several sinks; [close] closes them all. *)

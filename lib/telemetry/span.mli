@@ -4,7 +4,7 @@
 type open_span
 
 val start : name:string -> open_span
-(** Stamp the start on the monotonised clock ({!Clock.now_s}). *)
+(** Stamp the start on the monotonic clock ({!Clock.now_s}). *)
 
 val finish :
   ?fields:(string * Json.t) list -> Sink.t -> open_span -> unit

@@ -1,10 +1,3 @@
-(* Self-describing JSONL codec for causal traces.
-
-   Line 1 is a header: schema version + Runmeta (host, git rev, …) +
-   the trace identity (source, model, N, M, meta).  Every further line
-   is one event.  Readers validate the schema version first and refuse
-   incompatible files with a clear error instead of misparsing. *)
-
 module J = Telemetry.Json
 
 let num i = J.Num (float_of_int i)
@@ -18,20 +11,15 @@ let str_field line name =
   match J.member name line with Some (J.Str s) -> Some s | _ -> None
 
 let header_line (t : Event.trace) =
-  J.Obj
-    ([
-       ("kind", J.Str "header");
-       ("name", J.Str "trace");
-     ]
-    @ Telemetry.Runmeta.header_fields ()
-    @ [
+  Telemetry.Record.header Telemetry.Record.Trace
+    ~extra:
+      [
         ("source", J.Str t.source);
         ("model", J.Str t.model);
         ("trace_nprocs", num t.nprocs);
         ("bound", num t.bound);
-        ( "meta",
-          J.Obj (List.map (fun (k, v) -> (k, J.Str v)) t.meta) );
-      ])
+        ("meta", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) t.meta));
+      ]
 
 let kind_to_fields : Event.kind -> (string * J.t) list = function
   | Event.Label { from_label; to_label; from_kind; to_kind } ->
@@ -161,61 +149,35 @@ let event_of_line line =
   in
   Ok { Event.seq; step; pid; kind; observed; vc }
 
-let trace_of_lines = function
-  | [] -> Error "empty trace file"
-  | header :: rest ->
-      let* header =
-        Result.map_error (fun e -> "unparseable header line: " ^ e)
-          (J.parse header)
-      in
-      let* () = Telemetry.Runmeta.check_schema header in
-      let* source = require "source" (str_field header "source") in
-      let* model = require "model" (str_field header "model") in
-      let* nprocs = require "trace_nprocs" (int_field header "trace_nprocs") in
-      let* bound = require "bound" (int_field header "bound") in
-      let meta =
-        match J.member "meta" header with
-        | Some (J.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) ->
-                match v with J.Str s -> Some (k, s) | _ -> None)
-              kvs
-        | _ -> []
-      in
-      let* events =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* line =
-              Result.map_error
-                (fun e -> "unparseable event line: " ^ e)
-                (J.parse line)
-            in
-            let* e = event_of_line line in
-            Ok (e :: acc))
-          (Ok []) rest
-      in
-      Ok
-        {
-          Event.source;
-          model;
-          nprocs;
-          bound;
-          meta;
-          events = Array.of_list (List.rev events);
-        }
-
 let read ~path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      let lines = ref [] in
-      (try
-         while true do
-           let l = input_line ic in
-           if String.trim l <> "" then lines := l :: !lines
-         done
-       with End_of_file -> close_in ic);
-      Result.map_error
-        (fun e -> Printf.sprintf "%s: %s" path e)
-        (trace_of_lines (List.rev !lines))
+  let* runs =
+    Telemetry.Record.read ~accept:[ Telemetry.Record.Trace ]
+      ~decode:(fun _ line -> event_of_line line)
+      path
+  in
+  (* [write] leaves one run per file; of several, the last is read *)
+  let run = List.nth runs (List.length runs - 1) in
+  let header = run.Telemetry.Record.header in
+  Result.map_error
+    (fun e -> Printf.sprintf "%s: %s" path e)
+    (let* source = require "source" (str_field header "source") in
+     let* model = require "model" (str_field header "model") in
+     let* nprocs = require "trace_nprocs" (int_field header "trace_nprocs") in
+     let* bound = require "bound" (int_field header "bound") in
+     let meta =
+       match J.member "meta" header with
+       | Some (J.Obj kvs) ->
+           List.filter_map
+             (fun (k, v) -> match v with J.Str s -> Some (k, s) | _ -> None)
+             kvs
+       | _ -> []
+     in
+     Ok
+       {
+         Event.source;
+         model;
+         nprocs;
+         bound;
+         meta;
+         events = Array.of_list run.body;
+       })

@@ -1,14 +1,11 @@
-(** Self-describing JSONL codec for causal traces.
+(** Causal traces as {!Telemetry.Record} run records.
 
-    Line 1 is a header carrying the trace schema version
-    ({!Telemetry.Runmeta.trace_schema_version}), the captured
-    {!Telemetry.Runmeta} fields, and the trace identity; every further
-    line is one event.  {!read} validates the schema first and refuses
-    incompatible files with a clear error. *)
+    {!write} leaves one {!Telemetry.Record.Trace} run: a header that
+    adds the trace identity (source, model, N, M, meta) to the record
+    header, then one line per event.  {!read} goes through
+    {!Telemetry.Record.read}, so it refuses any other record and any
+    other schema, naming the file and the line. *)
 
 val write : path:string -> Event.trace -> unit
 
 val read : path:string -> (Event.trace, string) result
-
-val header_line : Event.trace -> Telemetry.Json.t
-val event_line : Event.t -> Telemetry.Json.t

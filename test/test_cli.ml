@@ -126,12 +126,16 @@ let check_progress_metrics () =
   | Some (Telemetry.Json.Num n) ->
       check bool_t "distinct > 0" true (n > 0.0)
   | _ -> Alcotest.fail "explore.distinct missing");
-  (* every line is stamped with run metadata *)
+  (* the first line is the run record header, stamped with run metadata *)
   match Telemetry.Json.parse (List.hd lines) with
   | Ok v ->
-      check bool_t "lines carry git_rev" true
+      check bool_t "first line is the metrics header" true
+        (Telemetry.Json.member "kind" v = Some (Telemetry.Json.Str "header")
+        && Telemetry.Json.member "name" v
+           = Some (Telemetry.Json.Str "metrics"));
+      check bool_t "header carries git_rev" true
         (Telemetry.Json.member "git_rev" v <> None);
-      check bool_t "lines carry nprocs" true
+      check bool_t "header carries nprocs" true
         (Telemetry.Json.member "nprocs" v <> None)
   | Error e -> Alcotest.fail e
 
@@ -534,19 +538,18 @@ let report_pipeline () =
       ]
   in
   if code <> 0 then Alcotest.fail ("check failed: " ^ err);
-  (* the flight record is well-formed JSONL with the schema header *)
+  (* the flight record is well-formed JSONL with the run record header *)
   let lines = slurp_lines flight in
   check bool_t "flight has header + samples" true (List.length lines >= 2);
   (match Telemetry.Json.parse (List.hd lines) with
   | Ok v ->
       check bool_t "first line is the header" true
-        (Telemetry.Json.member "kind" v
-        = Some (Telemetry.Json.Str "flight_header"))
+        (Telemetry.Json.member "kind" v = Some (Telemetry.Json.Str "header")
+        && Telemetry.Json.member "name" v = Some (Telemetry.Json.Str "flight"))
   | Error e -> Alcotest.fail ("header unparseable: " ^ e));
   let render out_file =
     let code, out, err =
-      run_capture
-        [ "report"; "--flight"; flight; "--metrics"; metrics; "-o"; out_file ]
+      run_capture [ "report"; flight; metrics; "-o"; out_file ]
     in
     if code <> 0 then Alcotest.fail ("report failed: " ^ out ^ err);
     let ic = open_in_bin out_file in
@@ -566,25 +569,164 @@ let report_pipeline () =
       "explore.generated";
     ];
   (* stdout when no -o *)
-  let code, out, _ = run_capture [ "report"; "--flight"; flight ] in
+  let code, out, _ = run_capture [ "report"; flight ] in
   check int_t "report to stdout exits 0" 0 code;
   check bool_t "stdout report rendered" true (contains ~affix:"# Run report" out);
   List.iter Sys.remove [ flight; metrics ]
 
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
+
 let report_usage_errors () =
-  let code, _, err = run_capture [ "report"; "--flight"; "/nonexistent.jsonl" ] in
+  let code, _, err = run_capture [ "report"; "/nonexistent.jsonl" ] in
   check int_t "missing flight file exits 2" 2 code;
   check bool_t "error names the file" true
     (contains ~affix:"/nonexistent.jsonl" err);
   (* a malformed line is rejected with its line number *)
   let bad = Filename.temp_file "cli" ".jsonl" in
-  let oc = open_out bad in
-  output_string oc "{\"metric\": \"x\", \"value\": 1}\nnot json\n";
-  close_out oc;
-  let code, _, err = run_capture [ "report"; "--metrics"; bad ] in
+  write_file bad
+    (Telemetry.Json.to_string
+       (Telemetry.Record.header Telemetry.Record.Metrics)
+    ^ "\nnot json\n");
+  let code, _, err = run_capture [ "report"; bad ] in
   Sys.remove bad;
   check int_t "malformed metrics line exits 2" 2 code;
   check bool_t "error carries the line number" true (contains ~affix:":2" err)
+
+(* One check run's three run records plus a BENCH history render the
+   same document whatever order the files are named in. *)
+let report_any_order () =
+  let tmp suffix =
+    let p = Filename.temp_file "cli" suffix in
+    Sys.remove p;
+    p
+  in
+  let flight = tmp ".flight.jsonl" and metrics = tmp ".metrics.jsonl" in
+  let events = tmp ".events.jsonl" and bench = tmp ".json" in
+  let code, _, err =
+    run_capture
+      [
+        "check"; "bakery_pp"; "-n"; "2"; "-m"; "3"; "--flight-out"; flight;
+        "--flight-interval"; "0.005"; "--metrics-out"; metrics; "--trace-out";
+        events;
+      ]
+  in
+  if code <> 0 then Alcotest.fail ("check failed: " ^ err);
+  write_file bench
+    "[{\"kind\": \"lock_scorecard\", \"algo\": \"bakery_pp\", \"domains\": 2, \
+     \"rate\": 4000, \"goodput\": 1000, \"p99_ns\": 2000000, \"slo_pass\": true}]\n";
+  let render files =
+    let code, out, err = run_capture ("report" :: files) in
+    if code <> 0 then Alcotest.fail ("report failed: " ^ err);
+    out
+  in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            List.map (List.cons x)
+              (permutations (List.filter (( <> ) x) l)))
+          l
+  in
+  let files = [ flight; metrics; events; bench ] in
+  let doc = render files in
+  List.iter
+    (fun affix ->
+      check bool_t ("report has " ^ affix) true (contains ~affix doc))
+    [
+      "- flight:"; "- metrics snapshot:"; "- trace:"; "- bench rows: 1";
+      "## Time series"; "## Metrics snapshot"; "## Scorecards";
+      "## Trace events";
+    ];
+  List.iter
+    (fun order ->
+      check Alcotest.string
+        ("same document for " ^ String.concat " " order)
+        doc (render order))
+    (permutations files);
+  List.iter Sys.remove files
+
+(* What is not a flight, metrics or event record is refused by name,
+   never rendered as an OK run. *)
+let report_refuses_non_records () =
+  let causal = Filename.temp_file "cli" ".causal.jsonl" in
+  let code, _, _ =
+    run_capture
+      [
+        "explain"; "--model"; "bakery_mod_naive"; "-n"; "3"; "-m"; "2";
+        "--trace-out"; causal;
+      ]
+  in
+  check int_t "explain exits 0" 0 code;
+  let empty = Filename.temp_file "cli" ".empty.jsonl" in
+  let headless = Filename.temp_file "cli" ".headless.jsonl" in
+  write_file headless "{\"metric\": \"x\", \"value\": 1}\n";
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "cli_missing.jsonl" in
+  List.iter
+    (fun (what, file) ->
+      let code, out, err = run_capture [ "report"; file ] in
+      check int_t (what ^ " exits 2") 2 code;
+      check bool_t (what ^ ": error names the file") true
+        (contains ~affix:file err);
+      check Alcotest.string (what ^ " renders nothing") "" out)
+    [
+      ("a causal trace", causal); ("an empty file", empty);
+      ("JSONL without a header", headless); ("a missing file", missing);
+    ];
+  let code, out, _ = run_capture [ "report" ] in
+  check int_t "no FILE exits 2" 2 code;
+  check Alcotest.string "no FILE renders nothing" "" out;
+  List.iter Sys.remove [ causal; empty; headless ]
+
+(* Runs append to a record; the report renders the last one. *)
+let report_last_run () =
+  let flight = Filename.temp_file "cli" ".flight.jsonl" in
+  let metrics = Filename.temp_file "cli" ".metrics.jsonl" in
+  List.iter Sys.remove [ flight; metrics ];
+  for _ = 1 to 2 do
+    let code, _, err =
+      run_capture
+        [
+          "check"; "bakery_pp"; "-n"; "2"; "-m"; "3"; "--flight-out"; flight;
+          "--flight-interval"; "0.005"; "--metrics-out"; metrics;
+        ]
+    in
+    if code <> 0 then Alcotest.fail ("check failed: " ^ err)
+  done;
+  let runs =
+    match
+      Telemetry.Record.read ~accept:[ Telemetry.Record.Flight ]
+        ~decode:(fun _ j -> Obs.Flight.sample_of_json j)
+        flight
+    with
+    | Ok runs -> runs
+    | Error e -> Alcotest.fail e
+  in
+  check int_t "the record holds two runs" 2 (List.length runs);
+  let flight_line doc =
+    List.find_opt
+      (fun l -> contains ~affix:"- flight:" l)
+      (String.split_on_char '\n' doc)
+  in
+  let second = List.nth runs 1 in
+  let expected =
+    flight_line
+      (Obs.Report.render
+         {
+           Obs.Report.empty with
+           flight_header = Some second.header;
+           flight = second.body;
+         })
+  in
+  let code, out, err = run_capture [ "report"; flight; metrics ] in
+  if code <> 0 then Alcotest.fail ("report failed: " ^ err);
+  check
+    Alcotest.(option string)
+    "sample count and span are the second run's" expected (flight_line out);
+  List.iter Sys.remove [ flight; metrics ]
 
 (* The crash-forensics contract (satellite of the flight recorder):
    SIGTERM mid-run must leave a flight record whose every line is
@@ -626,7 +768,7 @@ let report_kill_mid_flight () =
           Alcotest.failf "line %d torn after SIGTERM: %s (%s)" (i + 1) e line)
     lines;
   (* and the well-formed prefix renders *)
-  let code, out, _ = run_capture [ "report"; "--flight"; flight ] in
+  let code, out, _ = run_capture [ "report"; flight ] in
   Sys.remove flight;
   check int_t "report renders the killed run's record" 0 code;
   check bool_t "killed-run report has series" true
@@ -685,6 +827,33 @@ let out_of_range_usage_errors () =
       ("--max-states", [ "graph"; "bakery_pp"; "--max-states"; "0" ]);
       ("--count", [ "fuzz"; "--count=-1" ]);
       ("--max-states", [ "fuzz"; "--count"; "1"; "--max-states"; "0" ]);
+    ]
+
+let out_file_usage_errors () =
+  (* a file to write whose directory is missing is a usage error naming
+     the flag, found before the run rather than after it *)
+  let bad = "/nonexistent/dir/out" in
+  List.iter
+    (fun (flag, args) ->
+      let code, out, err = run_capture args in
+      let what = String.concat " " args in
+      check int_t (what ^ " exits 2") 2 code;
+      check bool_t (what ^ " names " ^ flag) true (contains ~affix:flag err);
+      check Alcotest.string (what ^ " runs nothing") "" out)
+    [
+      ("--metrics-out", [ "check"; "bakery_pp"; "--metrics-out"; bad ]);
+      ("--trace-out", [ "sim"; "bakery_pp"; "--trace-out"; bad ]);
+      ("--flight-out", [ "fuzz"; "--count"; "1"; "--flight-out"; bad ]);
+      ("--chrome-out", [ "sim"; "bakery_pp"; "--chrome-out"; bad ]);
+      ("--dot-out", [ "check"; "bakery_mod_naive"; "--dot-out"; bad ]);
+      ( "--trace-out",
+        [ "explain"; "--model"; "bakery_mod_naive"; "--trace-out"; bad ] );
+      ("--dot-out", [ "explain"; "--model"; "bakery_mod_naive"; "--dot-out"; bad ]);
+      ("-o/--output", [ "tla"; "bakery_pp"; "-o"; bad ]);
+      ("-o/--output", [ "graph"; "bakery_pp"; "-o"; bad ]);
+      ("--json", [ "bench"; "--quick"; "e1"; "--json"; bad ]);
+      ("--out", [ "bench"; "--quick"; "e1"; "--out"; bad ]);
+      ("-o/--out", [ "report"; "-o"; bad; "golden/flight_small.jsonl" ]);
     ]
 
 let lasso_victim_usage_error () =
@@ -762,6 +931,11 @@ let () =
           Alcotest.test_case "usage errors" `Quick report_usage_errors;
           Alcotest.test_case "SIGTERM leaves whole lines" `Quick
             report_kill_mid_flight;
+          Alcotest.test_case "any order of files" `Quick report_any_order;
+          Alcotest.test_case "refuses what is not a run record" `Quick
+            report_refuses_non_records;
+          Alcotest.test_case "appended runs: the last is rendered" `Quick
+            report_last_run;
         ] );
       ( "model flags",
         [
@@ -770,6 +944,8 @@ let () =
             out_of_range_usage_errors;
           Alcotest.test_case "lasso --victim out of range" `Quick
             lasso_victim_usage_error;
+          Alcotest.test_case "output paths checked first" `Quick
+            out_file_usage_errors;
         ] );
       ( "reduce",
         [

@@ -7,22 +7,9 @@ let int_t = Alcotest.int
 let bool_t = Alcotest.bool
 let float_t = Alcotest.float 1e-9
 
-module S = Harness.Stats
 module T = Harness.Table
 
 (* ---------------------------------------------------------------- stats *)
-
-let stats_basics () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check float_t "mean" 2.5 (S.mean xs);
-  check float_t "median" 2.5 (S.median xs);
-  check float_t "min" 1.0 (S.minimum xs);
-  check float_t "max" 4.0 (S.maximum xs);
-  check float_t "p0" 1.0 (S.percentile xs 0.0);
-  check float_t "p100" 4.0 (S.percentile xs 100.0);
-  check float_t "p50 single" 7.0 (S.percentile [| 7.0 |] 50.0);
-  check bool_t "stddev positive" true (S.stddev xs > 1.0 && S.stddev xs < 1.5);
-  check float_t "stddev of singleton" 0.0 (S.stddev [| 3.0 |])
 
 let stats_jain () =
   let jain = Workload.Fairness.jain in
@@ -31,19 +18,11 @@ let stats_jain () =
   check bool_t "jain maximally unfair is 1/N" true (abs_float (unfair -. 0.25) < 1e-9);
   check float_t "jain all zero" 1.0 (jain [| 0; 0 |])
 
-let stats_errors () =
-  (match S.mean [||] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty mean rejected");
-  match S.percentile [| 1.0 |] 101.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "percentile out of range rejected"
-
 let stats_format_si () =
-  check Alcotest.string "plain" "12" (S.format_si 12.0);
-  check Alcotest.string "kilo" "12.30k" (S.format_si 12_300.0);
-  check Alcotest.string "mega" "4.56M" (S.format_si 4_560_000.0);
-  check Alcotest.string "giga" "1.20G" (S.format_si 1.2e9)
+  check Alcotest.string "plain" "12" (T.format_si 12.0);
+  check Alcotest.string "kilo" "12.30k" (T.format_si 12_300.0);
+  check Alcotest.string "mega" "4.56M" (T.format_si 4_560_000.0);
+  check Alcotest.string "giga" "1.20G" (T.format_si 1.2e9)
 
 (* ---------------------------------------------------------------- table *)
 
@@ -332,9 +311,7 @@ let () =
     [
       ( "stats",
         [
-          Alcotest.test_case "descriptive stats" `Quick stats_basics;
           Alcotest.test_case "jain index" `Quick stats_jain;
-          Alcotest.test_case "error cases" `Quick stats_errors;
           Alcotest.test_case "SI formatting" `Quick stats_format_si;
         ] );
       ("table", [ Alcotest.test_case "render and csv" `Quick table_render_and_csv ]);

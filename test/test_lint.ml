@@ -250,10 +250,45 @@ let metric_names () =
     Alcotest.failf "metric-name drift:\n%s"
       (String.concat "\n" (List.rev !problems))
 
+(* ------------------------------------------------------ record header *)
+
+(* One owner for the run-record header: outside lib/telemetry/, no
+   program source spells the literal "header" or "schema", so every
+   header is built and checked by Telemetry.Record and a second format
+   cannot grow a header of its own. *)
+let header_owner () =
+  let root = find_root (Sys.getcwd ()) in
+  let owner = Filename.concat (Filename.concat root "lib") "telemetry" in
+  let files =
+    List.concat_map (fun d -> ml_files (Filename.concat root d)) [ "lib"; "bin" ]
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".ml" && Filename.dirname f <> owner)
+  in
+  Alcotest.(check bool)
+    "found sources to scan" true
+    (List.length files > 30);
+  let offending =
+    List.concat_map
+      (fun file ->
+        String.split_on_char '\n' (read_file file)
+        |> List.mapi (fun i line -> (i + 1, line))
+        |> List.filter_map (fun (n, line) ->
+               if
+                 contains_sub line "\"header\"" || contains_sub line "\"schema\""
+               then Some (Printf.sprintf "%s:%d: %s" file n (String.trim line))
+               else None))
+      files
+  in
+  if offending <> [] then
+    Alcotest.failf "run-record header literal outside lib/telemetry/:\n%s"
+      (String.concat "\n" offending)
+
 let () =
   Alcotest.run "lint"
     [
       ("formatting", [ Alcotest.test_case "sources are clean" `Quick formatting ]);
       ( "metrics",
         [ Alcotest.test_case "names are catalogued" `Quick metric_names ] );
+      ( "records",
+        [ Alcotest.test_case "one owner for the header" `Quick header_owner ] );
     ]

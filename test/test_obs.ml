@@ -124,7 +124,9 @@ let flight_codec () =
   let s = Obs.Flight.sample ~seq:3 ~at_s:1.5 [ ("b", 2.); ("a", 1.) ] in
   check bool_t "values sorted by name" true
     (List.map fst s.Obs.Flight.values = [ "a"; "b" ]);
-  match Obs.Flight.sample_of_json (Obs.Flight.sample_to_json s) with
+  match
+    Obs.Flight.sample_of_json (Telemetry.Json.Obj (Obs.Flight.sample_fields s))
+  with
   | Ok s' -> check bool_t "sample round-trips" true (s = s')
   | Error e -> Alcotest.fail ("sample round-trip: " ^ e)
 
@@ -132,23 +134,29 @@ let tmp_path name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "obs_test_%d_%s" (Unix.getpid ()) name)
 
+(* A flight record as the report reads it. *)
+let load_flight path =
+  Result.map
+    (fun (i : Obs.Report.input) -> (i.flight_header, i.flight))
+    (Obs.Report.add_record Obs.Report.empty path)
+
 let flight_load () =
   let path = tmp_path "flight_load.jsonl" in
-  let oc = open_out path in
-  output_string oc
-    (Telemetry.Json.to_string (Obs.Flight.header_json ()) ^ "\n");
+  if Sys.file_exists path then Sys.remove path;
+  let sink = Telemetry.Sink.jsonl Telemetry.Record.Flight path in
   (* A foreign event (tee'd progress line) must be skipped, not fatal. *)
-  output_string oc "{\"kind\": \"progress\", \"t\": 1}\n";
+  sink.emit (Telemetry.Sink.event ~kind:"progress" ~name:"explore" []);
   List.iter
     (fun s ->
-      output_string oc
-        (Telemetry.Json.to_string (Obs.Flight.sample_to_json s) ^ "\n"))
+      sink.emit
+        (Telemetry.Sink.event ~kind:"flight" ~name:"recorder"
+           (Obs.Flight.sample_fields s)))
     [
       Obs.Flight.sample ~seq:0 ~at_s:0.0 [ ("x", 1.) ];
       Obs.Flight.sample ~seq:1 ~at_s:0.5 [ ("x", 2.); ("y", 9.) ];
     ];
-  close_out oc;
-  (match Obs.Flight.load path with
+  sink.close ();
+  (match load_flight path with
   | Error e -> Alcotest.fail e
   | Ok (header, samples) ->
       check bool_t "header found" true (header <> None);
@@ -163,9 +171,10 @@ let flight_load () =
         (Obs.Flight.times samples "y" = [| 0.5 |]));
   (* A future-schema header must be refused, not misread. *)
   let oc = open_out path in
-  output_string oc "{\"kind\": \"flight_header\", \"schema\": 999}\n";
+  output_string oc
+    "{\"kind\": \"header\", \"name\": \"flight\", \"schema\": 999}\n";
   close_out oc;
-  (match Obs.Flight.load path with
+  (match load_flight path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong schema version was accepted");
   Sys.remove path
@@ -198,7 +207,7 @@ let recorder_sink () =
     Obs.Recorder.record r [ ("v", float_of_int i) ]
   done;
   Obs.Recorder.stop r;
-  (match Obs.Flight.load path with
+  (match load_flight path with
   | Error e -> Alcotest.fail e
   | Ok (header, samples) ->
       check bool_t "sink writes the header" true (header <> None);
@@ -250,16 +259,9 @@ let read_file path =
      dune exec test/test_obs.exe -- obs golden 2>/dev/null, or render
      golden/flight_small.jsonl through `bakery_cli report`. *)
 let report_golden () =
-  match Obs.Flight.load "golden/flight_small.jsonl" with
+  match Obs.Report.add_record Obs.Report.empty "golden/flight_small.jsonl" with
   | Error e -> Alcotest.fail e
-  | Ok (header, samples) ->
-      let input =
-        {
-          Obs.Report.empty with
-          Obs.Report.flight_header = header;
-          flight = samples;
-        }
-      in
+  | Ok input ->
       let rendered = Obs.Report.render input in
       check str_t "report matches golden/report_small.md"
         (read_file "golden/report_small.md")

@@ -188,7 +188,7 @@ let json_errors () =
 
 let jsonl_sink_escaping () =
   let path = Filename.temp_file "telemetry" ".jsonl" in
-  let sink = T.Sink.jsonl path in
+  let sink = T.Sink.jsonl T.Record.Events path in
   sink.emit
     (T.Sink.event ~time:1.5 ~kind:"progress" ~name:"weird \"name\"\n"
        [ ("k\\ey", T.Json.Str "v\nal"); ("n", T.Json.Num 3.0) ]);
@@ -202,7 +202,15 @@ let jsonl_sink_escaping () =
      done
    with End_of_file -> close_in ic);
   Sys.remove path;
-  let lines = List.rev !lines in
+  let header, lines =
+    match List.rev !lines with
+    | h :: rest -> (h, rest)
+    | [] -> Alcotest.fail "empty sink file"
+  in
+  check bool_t "the header line comes first" true
+    (match T.Json.parse header with
+    | Ok h -> h = T.Record.header T.Record.Events
+    | Error _ -> false);
   check int_t "one line per event" 2 (List.length lines);
   List.iter
     (fun line ->
@@ -280,76 +288,10 @@ let runmeta_capture () =
 
 (* ------------------------------------------------------------ argscan *)
 
-let argscan_presence () =
-  let present, rest =
-    Harness.Argscan.extract_presence ~flag:"--quick"
-      [ "e1"; "--quick"; "e2"; "--quick" ]
-  in
-  check bool_t "found" true present;
-  check (Alcotest.list string_t) "all occurrences removed" [ "e1"; "e2" ] rest;
-  let present, rest = Harness.Argscan.extract_presence ~flag:"--quick" [ "e1" ] in
-  check bool_t "absent" false present;
-  check (Alcotest.list string_t) "untouched" [ "e1" ] rest
-
-let argscan_value () =
-  let ok = function
-    | Ok v -> v
-    | Error e -> Alcotest.fail ("unexpected error: " ^ e)
-  in
-  let v, rest =
-    ok (Harness.Argscan.extract_value ~flag:"--json" [ "e11"; "--json"; "o.json" ])
-  in
-  check bool_t "value extracted" true (v = Some "o.json");
-  check (Alcotest.list string_t) "flag and value removed" [ "e11" ] rest;
-  let v, rest = ok (Harness.Argscan.extract_value ~flag:"--json" [ "e11" ]) in
-  check bool_t "absent is None" true (v = None);
-  check (Alcotest.list string_t) "args untouched" [ "e11" ] rest;
-  let err args =
-    match Harness.Argscan.extract_value ~flag:"--json" args with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail ("accepted: " ^ String.concat " " args)
-  in
-  err [ "--json" ];
-  err [ "e11"; "--json" ];
-  err [ "--json"; "a.json"; "--json"; "b.json" ];
-  (* interleaved with another option: the "value" is itself a flag *)
-  err [ "--json"; "--quick"; "a.json" ]
-
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
-
-(* every parse error names the offending flag itself, so a driver with
-   several value flags never reports the wrong one (or none at all) *)
-let argscan_error_messages () =
-  let msg args =
-    match Harness.Argscan.extract_value ~docv:"FILE" ~flag:"--json" args with
-    | Error e -> e
-    | Ok _ -> Alcotest.fail ("accepted: " ^ String.concat " " args)
-  in
-  let check_named what args fragment =
-    let e = msg args in
-    check bool_t (what ^ ": names the flag") true
-      (contains ~needle:"--json" e);
-    check bool_t
-      (what ^ ": explains itself (" ^ e ^ ")")
-      true
-      (contains ~needle:fragment e)
-  in
-  check_named "duplicate"
-    [ "--json"; "a.json"; "--json"; "b.json" ]
-    "more than once";
-  check_named "dangling" [ "e11"; "--json" ] "missing FILE";
-  check_named "option as value" [ "--json"; "--quick"; "a.json" ] "--quick";
-  (* the default value description is VALUE *)
-  let e =
-    match Harness.Argscan.extract_value ~flag:"--out" [ "--out" ] with
-    | Error e -> e
-    | Ok _ -> Alcotest.fail "accepted dangling --out"
-  in
-  check bool_t "default docv" true (contains ~needle:"missing VALUE" e);
-  check bool_t "default docv names flag" true (contains ~needle:"--out: " e)
 
 (* unit-suffixed values: the duration/count grammar `bench locks` uses
    for --rate and --duration *)
@@ -525,10 +467,6 @@ let () =
         ] );
       ( "argscan",
         [
-          Alcotest.test_case "presence flags" `Quick argscan_presence;
-          Alcotest.test_case "value flags" `Quick argscan_value;
-          Alcotest.test_case "errors name the flag" `Quick
-            argscan_error_messages;
           Alcotest.test_case "unit-suffixed values" `Quick argscan_suffixed;
         ] );
       ("gc", [ Alcotest.test_case "gauges and fields" `Quick gc_gauges ]);

@@ -21,6 +21,11 @@ let read_file path =
   close_in ic;
   s
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------- corpus *)
 
 (* Only the schedule entries: the explainer tests below re-execute
@@ -108,11 +113,6 @@ let test_explain_deterministic () =
 (* The wrap corpus entries are the paper's §3 scenario: the story must
    name the failed mutex conjunct and the wrapping write it observed. *)
 let test_explain_names_the_corruption () =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun file ->
       let pl = plan_of_file file in
@@ -361,20 +361,39 @@ let test_jsonl_rejects_wrong_schema () =
         has 0));
   Sys.remove path
 
+(* The header gate every run record passes: a header must carry the
+   accepted name and the current schema, and the refusal names what it
+   found. *)
 let test_check_schema_unit () =
-  (match Telemetry.Runmeta.check_schema (J.Obj [ ("kind", J.Str "header") ]) with
-  | Ok () -> Alcotest.fail "missing schema must be rejected"
-  | Error _ -> ());
-  match
-    Telemetry.Runmeta.check_schema
-      (J.Obj
-         [
-           ( "schema",
-             J.Num (float_of_int Telemetry.Runmeta.trace_schema_version) );
-         ])
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "current schema rejected: %s" e
+  let module R = Telemetry.Record in
+  let read_header fields =
+    let path = Filename.temp_file "record" ".jsonl" in
+    let oc = open_out path in
+    output_string oc (J.to_string (J.Obj fields) ^ "\n");
+    close_out oc;
+    let r = R.read ~accept:[ R.Trace ] ~decode:(fun _ j -> Ok j) path in
+    Sys.remove path;
+    r
+  in
+  let header =
+    match R.header R.Trace with J.Obj f -> f | _ -> Alcotest.fail "header"
+  in
+  let set k v = List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) in
+  let refused what fields =
+    match read_header fields with
+    | Ok _ -> Alcotest.failf "%s must be rejected" what
+    | Error e -> e
+  in
+  ignore
+    (refused "missing schema" (List.filter (fun (k, _) -> k <> "schema") header));
+  (match read_header header with
+  | Ok [ run ] -> check bool_t "one trace run" true (run.R.name = R.Trace)
+  | Ok _ -> Alcotest.fail "expected exactly one run"
+  | Error e -> Alcotest.failf "current schema rejected: %s" e);
+  let e = refused "a flight header" (set "name" (J.Str "flight") header) in
+  check bool_t ("wrong name is named: " ^ e) true (contains e "flight");
+  let e = refused "schema 99" (set "schema" (J.Num 99.0) header) in
+  check bool_t ("error names the schema: " ^ e) true (contains e "99")
 
 (* --------------------------------------------- derived FCFS inversions *)
 
