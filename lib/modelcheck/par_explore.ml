@@ -46,8 +46,9 @@
    counterexamples in both modes, as it does for every explorer.
    Fingerprint-only mode ([fingerprint_only:true]) additionally drops
    the stored states, TLC-style: the visited set keeps 63-bit
-   fingerprints only, cutting memory per state by ~an order of
-   magnitude at a ~2^-63-per-pair risk of conflating two states. *)
+   fingerprints only, at a ~2^-63-per-pair risk of conflating two
+   states.  Exact shards keep their states bit-packed, a word or two
+   each, so the saving is the packed state's share of the table. *)
 
 let batch_cap = 64
 let steal_max = 64

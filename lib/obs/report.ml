@@ -3,13 +3,21 @@ module Json = Telemetry.Json
 type input = {
   flight_header : Json.t option;
   flight : Flight.sample list;
+  metrics_header : Json.t option;
   metrics : Json.t list;
   events : Json.t list;
   bench : Json.t list;
 }
 
 let empty =
-  { flight_header = None; flight = []; metrics = []; events = []; bench = [] }
+  {
+    flight_header = None;
+    flight = [];
+    metrics_header = None;
+    metrics = [];
+    events = [];
+    bench = [];
+  }
 
 type line = Sample of Flight.sample | Row of Json.t
 
@@ -36,7 +44,12 @@ let add_record input path =
                    (function Sample s -> Some s | _ -> None)
                    run.body;
              }
-         | R.Metrics -> { input with metrics = rows run.body }
+         | R.Metrics ->
+             {
+               input with
+               metrics_header = Some run.header;
+               metrics = rows run.body;
+             }
          | R.Events -> { input with events = rows run.body }
          | R.Trace -> assert false (* refused by [accept] *))
        input)
@@ -85,16 +98,28 @@ let watched name =
   in
   has "p99" || has "heap_mb" || has "major_collections" || has "behind"
 
+(* Either engine's live progress. *)
+let explorer_series = [ "explore.live_distinct"; "par_explore.live_distinct" ]
+
+(* An explorer's heap holds its visited set and search log, so in a
+   flight that carries explorer progress the heap's growth and the
+   major collections it brings are the search's size, not drift. *)
 let drift_findings samples =
-  Flight.names samples
-  |> List.filter watched
+  let names = Flight.names samples in
+  let explorer = List.exists (fun n -> List.mem n names) explorer_series in
+  let search_size name =
+    explorer && (name = "gc.heap_mb" || name = "gc.major_collections")
+  in
+  names
+  |> List.filter (fun name -> watched name && not (search_size name))
   |> List.map (fun name -> Analyze.drift ~metric:name (Flight.series samples name))
 
 let explorer_eta samples =
   (* Either engine's live progress against the run's state budget. *)
-  let candidates = [ "explore.live_distinct"; "par_explore.live_distinct" ] in
   let live =
-    List.find_opt (fun n -> Array.length (Flight.series samples n) >= 2) candidates
+    List.find_opt
+      (fun n -> Array.length (Flight.series samples n) >= 2)
+      explorer_series
   in
   match live with
   | None -> None
@@ -240,6 +265,10 @@ let render input =
             (fnum idle_growth)
       | _ -> ())
   | None -> ());
+  (* The snapshot is written at exit, so a run killed by a signal
+     leaves its metrics run with a header and nothing after it. *)
+  if input.metrics_header <> None && input.metrics = [] then
+    finding "metrics: snapshot missing (the run ended without writing it)";
   let cells = card_cells input.bench in
   List.iter
     (fun (key, last, best_prior) ->

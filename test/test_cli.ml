@@ -731,16 +731,19 @@ let report_last_run () =
 (* The crash-forensics contract (satellite of the flight recorder):
    SIGTERM mid-run must leave a flight record whose every line is
    whole — the per-line flush, not at_exit, is what guarantees it,
-   because SIGTERM never runs at_exit. *)
+   because SIGTERM never runs at_exit.  For the same reason the
+   metrics run holds only its header, and the report says its
+   snapshot is missing. *)
 let report_kill_mid_flight () =
   let flight = Filename.temp_file "cli" ".flight.jsonl" in
-  Sys.remove flight;
+  let metrics = Filename.temp_file "cli" ".metrics.jsonl" in
+  List.iter Sys.remove [ flight; metrics ];
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
     Unix.create_process cli
       [|
         cli; "check"; "bakery_pp"; "-n"; "3"; "-m"; "6"; "--flight-out";
-        flight; "--flight-interval"; "0.01";
+        flight; "--flight-interval"; "0.01"; "--metrics-out"; metrics;
       |]
       Unix.stdin devnull devnull
   in
@@ -769,10 +772,14 @@ let report_kill_mid_flight () =
     lines;
   (* and the well-formed prefix renders *)
   let code, out, _ = run_capture [ "report"; flight ] in
-  Sys.remove flight;
   check int_t "report renders the killed run's record" 0 code;
   check bool_t "killed-run report has series" true
-    (contains ~affix:"## Time series" out)
+    (contains ~affix:"## Time series" out);
+  let code, out, err = run_capture [ "report"; flight; metrics ] in
+  List.iter Sys.remove [ flight; metrics ];
+  if code <> 0 then Alcotest.fail ("report failed: " ^ err);
+  check bool_t "killed-run report names the missing snapshot" true
+    (contains ~affix:"- finding: metrics: snapshot missing" out)
 
 (* ------------------------------------------------- shared model flags *)
 

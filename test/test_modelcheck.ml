@@ -28,7 +28,53 @@ let vec_basics () =
   (match MC.Vec.get v 100 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out of bounds get must raise");
-  check int_t "to_list length" 100 (List.length (MC.Vec.to_list v))
+  check int_t "to_list length" 100 (List.length (MC.Vec.to_list v));
+  (* The log grows by chunks of 2^13 entries once its first chunk is
+     full: pushes, sets and reads at and around each chunk boundary,
+     then a refill after [clear] over the capacity it kept. *)
+  let size = 1 lsl 13 in
+  let v = MC.Vec.create () in
+  let n = (3 * size) + 2 in
+  for i = 0 to n - 1 do
+    if MC.Vec.push v (i * 3) <> i then Alcotest.failf "push %d misplaced" i
+  done;
+  check int_t "length past three chunks" n (MC.Vec.length v);
+  let edges = [ 0; size - 1; size; (3 * size) + 1 ] in
+  List.iter
+    (fun i ->
+      check int_t (Printf.sprintf "get %d" i) (i * 3) (MC.Vec.get v i);
+      MC.Vec.set v i (-i);
+      check int_t (Printf.sprintf "set %d" i) (-i) (MC.Vec.get v i))
+    edges;
+  check int_t "a neighbour of a boundary is untouched"
+    ((size + 1) * 3)
+    (MC.Vec.get v (size + 1));
+  List.iter
+    (fun i ->
+      match MC.Vec.get v i with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "get %d past the end must raise" i)
+    [ n; 4 * size; -1 ];
+  (match MC.Vec.set v n 0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "set past the end must raise");
+  MC.Vec.clear v;
+  check int_t "cleared" 0 (MC.Vec.length v);
+  (match MC.Vec.get v 0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a cleared log holds nothing");
+  for i = 0 to (2 * size) + 1 do
+    ignore (MC.Vec.push v (i + 1))
+  done;
+  List.iter
+    (fun i -> check int_t (Printf.sprintf "refilled %d" i) (i + 1) (MC.Vec.get v i))
+    [ 0; size - 1; size; (2 * size) + 1 ];
+  check int_t "refill length" ((2 * size) + 2) (MC.Vec.length v);
+  (match MC.Vec.get v ((2 * size) + 2) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a stale slot past the refill must raise");
+  check int_t "to_list sees the refill" ((2 * size) + 2)
+    (List.length (MC.Vec.to_list v))
 
 (* ---------------------------------------------------------------- state *)
 
@@ -121,7 +167,23 @@ let explore_constraint_closes_space () =
   (match r.outcome with
   | MC.Explore.Pass -> ()
   | _ -> Alcotest.fail "bakery satisfies mutex under cap");
-  check bool_t "space is finite and modest" true (r.stats.distinct < 100_000)
+  check bool_t "space is finite and modest" true (r.stats.distinct < 100_000);
+  (* At N=3 the tickets pass every width the first states fix, so the
+     store widens mid-search; the counts are those of
+     `check bakery -n 3 -m 2 --cap 8 --overflow=false`. *)
+  let sys = sys_of ~nprocs:3 ~bound:2 (Algorithms.Bakery.program ()) in
+  let r =
+    MC.Explore.run
+      ~invariants:[ MC.Invariant.mutex ]
+      ~constraint_:(Core.Verify.ticket_cap_constraint ~cap:8)
+      sys
+  in
+  (match r.outcome with
+  | MC.Explore.Pass -> ()
+  | _ -> Alcotest.fail "bakery N=3 satisfies mutex under cap 8");
+  check int_t "N=3 cap 8: distinct" 83_881 r.stats.distinct;
+  check int_t "N=3 cap 8: generated" 226_717 r.stats.generated;
+  check int_t "N=3 cap 8: depth" 155 r.stats.depth
 
 let explore_capacity () =
   let sys = sys_of ~nprocs:2 ~bound:2 (Algorithms.Bakery.program ()) in
@@ -517,7 +579,76 @@ let store_one_table () =
   let absent = state n in
   check int_t "an absent state misses" (-1) (MC.Store.probe big absent);
   check int_t "probe_key under State.hash misses it too" (-1)
-    (MC.Store.probe_key big (MC.State.hash absent) absent)
+    (MC.Store.probe_key big (MC.State.hash absent) absent);
+  (* The extremes of int round-trip, whichever comes first: a field
+     whose range must span min_int..max_int gets a word of its own. *)
+  let extremes =
+    [|
+      [| -1; 0; max_int; min_int |];
+      [| 0; -1; min_int; max_int |];
+      [| max_int; min_int; -1; 0 |];
+      [| min_int; max_int; 0; -1 |];
+      [| 0; 0; 0; 0 |];
+      [| -1; -1; -1; -1 |];
+    |]
+  in
+  let wide = MC.Store.create () in
+  Array.iteri
+    (fun i s ->
+      check
+        Alcotest.(option int)
+        (Printf.sprintf "extreme state %d is new" i)
+        (Some i) (MC.Store.add wide s))
+    extremes;
+  let buf = Array.make 4 0 in
+  Array.iteri
+    (fun i s ->
+      check bool_t (Printf.sprintf "get %d round-trips" i) true
+        (MC.State.equal s (MC.Store.get wide i));
+      MC.Store.read_into wide i buf;
+      check bool_t (Printf.sprintf "read_into %d round-trips" i) true
+        (MC.State.equal s buf);
+      check int_t (Printf.sprintf "extreme state %d probes to itself" i) i
+        (MC.Store.probe wide s))
+    extremes;
+  (* A field that first leaves its range after 10,000 stored states:
+     the store widens it and re-encodes every earlier state, which must
+     still read back and probe to its own id. *)
+  let m = 10_000 in
+  let late i = [| i land 7; i; (if i < m then 3 else -(i * 1000)); 1 |] in
+  let grown = MC.Store.create () in
+  for i = 0 to m + 99 do
+    if MC.Store.add grown (late i) <> Some i then
+      Alcotest.failf "late-widening insert %d did not get id %d" i i
+  done;
+  let buf = Array.make 4 0 in
+  for i = 0 to m + 99 do
+    let s = late i in
+    if not (MC.State.equal s (MC.Store.get grown i)) then
+      Alcotest.failf "get %d does not round-trip after widening" i;
+    MC.Store.read_into grown i buf;
+    if not (MC.State.equal s buf) then
+      Alcotest.failf "read_into %d does not round-trip after widening" i;
+    if MC.Store.probe grown s <> i then
+      Alcotest.failf "probe misses state %d after widening" i
+  done;
+  check int_t "a state beyond every range misses" (-1)
+    (MC.Store.probe grown [| 8; -1; max_int; 2 |])
+
+(* Packed states with learned widths: 2^17 distinct 16-field states
+   whose values are below 8 need 48 bits each, one arena word, so the
+   whole store (arena, index and keys) holds at most 48 B per state;
+   the unpacked arena alone took 128. *)
+let store_memory_floor () =
+  let n = 1 lsl 17 in
+  let st = MC.Store.create () in
+  for i = 0 to n - 1 do
+    let s = Array.init 16 (fun f -> (i lsr (3 * f)) land 7) in
+    if MC.Store.add st s <> Some i then Alcotest.failf "state %d not new" i
+  done;
+  let per_state = MC.Store.arena_bytes st / MC.Store.length st in
+  if per_state > 48 then
+    Alcotest.failf "%d B per stored state, more than 48" per_state
 
 (* ---------------------------------------------- sharding / fingerprints *)
 
@@ -1148,6 +1279,8 @@ let () =
         [
           Alcotest.test_case "one table: modes, growth, keys" `Quick
             store_one_table;
+          Alcotest.test_case "packed arena memory floor" `Quick
+            store_memory_floor;
         ] );
       ( "state",
         [

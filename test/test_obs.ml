@@ -267,6 +267,11 @@ let report_golden () =
         (read_file "golden/report_small.md")
         rendered
 
+let has doc sub =
+  let n = String.length doc and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub doc i m = sub || go (i + 1)) in
+  go 0
+
 let report_deterministic () =
   (* Same in-memory input, two renders, byte equality — no hidden
      clock/host dependence. *)
@@ -284,13 +289,25 @@ let report_deterministic () =
   check str_t "byte-identical re-render" (Obs.Report.render input)
     (Obs.Report.render input);
   let doc = Obs.Report.render input in
+  (* An explorer's heap grows with its visited set: charted, not drift. *)
+  check bool_t "explorer heap growth charted, not flagged" true
+    (has doc "gc.heap_mb" && has doc "Completion ETA"
+    && has doc "verdict: **OK**"
+    && not (has doc "## Drift"))
+
+(* The same rising heap without an explorer series is drift. *)
+let report_heap_drift () =
+  let samples =
+    List.init 12 (fun i ->
+        Obs.Flight.sample ~seq:i
+          ~at_s:(0.1 *. float_of_int i)
+          [ ("gc.heap_mb", 3. +. float_of_int i) ])
+  in
+  let doc =
+    Obs.Report.render { Obs.Report.empty with Obs.Report.flight = samples }
+  in
   check bool_t "heap drift flagged" true
-    (let has sub =
-       let n = String.length doc and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub doc i m = sub || go (i + 1)) in
-       go 0
-     in
-     has "ATTENTION" && has "gc.heap_mb" && has "Completion ETA")
+    (has doc "ATTENTION" && has doc "finding: drift: gc.heap_mb rising")
 
 let report_scorecard_diff () =
   let row ?(goodput = 1000.) ?(slo = true) () =
@@ -313,14 +330,9 @@ let report_scorecard_diff () =
         Obs.Report.bench = [ row (); row ~goodput:500. ~slo:false () ];
       }
   in
-  let has sub =
-    let n = String.length doc and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub doc i m = sub || go (i + 1)) in
-    go 0
-  in
-  check bool_t "regression vs best prior flagged" true (has "-50.0%");
-  check bool_t "slo failure flagged" true (has "SLO fail");
-  check bool_t "drift extra column flagged" true (has "drift_p99=rising")
+  check bool_t "regression vs best prior flagged" true (has doc "-50.0%");
+  check bool_t "slo failure flagged" true (has doc "SLO fail");
+  check bool_t "drift extra column flagged" true (has doc "drift_p99=rising")
 
 let () =
   Alcotest.run "obs"
@@ -354,6 +366,8 @@ let () =
         [
           Alcotest.test_case "golden file" `Quick report_golden;
           Alcotest.test_case "deterministic render" `Quick report_deterministic;
+          Alcotest.test_case "heap growth without an explorer is drift" `Quick
+            report_heap_drift;
           Alcotest.test_case "scorecard diff" `Quick report_scorecard_diff;
         ] );
     ]
