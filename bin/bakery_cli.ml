@@ -356,10 +356,10 @@ let check_cmd =
     let doc =
       "Keep only 63-bit state fingerprints in the visited set (TLC-style), \
        at a ~2^-63 per-pair chance of conflating two states.  Exact mode \
-       already packs its states, so the saving is modest: $(b,check \
-       bakery_pp -n 4 -m 2) peaks at 131 MiB exact and 113 MiB with \
-       $(b,--fp-only).  Runs the sharded engine, on one domain unless \
-       $(b,--parallel) says otherwise."
+       packs its states and keeps no keys, so this saves nothing where a \
+       state packs into a word: $(b,check bakery_pp -n 4 -m 2) peaks at \
+       82 MiB exact and 99 MiB with $(b,--fp-only).  Runs the sharded \
+       engine, on one domain unless $(b,--parallel) says otherwise."
     in
     Arg.(value & flag & info [ "fp-only" ] ~doc)
   in

@@ -843,10 +843,12 @@ let e12 ~quick =
            state fingerprint and keeps per-domain work-stealing deques";
           "fp-only rows store 63-bit fingerprints instead of packed \
            states (TLC-style), at ~2^-63 per-pair collision odds; exact \
-           rows keep bit-packed states, so `check bakery_pp -n 4 -m 2` \
-           peaks at 131 MiB exact and 113 MiB fp-only (1.2x)";
+           rows keep bit-packed states and no keys, so `check bakery_pp \
+           -n 4 -m 2` peaks at 82 MiB exact and 99 MiB fp-only";
           "collisions/steals/handoffs come from the engine's telemetry \
-           counters for the same run";
+           counters for the same run; an exact row's collisions are \
+           states sharing a key tag (the key's bits from 31 up), each \
+           costing one extra state compare";
           "single-core hosts serialize the domains, so extra domains \
            only measure coordination overhead, not speedup";
         ]

@@ -7,8 +7,9 @@
    the arena only if genuinely new.  Most generated states of a big
    search are duplicates, so the steady state allocates nothing at all.
 
-   Each new state logs its parent's id and its packed move; [trace_of]
-   replays such logs for every explorer.
+   Each new state logs one word, its parent's id and the rank of its
+   move among the parent's successors; [trace_of] replays such logs for
+   every explorer by regenerating those successors.
 
    [interpreted = true] swaps only the successor function: the AST
    interpreter's move list is copied into the same scratch buffer, move
@@ -26,18 +27,25 @@ type outcome =
 
 type result = { outcome : outcome; stats : stats }
 
-type graph = {
-  sys : System.t;
-  store : Store.t;
-  parent : int Vec.t;
-  via : int Vec.t;
-  complete : bool;
-}
+type graph =
+  { sys : System.t; store : Store.t; log : int Vec.t; complete : bool }
 
-(* Replay the log from the initial state, canonicalizing as the search
-   did, so that each rebuilt state is the one it stored. *)
-let trace_of sys red ~parent ~via ?stored id =
+(* The parent's id plus one (0 for the root) in the 32 bits above the
+   rank's 31; the top one is OCaml's sign bit, which [lsr] reads back. *)
+let log_word ~parent ~rank =
+  if rank lsr 31 <> 0 || (parent + 1) lsr 32 <> 0 then
+    invalid_arg "Explore.log_word: parent or rank out of range";
+  ((parent + 1) lsl 31) lor rank
+
+let log_parent w = (w lsr 31) - 1
+let log_rank w = w land 0x7fff_ffff
+
+(* Replay the log from the initial state: regenerate each state's
+   successors under the search's ample set, take the logged rank and
+   canonicalize as the search did, so it rebuilds the state it stored. *)
+let trace_of sys red ~log ?stored id =
   let steps = (System.program sys).steps in
+  let scratch = Array.make (System.layout sys).State.words 0 in
   let entry id pid step_name state =
     Reduce.canonizer red state;
     (match stored with
@@ -48,25 +56,33 @@ let trace_of sys red ~parent ~via ?stored id =
     { Trace.pid; step_name; state }
   in
   let rec path id acc =
-    if parent id < 0 then (id, acc) else path (parent id) (id :: acc)
+    let p = log_parent (log id) in
+    if p < 0 then (id, acc) else path p (id :: acc)
   in
   let root, rest = path id [] in
   let init = entry root (-1) "<init>" (System.initial sys) in
   let prev = ref init in
+  let exception Found of int * int in
   let replay id =
-    let v = via id in
-    let pid = System.move_pid v and pc = System.move_pc v in
-    prev :=
-      entry id pid steps.(pc).step_name
-        (System.apply_move sys !prev.state ~pid ~pc ~alt:(System.move_alt v)
-           ~flick:(System.move_flick v));
-    !prev
+    let s = !prev.state and rank = log_rank (log id) and k = ref 0 in
+    match
+      System.iter_successors_scratch ~only:(Reduce.ample red s) sys s ~scratch
+        (fun ~pid ~from_pc ~alt:_ ~flick:_ ->
+          if !k = rank then raise_notrace (Found (pid, from_pc));
+          incr k)
+    with
+    | () ->
+        Printf.ksprintf failwith "Explore.trace_of: state %d has no move %d"
+          (log_parent (log id)) rank
+    | exception Found (pid, pc) ->
+        prev := entry id pid steps.(pc).step_name (Array.copy scratch);
+        !prev
   in
   Reduce.decanonicalize red (init :: List.map replay rest)
 
 let trace_to (g : graph) id =
-  trace_of g.sys (Reduce.make Reduce.Off g.sys) ~parent:(Vec.get g.parent)
-    ~via:(Vec.get g.via) ~stored:(Store.get g.store) id
+  trace_of g.sys (Reduce.make Reduce.Off g.sys) ~log:(Vec.get g.log)
+    ~stored:(Store.get g.store) id
 
 let default_invariants = lazy [ Invariant.mutex; Invariant.no_overflow ]
 
@@ -108,16 +124,15 @@ let record_finish ?progress ?metrics ~prefix outcome (stats : stats) =
            float_of_int stats.generated /. stats.runtime /. 1e3
          else 0.0)
 
-(* The search itself: dedup-before-copy BFS on the arena store, frontier
-   as a cursor over an int vector.  Returns the result together with
+(* The search itself: dedup-before-copy BFS on the arena store, the
+   frontier's ids in a {!Wave} ring.  Returns the result together with
    the store and its search log, which [run_graph] hands on. *)
 let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     ~red ?progress ?metrics sys =
   let canon = Reduce.canonizer red in
   let t0 = Telemetry.Clock.now_s () in
   let idx = Store.create () in
-  let parent = Vec.create () in
-  let via = Vec.create () in
+  let log = Vec.create () in
   let generated = ref 0 in
   let max_depth = ref 0 in
   let wave = Wave.create () in
@@ -126,8 +141,7 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
   let current = Array.make lay.State.words 0 in
   let exception Stop of outcome in
   let trace id =
-    trace_of sys red ~parent:(Vec.get parent) ~via:(Vec.get via)
-      ~stored:(Store.get idx) id
+    trace_of sys red ~log:(Vec.get log) ~stored:(Store.get idx) id
   in
   (* One tick per dequeued state; a disabled reporter costs one call to
      a static no-op closure, nothing else (E11 must not move). *)
@@ -214,23 +228,22 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     | Some c when not (c sys buf) -> ()
     | _ -> Wave.push wave id'
   in
-  let store_new ~parent:par ~move buf =
+  let store_new ~parent ~rank buf =
     let id' = Store.add_probed idx buf in
-    ignore (Vec.push parent par);
-    ignore (Vec.push via move);
+    ignore (Vec.push log (log_word ~parent ~rank));
     vet id' buf
   in
-  (* The expanded state's id and whether it had a move, shared with the
-     per-move callback so that one closure serves the whole search. *)
-  let from = ref 0 and any = ref false in
-  let on_move ~pid ~from_pc ~alt ~flick =
+  (* The expanded state's id, its next move's rank and whether it had a
+     move, shared with the per-move callback so that one closure serves
+     the whole search. *)
+  let from = ref 0 and rank = ref 0 and any = ref false in
+  let on_move ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ =
     any := true;
     incr generated;
     canon scratch;
     if Store.probe idx scratch = -1 then
-      store_new ~parent:!from
-        ~move:(System.pack_move ~pid ~pc:from_pc ~alt ~flick)
-        scratch
+      store_new ~parent:!from ~rank:!rank scratch;
+    incr rank
   in
   let interpreted_moves only =
     List.iter
@@ -246,14 +259,14 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
       let init = System.initial sys in
       canon init;
       incr generated;
-      if Store.probe idx init = -1 then
-        store_new ~parent:(-1) ~move:(-1) init;
+      if Store.probe idx init = -1 then store_new ~parent:(-1) ~rank:0 init;
       (* BFS depth by wave boundary: ids enter the driver in depth
          order, so no per-state depth needs storing. *)
       Wave.drive ~on_wave wave (fun id ->
           tick ();
           Store.read_into idx id current;
           from := id;
+          rank := 0;
           any := false;
           let only = Reduce.ample red current in
           if interpreted then interpreted_moves only
@@ -274,7 +287,13 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     }
   in
   record_finish ?progress ?metrics ~prefix:"explore" outcome stats;
-  ({ outcome; stats }, idx, parent, via)
+  (match metrics with
+  | None -> ()
+  | Some m ->
+      Telemetry.Metrics.set
+        (Telemetry.Metrics.gauge m "explore.table_mb")
+        (float_of_int (Store.arena_bytes idx) /. 1048576.0));
+  ({ outcome; stats }, idx, log)
 
 let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = true)
     ?(interpreted = false) ?(reduce = Reduce.Off) ?progress ?metrics sys =
@@ -289,15 +308,15 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
       Reduce.make reduce sys
     else Reduce.make Reduce.Off sys
   in
-  let r, _, _, _ =
+  let r, _, _ =
     search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
       ~red ?progress ?metrics sys
   in
   r
 
 let run_graph ?constraint_ ?(max_states = 5_000_000) sys =
-  let r, store, parent, via =
+  let r, store, log =
     search ~invariants:[] ~constraint_ ~max_states ~check_deadlock:false
       ~interpreted:false ~red:(Reduce.make Reduce.Off sys) sys
   in
-  ({ sys; store; parent; via; complete = r.outcome <> Capacity }, r.stats)
+  ({ sys; store; log; complete = r.outcome <> Capacity }, r.stats)

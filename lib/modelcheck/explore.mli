@@ -26,8 +26,7 @@ type result = { outcome : outcome; stats : stats }
 type graph = {
   sys : System.t;
   store : Store.t;  (** every stored state, by id in BFS order *)
-  parent : int Vec.t;  (** parent state id; -1 for the root *)
-  via : int Vec.t;  (** the move from the parent ({!System.pack_move}) *)
+  log : int Vec.t;  (** by state id, its {!log_word} *)
   complete : bool;
       (** [false] if [max_states] stopped the search before the frontier
           emptied: the graph is then a BFS prefix of the reachable one,
@@ -74,10 +73,12 @@ val run :
     [progress] enables TLC-style rate-limited reporting (wave depth,
     states generated/distinct, queue length, kstates/s, store load
     factor, arena bytes) plus one forced summary line when the search
-    ends; [metrics] accumulates the final stats and a wave-duration
-    histogram into a registry ([explore.*]).  Both default to off, in
-    which case the hot loop runs exactly one static no-op closure call
-    per dequeued state — the search itself is unchanged either way. *)
+    ends; [metrics] accumulates the final stats, a wave-duration
+    histogram and the store's final size ([explore.table_mb],
+    {!Store.arena_bytes}) into a registry ([explore.*]).  Both default
+    to off, in which case the hot loop runs exactly one static no-op
+    closure call per dequeued state — the search itself is unchanged
+    either way. *)
 
 val run_graph :
   ?constraint_:(System.t -> State.packed -> bool) ->
@@ -107,19 +108,25 @@ val record_finish :
 (** Final telemetry for a finished search: one forced progress line and
     [<prefix>.*] registry entries.  Shared with {!Par_explore}. *)
 
+val log_word : parent:int -> rank:int -> int
+(** One state's search-log entry: its parent's id ([-1] for the root,
+    at most 2^32 - 2) and the rank of the move that reached it, its
+    index in {!System.iter_successors_scratch} order under the search's
+    ample set (below 2^31; [0] for the root).
+    @raise Invalid_argument if either is out of range. *)
+
+val log_parent : int -> int
+val log_rank : int -> int
+
 val trace_of :
-  System.t ->
-  Reduce.t ->
-  parent:(int -> int) ->
-  via:(int -> int) ->
-  ?stored:(int -> State.packed) ->
-  int ->
-  Trace.t
-(** The path from the root to state [id] of any search that logged,
-    per state, its parent's id ([-1] for the root) and its move
-    ({!System.pack_move}).  It replays the moves from the initial state,
-    canonicalizing under [red] as the search did, and returns the run in
-    original process ids; it reads no state, so a fingerprint-only
-    search gets its traces too.  [stored] looks up the search's states
-    by id, if it kept them, and every rebuilt state is checked.
-    @raise Failure if one differs from the stored state. *)
+  System.t -> Reduce.t -> log:(int -> int) -> ?stored:(int -> State.packed) ->
+  int -> Trace.t
+(** The path from the root to state [id] of any search that logged a
+    {!log_word} per state: from the initial state, each step
+    regenerates the previous state's successors under [red]'s ample set,
+    takes the logged rank and canonicalizes as the search did; the run
+    comes back in original process ids.  It reads no state, so a
+    fingerprint-only search gets its traces too.  [stored] looks up the
+    search's states by id, if it kept them, to check every rebuilt one.
+    @raise Failure on a mismatch, or if a state has no move of the
+    logged rank. *)

@@ -41,23 +41,24 @@
    and [depth] all match the sequential engine on a Pass, and a
    violation is still reported with a shortest counterexample.
 
-   Each shard logs the parent gid and packed move of every state it
-   inserts, and {!Explore.trace_of} replays those logs into
-   counterexamples in both modes, as it does for every explorer.
+   Each shard logs one {!Explore.log_word} per state it inserts, and
+   {!Explore.trace_of} replays those logs into counterexamples in both
+   modes, as it does for every explorer.
    Fingerprint-only mode ([fingerprint_only:true]) additionally drops
    the stored states, TLC-style: the visited set keeps 63-bit
    fingerprints only, at a ~2^-63-per-pair risk of conflating two
    states.  Exact shards keep their states bit-packed, a word or two
-   each, so the saving is the packed state's share of the table. *)
+   each, and no keys, so a fingerprint-only shard saves nothing where
+   a state packs into one word. *)
 
 let batch_cap = 64
 let steal_max = 64
 
 (* One hand-off batch: up to [batch_cap] candidates, each stored flat
-   as its fingerprint, parent gid, packed move and state.  A batch is
-   either being filled, waiting in its owner's inbox, or on the free
-   list of the domain that drained it, linked through [b_next] in the
-   last two cases; it is allocated only when that free list is empty. *)
+   as its fingerprint, log word and state.  A batch is either being
+   filled, waiting in its owner's inbox, or on the free list of the
+   domain that drained it, linked through [b_next] in the last two
+   cases; it is allocated only when that free list is empty. *)
 type batch = { b_data : int array; mutable b_n : int; mutable b_next : batch }
 
 let rec no_batch = { b_data = [||]; b_n = 0; b_next = no_batch }
@@ -83,6 +84,7 @@ type dstate = {
   mutable d_violation_inv : string;
   mutable d_deadlock_gid : int;
   mutable d_gid : int;  (* the state being expanded *)
+  mutable d_rank : int;  (* the rank of its next move *)
   mutable d_any : bool;  (* has it shown a successor yet *)
   d_state : int array;  (* the state being expanded *)
   d_scratch : int array;  (* successor construction buffer *)
@@ -121,14 +123,13 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let words = lay.State.words in
   let mode = if fingerprint_only then Shard_table.Fp_only else Shard_table.Exact in
   let tbl = Shard_table.create ?hash ~mode ~nshards:ndomains ~words () in
-  (* Per-shard search log (parent gid, packed move) by local id. *)
-  let meta_parent = Array.init ndomains (fun _ -> Vec.create ()) in
-  let meta_via = Array.init ndomains (fun _ -> Vec.create ()) in
+  (* Per-shard search log, one log word per local id. *)
+  let logs = Array.init ndomains (fun _ -> Vec.create ()) in
   let cur = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
   let nxt = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
   let inboxes = Array.init ndomains (fun _ -> Atomic.make no_batch) in
-  (* A batch entry: fingerprint, parent gid, packed move, state. *)
-  let entry = words + 3 in
+  (* A batch entry: fingerprint, log word, state. *)
+  let entry = words + 2 in
   let fresh_batch () =
     { b_data = Array.make (batch_cap * entry) 0; b_n = 0; b_next = no_batch }
   in
@@ -148,6 +149,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_violation_inv = "";
           d_deadlock_gid = -1;
           d_gid = -1;
+          d_rank = 0;
           d_any = false;
           d_state = Array.make words 0;
           d_scratch = Array.make words 0;
@@ -173,8 +175,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   in
   let trace =
     Explore.trace_of sys red
-      ~parent:(at (fun ~shard -> Vec.get meta_parent.(shard)))
-      ~via:(at (fun ~shard -> Vec.get meta_via.(shard)))
+      ~log:(at (fun ~shard -> Vec.get logs.(shard)))
       ?stored:
         (if fingerprint_only then None else Some (at (Shard_table.get tbl)))
   in
@@ -214,12 +215,11 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   (* Probe-and-insert a candidate into shard [w] (caller must be its
      owning domain, or the main domain between waves).  [s] is a
      scratch buffer; the frontier deque copies it if the state is new. *)
-  let insert_candidate w (d : dstate) ~fp ~parent ~via (s : State.packed) =
+  let insert_candidate w (d : dstate) ~fp ~log (s : State.packed) =
     let local = Shard_table.insert tbl ~shard:w ~fp s in
     if local >= 0 then begin
       let g = Shard_table.gid tbl ~shard:w ~local in
-      ignore (Vec.push meta_parent.(w) parent);
-      ignore (Vec.push meta_via.(w) via);
+      ignore (Vec.push logs.(w) log);
       d.d_inserts <- d.d_inserts + 1;
       (* Soft capacity check: exact accounting happens at the wave
          barrier; this just stops a runaway wave early.  [total] reads
@@ -267,7 +267,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       if o <> w then flush d o
     done
   in
-  let route (d : dstate) o ~fp ~parent ~via (s : State.packed) =
+  let route (d : dstate) o ~fp ~log (s : State.packed) =
     let b = d.d_out.(o) in
     (* An empty batch going live is in-flight work: count it before it
        becomes visible so [pending] can never transiently hit zero
@@ -275,9 +275,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     if b.b_n = 0 then Atomic.incr pending;
     let at = b.b_n * entry in
     b.b_data.(at) <- fp;
-    b.b_data.(at + 1) <- parent;
-    b.b_data.(at + 2) <- via;
-    Array.blit s 0 b.b_data (at + 3) words;
+    b.b_data.(at + 1) <- log;
+    Array.blit s 0 b.b_data (at + 2) words;
     b.b_n <- b.b_n + 1;
     if b.b_n = batch_cap then flush d o
   in
@@ -291,9 +290,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       let data = batch.b_data in
       for k = 0 to batch.b_n - 1 do
         let at = k * entry in
-        Array.blit data (at + 3) d.d_probe 0 words;
-        insert_candidate w d ~fp:data.(at) ~parent:data.(at + 1)
-          ~via:data.(at + 2) d.d_probe
+        Array.blit data (at + 2) d.d_probe 0 words;
+        insert_candidate w d ~fp:data.(at) ~log:data.(at + 1) d.d_probe
       done;
       b := batch.b_next;
       batch.b_n <- 0;
@@ -311,16 +309,16 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
      batches. *)
   let emitter w =
     let d = dstates.(w) in
-    fun ~pid ~from_pc ~alt ~flick ->
+    fun ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ ->
       d.d_any <- true;
       d.d_generated <- d.d_generated + 1;
       canon d.d_scratch;
       let fp = Shard_table.fingerprint tbl d.d_scratch in
       let o = Shard_table.owner tbl fp in
-      let via = System.pack_move ~pid ~pc:from_pc ~alt ~flick in
-      if o = w || !inline then
-        insert_candidate o d ~fp ~parent:d.d_gid ~via d.d_scratch
-      else route d o ~fp ~parent:d.d_gid ~via d.d_scratch
+      let log = Explore.log_word ~parent:d.d_gid ~rank:d.d_rank in
+      d.d_rank <- d.d_rank + 1;
+      if o = w || !inline then insert_candidate o d ~fp ~log d.d_scratch
+      else route d o ~fp ~log d.d_scratch
   in
   let emitters = Array.init ndomains emitter in
   (* Expand one frontier state.  Decrementing [pending] comes last so
@@ -328,6 +326,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
      retired. *)
   let expand w (d : dstate) gid (s : State.packed) =
     d.d_gid <- gid;
+    d.d_rank <- 0;
     d.d_any <- false;
     (* [~only] would box its argument on every call. *)
     (match Reduce.ample red s with
@@ -564,7 +563,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     (* [total_generated] seeds the sum with 1 for the initial state. *)
     let fp = Shard_table.fingerprint tbl init in
     let o = Shard_table.owner tbl fp in
-    insert_candidate o dstates.(0) ~fp ~parent:(-1) ~via:(-1) init;
+    let log = Explore.log_word ~parent:(-1) ~rank:0 in
+    insert_candidate o dstates.(0) ~fp ~log init;
     (* The initial insert pushed into [nxt]: promote it to the first
        frontier. *)
     let tmp = !cur in

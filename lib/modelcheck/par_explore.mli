@@ -42,13 +42,13 @@ val run :
     concurrently from another thread.
 
     Counterexample traces in either mode are rebuilt by
-    {!Explore.trace_of} from each shard's log of parents and packed
-    moves.  [fingerprint_only] switches the visited set to
+    {!Explore.trace_of} from each shard's log, one {!Explore.log_word}
+    per state.  [fingerprint_only] switches the visited set to
     {!Shard_table.Fp_only}: no stored states, at a ~2^-63 per-pair
     chance of conflating two states, with the same traces.  Exact
-    shards keep their states bit-packed ({!Store}), so the saving is
-    small: [check bakery_pp -n 4 -m 2] peaks at 131 MiB exact and 113
-    MiB with [--fp-only].
+    shards keep their states bit-packed ({!Store}) and no keys, so
+    there is no saving: [check bakery_pp -n 4 -m 2] peaks at 82 MiB
+    exact and 99 MiB with [--fp-only].
     [hash] overrides the fingerprint function (tests inject colliding
     hashes with it).
 

@@ -85,21 +85,21 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
     }
   in
   (* Implementation store and search log: each state's first parent and
-     packed move, which [Explore.trace_of] replays into a counterexample. *)
+     the rank of the move from it, which [Explore.trace_of] replays into
+     a counterexample. *)
   let impl_store = Store.create () in
-  let parent = Vec.create () and via = Vec.create () in
-  let intern_impl ~p ~move s =
+  let log = Vec.create () in
+  let intern_impl ~parent ~rank s =
     let id = Store.probe impl_store s in
     if id >= 0 then id
     else begin
-      ignore (Vec.push parent p);
-      ignore (Vec.push via move);
+      ignore (Vec.push log (Explore.log_word ~parent ~rank));
       Store.add_probed impl_store s
     end
   in
   let impl_trace =
-    Explore.trace_of impl (Reduce.make Reduce.Off impl) ~parent:(Vec.get parent)
-      ~via:(Vec.get via) ~stored:(Store.get impl_store)
+    Explore.trace_of impl (Reduce.make Reduce.Off impl) ~log:(Vec.get log)
+      ~stored:(Store.get impl_store)
   in
   (* Pairs (impl id, spec set) already visited. *)
   let pair_seen = Hashtbl.create 4096 in
@@ -119,7 +119,7 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
   let included, failure, complete =
     try
       let i0 = System.initial impl in
-      let i0_id = intern_impl ~p:(-1) ~move:(-1) i0 in
+      let i0_id = intern_impl ~parent:(-1) ~rank:0 i0 in
       let o0 = obs_impl impl i0 in
       let s0 = System.initial spec in
       if not (obs_equal (obs_spec spec s0) o0) then
@@ -127,14 +127,10 @@ let check ~impl ~spec ?(obs_impl = phase_obs) ?(obs_spec = phase_obs)
       let set0 = closure spec_store ~obs_fn:obs_spec ~o:o0 [ intern spec_store.store s0 ] in
       enqueue i0_id set0 o0;
       Wave.drive wave (fun (impl_id, set, o) ->
-          List.iter
-            (fun (m : System.move) ->
+          List.iteri
+            (fun rank (m : System.move) ->
               let o' = obs_impl impl m.dest in
-              let move =
-                System.pack_move ~pid:m.pid ~pc:m.from_pc ~alt:m.alt
-                  ~flick:m.flick
-              in
-              let id' = intern_impl ~p:impl_id ~move m.dest in
+              let id' = intern_impl ~parent:impl_id ~rank m.dest in
               if obs_equal o' o then enqueue id' set o
               else begin
                 let set' =

@@ -3,8 +3,10 @@
 
     A state's {!Fingerprint.hash} [fp] picks its owning shard
     ([fp mod nshards]); that shard's store is keyed by [fp / nshards]
-    through {!Store.probe_key}, never by {!State.hash}.  Each shard has
-    a single writer, so insertion never contends on shared memory.
+    through {!Store.probe_key}, never by {!State.hash}.  An [Exact]
+    shard keeps its packed states and no keys; an [Fp_only] one keeps
+    only the keys.  Each shard has a single writer, so insertion never
+    contends on shared memory.
 
     Concurrency contract: at most one domain inserts into a given shard
     at a time; cross-shard reads of counters and stored states are only
@@ -46,8 +48,9 @@ val insert : t -> shard:int -> fp:int -> State.packed -> int
 val total : t -> int
 
 val collisions : t -> int
-(** Distinct-state/equal-fingerprint pairs detected, summed over the
-    shards ({!Store.collisions}). *)
+(** Inserted states whose probe passed a distinct state under the same
+    key tag, summed over the shards ({!Store.collisions}; [Exact]
+    only). *)
 
 val get : t -> shard:int -> int -> State.packed
 (** Materialize a stored state ([Exact] mode only). *)

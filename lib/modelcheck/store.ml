@@ -3,10 +3,11 @@
    arena:
 
    - probing allocates nothing and touches one word per step: each
-     index entry packs a 31-bit key tag with the id;
-   - each entry's full key is kept in an id-indexed side vector, so
-     table growth re-places entries without rehashing any state, and
-     [Fp_only] compares keys there instead of states;
+     index entry packs a 31-bit key tag with the id, and the entry's
+     home slot is the tag's low bits, so table growth re-places entries
+     from the old table alone, without rehashing any state or keeping
+     its key.  [Fp_only] keeps each full key in an id-indexed vector,
+     since the key is all it knows of the state;
    - a field (one word of the unpacked state) is stored as its value
      minus an offset, in as many bits as the values stored so far
      need; fields are laid into 63-bit words in order and never
@@ -45,9 +46,9 @@ type layout = {
 type t = {
   mode : mode;
   mutable table : int array;
-      (* slot -> 0 when empty, else (key high bits lsl 32) lor (id + 1) *)
+      (* slot -> 0 when empty, else (key lsr 31) lsl 32 lor (id + 1) *)
   mutable mask : int;
-  keys : int Vec.t;  (* id -> full key *)
+  keys : int Vec.t;  (* [Fp_only]: id -> full key *)
   mutable lay : layout;
   mutable buf : int array;  (* the last probed candidate, packed *)
   mutable chunks : int array array;
@@ -67,6 +68,7 @@ let chunk_states = 1 lsl chunk_bits
 let chunk_mask = chunk_states - 1
 let tag_of key = (key lsr 31) lsl 32
 let entry_tag e = e land lnot 0xffff_ffff
+let home tag mask = (tag lsr 32) land mask
 let id_of_entry e = (e land 0xffff_ffff) - 1
 
 (* Bits needed to write [x >= 0] in binary; 0 for 0. *)
@@ -236,11 +238,10 @@ let equal_at t id =
 
 (* Look for the candidate under [key] from slot [i]: the id of its
    entry, or -1 after remembering the free slot that ends its probe
-   sequence, and whether a genuine collision (a distinct state under
-   the same key) was passed on the way.  [Exact] compares packed
-   contents on a tag match before it reads the key vector, so a hit
-   costs one miss into the arena and the key is read only to notice a
-   collision; [Fp_only] takes an equal key as the state itself. *)
+   sequence, and whether a collision (a distinct state under the same
+   tag) was passed on the way.  [Exact] compares packed contents on a
+   tag match, so a hit costs one miss into the arena; [Fp_only] takes
+   an equal key as the state itself. *)
 let rec probe_from t key tag i collided =
   let e = Array.unsafe_get t.table i in
   if e = 0 then begin
@@ -256,16 +257,15 @@ let rec probe_from t key tag i collided =
     match t.mode with
     | Exact ->
         if equal_at t id then id
-        else
-          probe_from t key tag ((i + 1) land t.mask)
-            (collided || Vec.get t.keys id = key)
+        else probe_from t key tag ((i + 1) land t.mask) true
     | Fp_only ->
         if Vec.get t.keys id = key then id
         else probe_from t key tag ((i + 1) land t.mask) collided
 
 let probe_key t key s =
   (match t.mode with Exact -> pack t s | Fp_only -> ());
-  probe_from t key (tag_of key) (key land t.mask) false
+  let tag = tag_of key in
+  probe_from t key tag (home tag t.mask) false
 
 let probe t s = probe_key t (State.hash s) s
 let find_opt t s = match probe t s with -1 -> None | id -> Some id
@@ -281,7 +281,7 @@ let grow_table t =
   for k = 0 to Array.length old - 1 do
     let e = Array.unsafe_get old k in
     if e <> 0 then begin
-      let i = ref (Vec.get t.keys (id_of_entry e) land mask) in
+      let i = ref (home e mask) in
       while Array.unsafe_get table !i <> 0 do
         i := (!i + 1) land mask
       done;
@@ -306,9 +306,10 @@ let store_state t id =
 
 let add_probed t (_ : State.packed) =
   let id = t.count in
-  (match t.mode with Exact -> store_state t id | Fp_only -> ());
+  (match t.mode with
+  | Exact -> store_state t id
+  | Fp_only -> ignore (Vec.push t.keys t.last_key));
   if t.last_collided then t.collisions <- t.collisions + 1;
-  ignore (Vec.push t.keys t.last_key);
   t.table.(t.last_slot) <- tag_of t.last_key lor (id + 1);
   t.count <- id + 1;
   (* Keep the load factor at or below 2/3: linear probing's sequential

@@ -9,13 +9,14 @@
     its state's {!Fingerprint.hash} divided by the shard count.  One
     store must see one key function throughout.
 
-    A key is computed once per stored state: a key tag is packed into
-    the one-word index entry and the full key kept in an id-indexed
-    side vector, so dedup lookups and table growth never rehash a
-    stored state.  Probing allocates nothing and touches one word per
-    step; storing a new state is an arena blit, not a boxed allocation
-    — at millions of states the GC otherwise spends more time tracing
-    state arrays than the search spends exploring.
+    A key is computed once per stored state: 31 of its bits, the tag,
+    are packed into the one-word index entry, and the entry's home
+    slot is the tag's low bits, so dedup lookups and table growth never
+    rehash a stored state and an [Exact] store keeps no key.  Probing
+    allocates nothing and touches one word per step; storing a new
+    state is an arena blit, not a boxed allocation — at millions of
+    states the GC otherwise spends more time tracing state arrays than
+    the search spends exploring.
 
     [Exact] mode stores each state packed: every word of the state is
     a field kept in as few bits as the values stored so far need, and
@@ -36,14 +37,14 @@
 type mode =
   | Exact
       (** Keep full packed states: states with equal keys but distinct
-          contents are both stored and counted as collisions, so answers
-          never depend on the key function.  The default. *)
+          contents are both stored and counted in {!collisions}, so
+          answers never depend on the key function.  The default. *)
   | Fp_only
       (** Keep only keys (TLC's space-saving mode): no arena, but
           key-equal states are conflated — a collision can silently
-          drop states.  Against packed [Exact] states it saves little:
-          [check bakery_pp -n 4 -m 2] peaks at 131 MiB exact and 113
-          MiB with [--fp-only].  {!get} and {!read_into} raise
+          drop states.  Its key vector costs more than packed [Exact]
+          states: [check bakery_pp -n 4 -m 2] peaks at 82 MiB exact
+          and 99 MiB with [--fp-only].  {!get} and {!read_into} raise
           [Invalid_argument]. *)
 
 type t
@@ -83,8 +84,9 @@ val read_into : t -> int -> State.packed -> unit
 
 val collisions : t -> int
 (** Inserted states whose probe passed a distinct state under the same
-    key ([Exact] only; [Fp_only] cannot see them — that is its
-    trade-off). *)
+    key tag, the key's bits from 31 up ([Exact] only; [Fp_only] cannot
+    see them — that is its trade-off).  A tag collision costs one more
+    state compare, and under {!State.hash} has odds 2^-31 per pair. *)
 
 val load_factor : t -> float
 (** Occupied fraction of the index (kept at or below 2/3 by growth);
@@ -92,4 +94,5 @@ val load_factor : t -> float
 
 val arena_bytes : t -> int
 (** Bytes held by allocated arena chunks of packed states, the index
-    and the key vector — the store's resident memory, for telemetry. *)
+    and ([Fp_only]) the key vector — the store's resident memory, for
+    telemetry. *)

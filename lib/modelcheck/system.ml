@@ -22,31 +22,10 @@ type t = {
 
 type move = { pid : int; from_pc : int; alt : int; flick : int; dest : State.packed }
 
-(* One move in one int, the unit of every explorer's search log: pid in
-   12 bits, pc in 16, alt in 8, and above them the flicker rank, which
-   {!Regsem.Flicker} caps at 2^26.  [make] refuses wider programs. *)
-let pack_move ~pid ~pc ~alt ~flick =
-  (flick lsl 36) lor (pid lsl 24) lor (pc lsl 8) lor alt
-
-let move_pid v = (v lsr 24) land 0xfff
-let move_pc v = (v lsr 8) land 0xffff
-let move_alt v = v land 0xff
-let move_flick v = v lsr 36
-
 let make ?(register_model = Regsem.Model.Atomic) program ~nprocs ~bound =
   Mxlang.Validate.assert_valid program;
   let source = program in
   let build (program : Mxlang.Ast.program) weak_of =
-    if
-      nprocs > 4096
-      || Array.length program.steps > 65536
-      || Array.exists
-           (fun (st : Mxlang.Ast.step) -> List.length st.actions > 256)
-           program.steps
-    then
-      invalid_arg
-        "System.make: a packed move holds at most 4096 processes, 65536 \
-         steps and 256 alternatives per step";
     let env = Mxlang.Eval.make_env program ~nprocs ~bound in
     let lay = State.layout env in
     let comp =
@@ -184,20 +163,6 @@ let flick_assignment t (s : State.packed) ~pid ~pc ~alt ~flick =
       List.filter
         (fun (cell, seen) -> seen <> s.(cell))
         (Regsem.Flicker.assignment wk.wk_flick ~s ~pid ~cells ~flick)
-
-(* Re-execute one recorded move, the step of every trace replay.  Under
-   a weak model the rank decodes (via the shared {!Regsem.Flicker} path)
-   to the view the search enumerated; under [Atomic] the view is the
-   pre-state, and [perform_rw] then stores what [perform] would. *)
-let apply_move t (s : State.packed) ~pid ~pc ~alt ~flick =
-  let (a : Mxlang.Compile.caction) = t.comp.actions.(pc).(pid).(alt) in
-  let view = Array.copy s and dest = Array.copy s in
-  List.iter
-    (fun (cell, seen) -> view.(cell) <- seen)
-    (flick_assignment t s ~pid ~pc ~alt ~flick);
-  a.perform_rw ~read:view ~write:dest;
-  dest.(t.lay.pcs_off + pid) <- a.target;
-  dest
 
 (* Map a flat shared offset back to (variable, cell index). *)
 let var_of_cell t cell =

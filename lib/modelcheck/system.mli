@@ -35,9 +35,7 @@ val make :
     ceilings are derived ({!Regsem.Domain}), and per-action static read
     sets are tabulated for the flicker enumerator; {!program} then
     returns the transformed program (commit steps visible, so traces
-    show writes landing).
-    @raise Invalid_argument if its moves would not fit {!pack_move}:
-    over 4,096 processes, 65,536 steps or 256 alternatives in a step. *)
+    show writes landing). *)
 
 val layout : t -> State.layout
 val program : t -> Mxlang.Ast.program
@@ -75,7 +73,8 @@ val iter_successors_scratch :
 (** Allocation-free variant: each enabled move's destination is built in
     [scratch] (length {!State.layout}[.words]) and [f] is called while it
     is valid — the buffer is overwritten by the next move, so [f] must
-    copy it to keep it.  Same deterministic order as {!successors}; lets
+    copy it to keep it.  Same deterministic order as {!successors},
+    which a search log's move rank counts ({!Explore.log_word}); lets
     the explorer dedup first and allocate only genuinely new states.
     Under a weak model the flicker views come from a per-domain
     {!Regsem.Flicker} frame, so once warm no call allocates under any
@@ -89,21 +88,6 @@ val successors_interpreted : t -> State.packed -> move list
     instead of the compiled closures — the differential-testing baseline
     and the "before" engine of the throughput experiment.  Honors the
     register model with the same move order as the compiled engine. *)
-
-val pack_move : pid:int -> pc:int -> alt:int -> flick:int -> int
-(** One move in one int, the unit of every explorer's search log; the
-    [move_*] decoders read its fields back. *)
-
-val move_pid : int -> int
-val move_pc : int -> int
-val move_alt : int -> int
-val move_flick : int -> int
-
-val apply_move :
-  t -> State.packed -> pid:int -> pc:int -> alt:int -> flick:int -> State.packed
-(** Re-execute one recorded move (no guard check): a fresh copy of the
-    destination of alternative [alt] of step [pc] fired by [pid] under
-    flicker view [flick].  {!Explore.trace_of} replays logs with it. *)
 
 val flick_assignment :
   t -> State.packed -> pid:int -> pc:int -> alt:int -> flick:int -> (int * int) list

@@ -1,8 +1,8 @@
-(** A growable log, used by the state store's keys, every explorer's
-    parent and move logs, and the BFS waves.  It grows by fixed chunks
-    of 2{^13} entries once the first chunk is full, so a full chunk is
-    never copied and a log of n entries holds about n slots.  (OCaml
-    5.1 predates [Dynarray].) *)
+(** A growable log, used by the fingerprint-only store's keys and
+    every explorer's search log.  It grows by fixed chunks of 2{^13}
+    entries once the first chunk is full, so a full chunk is never
+    copied and a log of n entries holds about n slots.  (OCaml 5.1
+    predates [Dynarray].) *)
 
 type 'a t
 

@@ -1,6 +1,10 @@
 (** Shared BFS wave driver: a FIFO of work items with depth tracked at
     level boundaries.  Drives {!Explore}'s search and
-    {!Refine.check}'s product BFS. *)
+    {!Refine.check}'s product BFS.
+
+    The items live in a ring that reuses a handed-out item's slot and
+    doubles only when the pending items fill it, so a wave holds about
+    as many slots as its largest frontier, not one per item pushed. *)
 
 type 'a t
 

@@ -16,6 +16,7 @@ let all =
     "explore.live_kstates_s";
     "explore.max_states";
     "explore.runtime_s";
+    "explore.table_mb";
     "explore.wave_s";
     (* fuzz driver: one cases counter per oracle *)
     "fuzz.*.cases";

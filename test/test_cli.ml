@@ -126,6 +126,11 @@ let check_progress_metrics () =
   | Some (Telemetry.Json.Num n) ->
       check bool_t "distinct > 0" true (n > 0.0)
   | _ -> Alcotest.fail "explore.distinct missing");
+  (* what the visited set held when the search finished *)
+  (match find_metric "explore.table_mb" with
+  | Some (Telemetry.Json.Num n) ->
+      check bool_t "table_mb > 0" true (n > 0.0)
+  | _ -> Alcotest.fail "explore.table_mb missing");
   (* the first line is the run record header, stamped with run metadata *)
   match Telemetry.Json.parse (List.hd lines) with
   | Ok v ->

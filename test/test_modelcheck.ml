@@ -248,74 +248,83 @@ let trace_states_connected () =
   check bool_t "most models explored under both register models" true
     (!graphs > List.length Harness.Registry.models)
 
+(* What a search keeps per state: bakery_pp at N=3/M=3 packs a state
+   into one word, and the index, arena and log then take under 4.5
+   words per state; a key vector and a second log word would add two. *)
+let run_graph_words () =
+  let sys = sys_of ~nprocs:3 ~bound:3 (Core.Bakery_pp_model.program ()) in
+  let g, stats = MC.Explore.run_graph sys in
+  check int_t "82,044 states" 82_044 stats.distinct;
+  let words = Obj.reachable_words (Obj.repr (g.store, g.log)) in
+  let per_state = float_of_int words /. float_of_int stats.distinct in
+  if per_state >= 4.5 then
+    Alcotest.failf "the store and log hold %.2f words per state" per_state
+
 (* With a [stored] lookup, the replay is checked state by state: a log
-   with one wrong move raises instead of returning a wrong path, and
+   with one wrong rank raises instead of returning a wrong path, and
    without the lookup the same log yields a path that misses the stored
    state. *)
 let trace_replay_checks_stored () =
   let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
   let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
   let target = MC.Store.length g.store - 1 in
-  let bad = MC.Vec.get g.parent target in
-  (* the move that reached [bad], swapped for another move out of its
-     parent that leads elsewhere *)
-  let from = MC.Store.get g.store (MC.Vec.get g.parent bad) in
-  let wrong =
-    List.find
-      (fun (m : MC.System.move) ->
-        not (MC.State.equal m.dest (MC.Store.get g.store bad)))
-      (MC.System.successors sys from)
+  let bad = MC.Explore.log_parent (MC.Vec.get g.log target) in
+  let parent = MC.Explore.log_parent (MC.Vec.get g.log bad) in
+  (* the rank of another move out of [bad]'s parent, one that leads
+     elsewhere *)
+  let rec wrong rank = function
+    | [] -> Alcotest.fail "the parent has no second move"
+    | (m : MC.System.move) :: rest ->
+        if MC.State.equal m.dest (MC.Store.get g.store bad) then
+          wrong (rank + 1) rest
+        else rank
   in
-  let via id =
-    if id = bad then
-      MC.System.pack_move ~pid:wrong.pid ~pc:wrong.from_pc ~alt:wrong.alt
-        ~flick:wrong.flick
-    else MC.Vec.get g.via id
+  let rank = wrong 0 (MC.System.successors sys (MC.Store.get g.store parent)) in
+  let log id =
+    if id = bad then MC.Explore.log_word ~parent ~rank
+    else MC.Vec.get g.log id
   in
   let red = MC.Reduce.make MC.Reduce.Off sys in
-  let replay ?stored () =
-    MC.Explore.trace_of sys red ~parent:(MC.Vec.get g.parent) ~via ?stored
-      target
-  in
+  let replay ?stored () = MC.Explore.trace_of sys red ~log ?stored target in
   (match replay ~stored:(MC.Store.get g.store) () with
-  | _ -> Alcotest.fail "a wrong logged move must not yield a trace"
+  | _ -> Alcotest.fail "a wrong logged rank must not yield a trace"
   | exception Failure _ -> ());
   let tr = replay () in
   let last = List.nth tr (List.length tr - 1) in
   check bool_t "unchecked replay misses the stored state" false
     (MC.State.equal last.state (MC.Store.get g.store target))
 
-(* Every explorer logs moves packed by [System.pack_move], so [make]
-   refuses a program whose moves would not fit, and the fields of a
-   move that fits read back unchanged. *)
-let system_move_widths () =
-  let wide alts =
-    let b = Mxlang.Builder.create ~title:"wide" in
-    let l = Mxlang.Builder.fresh_label b "l" in
-    Mxlang.Builder.define b l ~kind:Mxlang.Ast.Plain
-      (List.init alts (fun _ -> Mxlang.Builder.goto l));
-    Mxlang.Builder.build b
-  in
-  ignore (sys_of ~nprocs:2 (wide 256));
-  (match sys_of ~nprocs:2 (wide 257) with
-  | _ -> Alcotest.fail "a 257-alternative step must be rejected"
-  | exception Invalid_argument _ -> ());
-  (match sys_of ~nprocs:4097 (wide 1) with
-  | _ -> Alcotest.fail "4,097 processes must be rejected"
-  | exception Invalid_argument _ -> ());
+(* One log word per state holds the parent's id, -1 to 2^32 - 2, and
+   the move's rank, below 2^31; either out of range raises.  A rank no
+   move has fails the replay. *)
+let explore_log_word () =
   List.iter
-    (fun (pid, pc, alt, flick) ->
-      let v = MC.System.pack_move ~pid ~pc ~alt ~flick in
+    (fun (parent, rank) ->
+      let w = MC.Explore.log_word ~parent ~rank in
       check
-        Alcotest.(list int)
-        "fields round-trip" [ pid; pc; alt; flick ]
-        [
-          MC.System.move_pid v;
-          MC.System.move_pc v;
-          MC.System.move_alt v;
-          MC.System.move_flick v;
-        ])
-    [ (0, 0, 0, 0); (4095, 65535, 255, (1 lsl 26) - 1); (3, 17, 2, 5) ]
+        Alcotest.(pair int int)
+        (Printf.sprintf "parent %d, rank %d round-trip" parent rank)
+        (parent, rank)
+        (MC.Explore.log_parent w, MC.Explore.log_rank w))
+    [
+      (-1, 0); (0, 0); ((1 lsl 32) - 2, 0); (-1, (1 lsl 31) - 1);
+      ((1 lsl 32) - 2, (1 lsl 31) - 1); (12345, 67);
+    ];
+  List.iter
+    (fun (parent, rank) ->
+      match MC.Explore.log_word ~parent ~rank with
+      | _ -> Alcotest.failf "parent %d, rank %d must raise" parent rank
+      | exception Invalid_argument _ -> ())
+    [ (0, 1 lsl 31); (0, -1); ((1 lsl 32) - 1, 0); (-2, 0) ];
+  let sys = sys_of ~nprocs:2 ~bound:2 (Core.Bakery_pp_model.program ()) in
+  let moves = List.length (MC.System.successors sys (MC.System.initial sys)) in
+  let log = function
+    | 0 -> 0
+    | _ -> MC.Explore.log_word ~parent:0 ~rank:moves
+  in
+  match MC.Explore.trace_of sys (MC.Reduce.make MC.Reduce.Off sys) ~log 1 with
+  | _ -> Alcotest.fail "a rank past the last move must not yield a trace"
+  | exception Failure _ -> ()
 
 (* ----------------------------------------------------------- invariants *)
 
@@ -515,6 +524,45 @@ let par_agrees_with_sequential () =
         [ 1; 3 ])
     cases
 
+(* ----------------------------------------------------------------- wave *)
+
+(* 100,000 items through a frontier of at most 16: 16 roots, and each
+   item pushes one more until 100,000 have been pushed, so every level
+   holds 16 items.  The wave keeps only its frontier, a few dozen words,
+   where keeping every item pushed would hold about 100,000; depth and
+   the per-level frontier are unchanged. *)
+let wave_holds_frontier () =
+  let n = 100_000 and width = 16 in
+  let w = MC.Wave.create () in
+  for i = 0 to width - 1 do
+    MC.Wave.push w i
+  done;
+  let pushed = ref width and seen = ref 0 and widest = ref 0 in
+  let waves = ref [] in
+  MC.Wave.drive
+    ~on_wave:(fun ~depth ~frontier -> waves := (depth, frontier) :: !waves)
+    w
+    (fun x ->
+      if x <> !seen then Alcotest.failf "item %d handed out as %d" !seen x;
+      incr seen;
+      if !pushed < n then begin
+        MC.Wave.push w !pushed;
+        incr pushed
+      end;
+      if !seen mod 10_000 = 0 then
+        widest := max !widest (Obj.reachable_words (Obj.repr w)));
+  check int_t "every item handed out once" n !seen;
+  let levels = n / width in
+  check int_t "depth" (levels - 1) (MC.Wave.depth w);
+  check
+    Alcotest.(list (pair int int))
+    "one on_wave per level, each with the full frontier"
+    (List.init (levels - 1) (fun d -> (d + 1, width)))
+    (List.rev !waves);
+  let words = max !widest (Obj.reachable_words (Obj.repr w)) in
+  if words >= 1_000 then
+    Alcotest.failf "the wave holds %d words for a frontier of %d" words width
+
 (* ---------------------------------------------------------------- store *)
 
 (* The one visited-set table, driven directly: both modes under a
@@ -636,9 +684,10 @@ let store_one_table () =
     (MC.Store.probe grown [| 8; -1; max_int; 2 |])
 
 (* Packed states with learned widths: 2^17 distinct 16-field states
-   whose values are below 8 need 48 bits each, one arena word, so the
-   whole store (arena, index and keys) holds at most 48 B per state;
-   the unpacked arena alone took 128. *)
+   whose values are below 8 need 48 bits each, one arena word, and the
+   index keeps no keys, so the whole store (arena and index) holds at
+   most 28 B per state: 24 with the index at 2^18 slots, where a key
+   vector would add 8 more; the unpacked arena alone took 128. *)
 let store_memory_floor () =
   let n = 1 lsl 17 in
   let st = MC.Store.create () in
@@ -647,8 +696,8 @@ let store_memory_floor () =
     if MC.Store.add st s <> Some i then Alcotest.failf "state %d not new" i
   done;
   let per_state = MC.Store.arena_bytes st / MC.Store.length st in
-  if per_state > 48 then
-    Alcotest.failf "%d B per stored state, more than 48" per_state
+  if per_state > 28 then
+    Alcotest.failf "%d B per stored state, more than 28" per_state
 
 (* ---------------------------------------------- sharding / fingerprints *)
 
@@ -1275,6 +1324,11 @@ let () =
   Alcotest.run "modelcheck"
     [
       ("vec", [ Alcotest.test_case "growable vector" `Quick vec_basics ]);
+      ( "wave",
+        [
+          Alcotest.test_case "holds only its frontier" `Quick
+            wave_holds_frontier;
+        ] );
       ( "store",
         [
           Alcotest.test_case "one table: modes, growth, keys" `Quick
@@ -1299,8 +1353,9 @@ let () =
           Alcotest.test_case "max_states capacity" `Quick explore_capacity;
           Alcotest.test_case "replay checks the stored states" `Quick
             trace_replay_checks_stored;
-          Alcotest.test_case "packed moves bound the program" `Quick
-            system_move_widths;
+          Alcotest.test_case "log word" `Quick explore_log_word;
+          Alcotest.test_case "run_graph words per state" `Quick
+            run_graph_words;
           Alcotest.test_case "trace states are connected" `Quick
             trace_states_connected;
         ] );
