@@ -20,7 +20,18 @@
    of this executable alone (0.27-0.47), 5 under
    `dune build @fuzz-smoke @bench-smoke` (0.38-0.51) and 3 under
    `dune build @ci` (0.33-0.77).  Earlier runs on a single recognized
-   core read 0.2-0.9, also above this floor. *)
+   core read 0.2-0.9, also above this floor.
+
+   Since hand-off batches return to the domain that allocated them and
+   a fingerprint costs one multiply per word (2026-10-19), 12 runs of
+   `dune build @bench-smoke --force` read 0.25 0.26 0.26 0.29 0.27
+   0.34 0.33 0.30 0.28 0.23 0.36 0.34, and 8 runs of this executable
+   alternating with its parent's read 0.32 0.30 0.55 0.33 0.44 0.50
+   0.40 0.20 (parent 0.34 0.32 0.60 0.51 0.41 0.56 0.36 0.51).  The
+   ratios fell because pool1 got faster (the cheaper fingerprint:
+   0.034-0.056 s against 0.047-0.067 s in 6 more pairs) while pool4,
+   four domains time-sharing two cores, did not.  Half the lowest,
+   0.10, is below [min_ratio], which therefore stays. *)
 
 let min_ratio = 0.13
 let reps = 3

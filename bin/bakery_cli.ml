@@ -373,6 +373,10 @@ let check_cmd =
       coverage parallel fp_only chrome_out dot_out progress metrics_out
       trace_out flight_out flight_interval =
     let p = find_model model in
+    if cap > 0 && not (Core.Verify.has_tickets p) then begin
+      Printf.eprintf "--cap: model %s has no number variable to cap\n" model;
+      exit 2
+    end;
     let sys = Modelcheck.System.make ~register_model p ~nprocs ~bound in
     let invariants =
       Modelcheck.Invariant.mutex

@@ -18,10 +18,15 @@ let check_bakery_overflows ?granularity ?max_states ~nprocs ~bound () =
     ?max_states
     (bakery_system ?granularity ~nprocs ~bound ())
 
+let ticket_var = "number"
+
+let has_tickets (program : Mxlang.Ast.program) =
+  Array.mem ticket_var program.var_names
+
 let ticket_cap_constraint ~cap sys state =
   let program = MC.System.program sys in
   let lay = MC.System.layout sys in
-  let number = Mxlang.Ast.var_by_name program "number" in
+  let number = Mxlang.Ast.var_by_name program ticket_var in
   let cells = Mxlang.Ast.cells_of ~nprocs:(MC.System.nprocs sys) program number in
   let rec ok i =
     i >= cells || (MC.State.shared_cell lay state number i <= cap && ok (i + 1))

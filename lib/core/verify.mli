@@ -56,7 +56,13 @@ val check_bakery_mutex :
 
 val ticket_cap_constraint :
   cap:int -> Modelcheck.System.t -> Modelcheck.State.packed -> bool
-(** The state constraint used above: all [number] cells [<= cap]. *)
+(** The state constraint used above: all [number] cells [<= cap].
+    Raises [Not_found] on a system whose program fails
+    {!has_tickets}. *)
+
+val has_tickets : Mxlang.Ast.program -> bool
+(** Whether the program has the [number] variable that
+    {!ticket_cap_constraint} caps. *)
 
 val refines_bakery :
   ?granularity:Algorithms.Common.granularity ->

@@ -18,8 +18,13 @@
      CAS onto the owner's inbox per batch, not per state);
    - a domain drains its inbox as batches arrive, before it takes its
      next frontier state, so handed-off states are inserted while their
-     batch is still in cache; the drained batch becomes one of its own
-     outgoing batches;
+     batch is still in cache; each drained batch goes back onto the
+     return list of the domain that allocated it (the same CAS push);
+   - a domain that needs an empty batch takes one from its free list,
+     refilled from its whole return list with one [Atomic.exchange]
+     when it runs out, and allocates only when both are empty — so the
+     batches in existence are bounded by those in flight, not by how
+     unevenly the hand-off traffic runs between domains;
    - a domain whose deque runs dry flushes its partial batches, then
      steals a batch of frontier items from the head of another domain's
      deque — expansion is shard-agnostic, only insertion is owned;
@@ -55,20 +60,26 @@ let batch_cap = 64
 let steal_max = 64
 
 (* One hand-off batch: up to [batch_cap] candidates, each stored flat
-   as its fingerprint, log word and state.  A batch is either being
-   filled, waiting in its owner's inbox, or on the free list of the
-   domain that drained it, linked through [b_next] in the last two
-   cases; it is allocated only when that free list is empty. *)
-type batch = { b_data : int array; mutable b_n : int; mutable b_next : batch }
+   as its fingerprint, log word and state.  [b_owner] is the domain
+   that allocated it, and the only one that fills it.  A batch is being
+   filled, waiting in the inbox of the shard it was filled for, on its
+   owner's return list or on its owner's free list, linked through
+   [b_next] in the last three cases. *)
+type batch = {
+  b_data : int array;
+  b_owner : int;
+  mutable b_n : int;
+  mutable b_next : batch;
+}
 
-let rec no_batch = { b_data = [||]; b_n = 0; b_next = no_batch }
+let rec no_batch = { b_data = [||]; b_owner = -1; b_n = 0; b_next = no_batch }
 
-(* Publish [b] on an inbox: a lock-free push; the owner takes the whole
-   list at once with [Atomic.exchange]. *)
-let rec publish inbox b =
-  let head = Atomic.get inbox in
+(* Push [b] onto an inbox or a return list: a lock-free push; the
+   list's domain takes the whole list at once with [Atomic.exchange]. *)
+let rec publish list b =
+  let head = Atomic.get list in
   b.b_next <- head;
-  if not (Atomic.compare_and_set inbox head b) then publish inbox b
+  if not (Atomic.compare_and_set list head b) then publish list b
 
 (* Per-domain mutable state.  Written only by its domain during a wave;
    read by the main domain after the pool barrier. *)
@@ -78,6 +89,7 @@ type dstate = {
   mutable d_steals : int;  (* successful steal operations *)
   mutable d_steal_items : int;
   mutable d_batches : int;  (* hand-off batches flushed *)
+  mutable d_allocated : int;  (* hand-off batches allocated *)
   mutable d_handoff : int;  (* states handed off *)
   mutable d_idle : int;  (* idle epochs (no work found) *)
   mutable d_violation_gid : int;
@@ -90,8 +102,9 @@ type dstate = {
   d_scratch : int array;  (* successor construction buffer *)
   d_probe : int array;  (* batch-drain probe buffer *)
   d_stolen : int array;  (* stolen frontier items, flat *)
-  d_out : batch array;  (* outgoing batch per destination shard *)
-  mutable d_free : batch;  (* drained batches, for reuse *)
+  d_out : batch array;
+      (* outgoing batch per destination shard, [no_batch] while empty *)
+  mutable d_free : batch;  (* own batches back from their drainers *)
   d_staged : (string * (State.packed -> bool)) array;
 }
 
@@ -128,11 +141,9 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let cur = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
   let nxt = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
   let inboxes = Array.init ndomains (fun _ -> Atomic.make no_batch) in
+  let returns = Array.init ndomains (fun _ -> Atomic.make no_batch) in
   (* A batch entry: fingerprint, log word, state. *)
   let entry = words + 2 in
-  let fresh_batch () =
-    { b_data = Array.make (batch_cap * entry) 0; b_n = 0; b_next = no_batch }
-  in
   let pending = Atomic.make 0 in
   let stop = Atomic.make false in
   let dstates =
@@ -143,6 +154,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_steals = 0;
           d_steal_items = 0;
           d_batches = 0;
+          d_allocated = 0;
           d_handoff = 0;
           d_idle = 0;
           d_violation_gid = -1;
@@ -155,7 +167,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_scratch = Array.make words 0;
           d_probe = Array.make words 0;
           d_stolen = Array.make (steal_max * (words + 1)) 0;
-          d_out = Array.init ndomains (fun _ -> fresh_batch ());
+          d_out = Array.make ndomains no_batch;
           d_free = no_batch;
           d_staged =
             Array.of_list
@@ -199,6 +211,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         add (counter m "par_explore.steals") (sum (fun d -> d.d_steals));
         add (counter m "par_explore.steal_items") (sum (fun d -> d.d_steal_items));
         add (counter m "par_explore.handoff_batches") (sum (fun d -> d.d_batches));
+        add (counter m "par_explore.batches_allocated")
+          (sum (fun d -> d.d_allocated));
         add (counter m "par_explore.handoff_states") (sum (fun d -> d.d_handoff));
         add (counter m "par_explore.idle_epochs") (sum (fun d -> d.d_idle));
         add (counter m "par_explore.fp_collisions") (Shard_table.collisions tbl);
@@ -241,9 +255,22 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       else if expand_ok s then Deque.push !nxt.(w) g s
     end
   in
-  let take_free (d : dstate) =
+  (* An empty batch for domain [w] to fill: from its free list, which
+     when empty takes the whole of [w]'s return list at once, and
+     allocated only when that is empty too. *)
+  let take_free w (d : dstate) =
+    if d.d_free == no_batch then
+      d.d_free <- Atomic.exchange returns.(w) no_batch;
     let b = d.d_free in
-    if b == no_batch then fresh_batch ()
+    if b == no_batch then begin
+      d.d_allocated <- d.d_allocated + 1;
+      {
+        b_data = Array.make (batch_cap * entry) 0;
+        b_owner = w;
+        b_n = 0;
+        b_next = no_batch;
+      }
+    end
     else begin
       d.d_free <- b.b_next;
       b.b_next <- no_batch;
@@ -255,11 +282,11 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
      it transfers that debt to the draining owner. *)
   let flush (d : dstate) o =
     let b = d.d_out.(o) in
-    if b.b_n > 0 then begin
+    if b != no_batch then begin
       publish inboxes.(o) b;
       d.d_batches <- d.d_batches + 1;
       d.d_handoff <- d.d_handoff + b.b_n;
-      d.d_out.(o) <- take_free d
+      d.d_out.(o) <- no_batch
     end
   in
   let flush_all w d =
@@ -267,12 +294,15 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       if o <> w then flush d o
     done
   in
-  let route (d : dstate) o ~fp ~log (s : State.packed) =
+  let route w (d : dstate) o ~fp ~log (s : State.packed) =
+    (* A batch going live is in-flight work: count it before it becomes
+       visible so [pending] can never transiently hit zero while states
+       sit in a partial buffer. *)
+    if d.d_out.(o) == no_batch then begin
+      d.d_out.(o) <- take_free w d;
+      Atomic.incr pending
+    end;
     let b = d.d_out.(o) in
-    (* An empty batch going live is in-flight work: count it before it
-       becomes visible so [pending] can never transiently hit zero
-       while states sit in a partial buffer. *)
-    if b.b_n = 0 then Atomic.incr pending;
     let at = b.b_n * entry in
     b.b_data.(at) <- fp;
     b.b_data.(at + 1) <- log;
@@ -280,9 +310,9 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     b.b_n <- b.b_n + 1;
     if b.b_n = batch_cap then flush d o
   in
-  (* Insert every candidate of domain [w]'s inbox, then keep the
-     batches for its own outgoing ones.  Each drained batch retires its
-     [pending] count. *)
+  (* Insert every candidate of domain [w]'s inbox, and hand each batch
+     back to the domain that allocated it.  Each drained batch retires
+     its [pending] count. *)
   let drain w (d : dstate) =
     let b = ref (Atomic.exchange inboxes.(w) no_batch) in
     while !b != no_batch do
@@ -295,8 +325,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       done;
       b := batch.b_next;
       batch.b_n <- 0;
-      batch.b_next <- d.d_free;
-      d.d_free <- batch;
+      publish returns.(batch.b_owner) batch;
       Atomic.decr pending
     done
   in
@@ -318,7 +347,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       let log = Explore.log_word ~parent:d.d_gid ~rank:d.d_rank in
       d.d_rank <- d.d_rank + 1;
       if o = w || !inline then insert_candidate o d ~fp ~log d.d_scratch
-      else route d o ~fp ~log d.d_scratch
+      else route w d o ~fp ~log d.d_scratch
   in
   let emitters = Array.init ndomains emitter in
   (* Expand one frontier state.  Decrementing [pending] comes last so

@@ -5,7 +5,8 @@
     every domain deduplicates and stores its own shard of the visited
     set ({!Shard_table}) with no synchronization on the table itself.
     Within a wave, domains expand their own work deques ({!Deque}),
-    hand foreign-shard successors across in batches, steal work from
+    hand foreign-shard successors across in batches (each drained
+    batch goes back to the domain that allocated it), steal work from
     each other when idle, and detect wave completion by quiescence (a
     global in-flight counter).
 
@@ -50,7 +51,7 @@ val run :
     there is no saving: [check bakery_pp -n 4 -m 2] peaks at 82 MiB
     exact and 99 MiB with [--fp-only].
     [hash] overrides the fingerprint function (tests inject colliding
-    hashes with it).
+    or skewed hashes with it).
 
     [reduce] composes with the sharding exactly as in {!Explore.run}:
     successors are canonicalized ({!Reduce}) before fingerprinting, so
@@ -64,6 +65,9 @@ val run :
     spread, steal count, table bytes, and — when a pool is driving the
     waves — each worker domain's busy fraction since the previous
     report.  [metrics] accumulates final stats under [par_explore.*],
-    including steal/hand-off/idle counters, fingerprint collisions,
+    including steal/hand-off/idle counters, the hand-off batches
+    allocated ([par_explore.batches_allocated], bounded by those in
+    flight at once, since each batch returns to the domain that
+    allocated it), fingerprint collisions,
     shard occupancy, and a per-wave [par_explore.frontier_depth]
     gauge.  Both default to off. *)

@@ -3,7 +3,11 @@
 
     A state's {!Fingerprint.hash} [fp] picks its owning shard
     ([fp mod nshards]); that shard's store is keyed by [fp / nshards]
-    through {!Store.probe_key}, never by {!State.hash}.  An [Exact]
+    through {!Store.probe_key}, never by {!State.hash}.  The residue
+    reads [fp]'s low bits and the store the quotient's bits from 31 up,
+    so both ends of [fp] must depend on every word of the state: the
+    fingerprint is {!State.hash}'s accumulation, whose low bits alone
+    would not, finished by one finalizer that spreads it.  An [Exact]
     shard keeps its packed states and no keys; an [Fp_only] one keeps
     only the keys.  Each shard has a single writer, so insertion never
     contends on shared memory.
@@ -26,8 +30,9 @@ val create :
   unit ->
   t
 (** [hash] defaults to {!Fingerprint.hash}; it is injectable so tests
-    can force collisions.  [words] is the packed-state width, which
-    each shard's store also reads off the first state it keeps. *)
+    can force collisions or skew the shards.  [words] is the
+    packed-state width, which each shard's store also reads off the
+    first state it keeps. *)
 
 val fingerprint : t -> State.packed -> int
 val owner : t -> int -> int

@@ -29,6 +29,7 @@ let all =
     (* lock zoo acquire-latency histograms (Locks.Latency.instrument) *)
     "lock.*.acquire_s";
     (* sharded parallel explorer *)
+    "par_explore.batches_allocated";
     "par_explore.depth";
     "par_explore.distinct";
     "par_explore.fp_collisions";

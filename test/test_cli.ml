@@ -830,6 +830,7 @@ let out_of_range_usage_errors () =
       ("--steps", [ "sim"; "bakery"; "--steps=-5" ]);
       ("--parallel", [ "check"; "bakery_pp"; "--parallel=-1" ]);
       ("--cap", [ "check"; "bakery"; "--cap=-1" ]);
+      ("--cap", [ "check"; "ticket"; "-n"; "3"; "-m"; "2"; "--cap"; "4" ]);
       ("--max-states", [ "check"; "bakery_pp"; "--max-states=-5" ]);
       ("--max-states", [ "check"; "bakery_pp"; "--max-states"; "0" ]);
       ( "--max-states",

@@ -834,7 +834,58 @@ let sharded_fp_only_agrees () =
             check bool_t (what ^ ": exact-mode outcome and trace") true
               ((MC.Par_explore.run ~domains sys).outcome = par.outcome))
         [ 1; 3 ])
-    cases
+    cases;
+  (* At scale: a fingerprint collision among half a million states
+     would drop one from the fp-only count. *)
+  let sys =
+    MC.System.make ~register_model:Regsem.Model.Safe
+      (Core.Bakery_pp_model.program ())
+      ~nprocs:3 ~bound:3
+  in
+  List.iter
+    (fun fingerprint_only ->
+      let what =
+        Printf.sprintf "bakery_pp N=3 M=3 safe (2 domains, %s)"
+          (if fingerprint_only then "fp-only" else "exact")
+      in
+      let r = MC.Par_explore.run ~domains:2 ~fingerprint_only sys in
+      check bool_t (what ^ ": passes") true (r.outcome = MC.Explore.Pass);
+      check int_t (what ^ ": state count") 528_663 r.stats.distinct)
+    [ true; false ]
+
+(* Hand-off batches go back to the domain that allocated them, so a
+   domain that sends far more than it receives still refills from its
+   own.  Shard 1 owns seven states in eight here, so domain 0 hands off
+   most of what it expands (it steals from domain 1) and gets little
+   back in its inbox. *)
+let handoff_batches_return_to_owner () =
+  let sys =
+    MC.System.make ~register_model:Regsem.Model.Safe
+      (Core.Bakery_pp_model.program ())
+      ~nprocs:3 ~bound:3
+  in
+  let skewed s =
+    let fp = MC.Fingerprint.hash s in
+    if (fp lsr 1) land 7 = 0 then fp land lnot 1 else fp lor 1
+  in
+  let m = Telemetry.Metrics.create () in
+  let r = MC.Par_explore.run ~domains:2 ~hash:skewed ~metrics:m sys in
+  check int_t "skewed shards: state count" 528_663 r.stats.distinct;
+  let c name =
+    Telemetry.Metrics.counter_value (Telemetry.Metrics.counter m name)
+  in
+  let occupancy name =
+    Telemetry.Metrics.gauge_value (Telemetry.Metrics.gauge m name)
+  in
+  check bool_t "shard 0 holds under a fifth of the states" true
+    (5. *. occupancy "par_explore.shard_occupancy_min"
+    < occupancy "par_explore.shard_occupancy_max");
+  let allocated = c "par_explore.batches_allocated" in
+  let handed = c "par_explore.handoff_batches" in
+  check bool_t "some batch was allocated" true (allocated >= 1);
+  if 10 * allocated > handed then
+    Alcotest.failf "%d batches allocated for %d handed off (limit: a tenth)"
+      allocated handed
 
 let par_deadlock () =
   let b = Mxlang.Builder.create ~title:"stuck_par" in
@@ -1393,6 +1444,8 @@ let () =
           Alcotest.test_case "collision injection" `Quick collision_injection;
           Alcotest.test_case "fp-only agrees via replayed traces" `Quick
             sharded_fp_only_agrees;
+          Alcotest.test_case "hand-off batches return to their owner" `Quick
+            handoff_batches_return_to_owner;
         ] );
       ( "regsem",
         [
