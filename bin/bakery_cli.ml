@@ -350,18 +350,9 @@ let check_cmd =
   in
   let parallel_arg =
     int_flag [ "parallel" ] ~default:0 ~docv:"D"
-      ~doc:"Use the level-synchronized parallel BFS engine with this many domains."
-  in
-  let fp_only_arg =
-    let doc =
-      "Keep only 63-bit state fingerprints in the visited set (TLC-style), \
-       at a ~2^-63 per-pair chance of conflating two states.  Exact mode \
-       packs its states and keeps no keys, so this saves nothing where a \
-       state packs into a word: $(b,check bakery_pp -n 4 -m 2) peaks at \
-       82 MiB exact and 99 MiB with $(b,--fp-only).  Runs the sharded \
-       engine, on one domain unless $(b,--parallel) says otherwise."
-    in
-    Arg.(value & flag & info [ "fp-only" ] ~doc)
+      ~doc:
+        "Use the level-synchronized parallel BFS engine with this many \
+         domains.  0, the default, runs the sequential engine."
   in
   let dot_out_arg =
     out_file [ "dot-out" ]
@@ -370,7 +361,7 @@ let check_cmd =
          violating edge and final state highlighted."
   in
   let run model nprocs bound register_model reduce cap max_states with_overflow
-      coverage parallel fp_only chrome_out dot_out progress metrics_out
+      coverage parallel chrome_out dot_out progress metrics_out
       trace_out flight_out flight_interval =
     let p = find_model model in
     if cap > 0 && not (Core.Verify.has_tickets p) then begin
@@ -388,18 +379,16 @@ let check_cmd =
     let constraint_ =
       if cap > 0 then Some (Core.Verify.ticket_cap_constraint ~cap) else None
     in
-    (* Only the sharded engine keeps a fingerprint-only visited set. *)
-    let domains = if fp_only then max parallel 1 else parallel in
     let tl =
       telemetry_setup
-        ~name:(if domains > 0 then "par_explore" else "explore")
+        ~name:(if parallel > 0 then "par_explore" else "explore")
         ?flight_out ~flight_interval progress metrics_out trace_out
     in
     let r =
-      if domains > 0 then
+      if parallel > 0 then
         Modelcheck.Par_explore.run ?progress:tl.tl_progress
           ?metrics:tl.tl_metrics ~invariants ?constraint_ ~max_states
-          ~domains ~fingerprint_only:fp_only ~reduce sys
+          ~domains:parallel ~reduce sys
       else
         Modelcheck.Explore.run ?progress:tl.tl_progress ?metrics:tl.tl_metrics
           ~invariants ?constraint_ ~max_states ~reduce sys
@@ -447,7 +436,7 @@ let check_cmd =
     Term.(
       const run $ model_arg $ nprocs_arg $ bound_arg $ register_model_arg
       $ reduce_arg $ cap_arg $ max_states_arg $ no_overflow_arg $ coverage_arg
-      $ parallel_arg $ fp_only_arg $ chrome_out_arg $ dot_out_arg
+      $ parallel_arg $ chrome_out_arg $ dot_out_arg
       $ progress_arg $ metrics_out_arg $ trace_out_arg $ flight_out_arg
       $ flight_interval_arg)
 
@@ -836,7 +825,7 @@ let fuzz_cmd =
     let doc =
       "Oracle to run: $(b,compile) (interpreter vs staged compiler), \
        $(b,parallel) (sequential vs parallel BFS), $(b,sharded) \
-       (fingerprint-only sharded BFS), $(b,regsem) (weak-register engine \
+       (sequential vs 3-domain sharded BFS), $(b,regsem) (weak-register engine \
        vs atomic baseline + safe-superset), $(b,replay) (simulator \
        replay vs checker walk + mutex), $(b,reduced) (symmetry/POR \
        quotient search vs full search).  Repeatable; default all six."

@@ -102,10 +102,8 @@ let run_prog_case ?register_model ~engine ~program ~nprocs ~bound ~max_states
   | `Compiled -> MC.Explore.run ~invariants ~max_states sys
   | `Parallel -> MC.Par_explore.run ~invariants ~max_states ~domains:2 sys
   | `Sharded ->
-      (* 3 domains exercises non-power-of-two shard routing; Fp_only
-         exercises the replay-based trace reconstruction. *)
-      MC.Par_explore.run ~invariants ~max_states ~domains:3
-        ~fingerprint_only:true sys
+      (* 3 domains exercises non-power-of-two shard routing. *)
+      MC.Par_explore.run ~invariants ~max_states ~domains:3 sys
 
 let compile_oracle ~program ~nprocs ~bound ~max_states =
   let reference =
@@ -120,10 +118,10 @@ let compile_oracle ~program ~nprocs ~bound ~max_states =
     ~exact_trace:true (fingerprint reference) (fingerprint compiled)
 
 (* The compiled sequential engine vs a parallel configuration ([engine]
-   is [`Parallel] for the 2-domain exact table, [`Sharded] for 3 domains
-   in fingerprint-only mode), over atomic registers and then over safe
-   ones, whose flicker views give the hand-off different traffic.  A
-   mismatch under [Safe] is tagged [tag ^ "_safe"]. *)
+   is [`Parallel] for 2 domains, [`Sharded] for 3), over atomic
+   registers and then over safe ones, whose flicker views give the
+   hand-off different traffic.  A mismatch under [Safe] is tagged
+   [tag ^ "_safe"]. *)
 let vs_sequential ~engine ~tag ~program ~nprocs ~bound ~max_states =
   let compare register_model tag =
     let run engine =

@@ -22,12 +22,11 @@
       carries flicker-view successors.  Guards the same claims under
       the parallel engine.
     - [Sharded]: the same claim against the sharded engine's stress
-      configuration — 3 domains (non-power-of-two shard routing) in
-      fingerprint-only mode, where the visited set keeps 63-bit
-      fingerprints and counterexamples are rebuilt by replaying
-      recorded moves.  Catches routing, hand-off, quiescence and
-      replay bugs that the 2-domain exact-table oracle cannot see.
-      Also run under atomic and then safe registers.
+      configuration — 3 domains, so shard routing is non-power-of-two
+      and every counterexample replayed from the shards' logs is
+      checked against three shards' stored states.  Catches routing,
+      hand-off, quiescence and replay bugs that the 2-domain oracle
+      cannot see.  Also run under atomic and then safe registers.
     - [Regsem]: the weak-register engine against the baseline.  An
       explicitly-[Atomic] {!Modelcheck.System} must be bit-identical to
       the default build (outcome, state counts, counterexample trace);

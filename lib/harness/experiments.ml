@@ -835,44 +835,40 @@ let e12 ~quick =
       ~title:
         "E12 (sharded explorer): exhaustive Bakery++ beyond the old \
          small-N wall — fingerprint-sharded visited set, work-stealing \
-         deques, fp-only compression"
+         deques"
       ~notes:
         [
           "the seed engine's single shared hash table capped practical \
            runs at N=4; the sharded engine partitions the visited set by \
-           state fingerprint and keeps per-domain work-stealing deques";
-          "fp-only rows store 63-bit fingerprints instead of packed \
-           states (TLC-style), at ~2^-63 per-pair collision odds; exact \
-           rows keep bit-packed states and no keys, so `check bakery_pp \
-           -n 4 -m 2` peaks at 82 MiB exact and 99 MiB fp-only";
+           state fingerprint and keeps per-domain work-stealing deques; \
+           every shard keeps its states bit-packed";
           "collisions/steals/handoffs come from the engine's telemetry \
-           counters for the same run; an exact row's collisions are \
-           states sharing a key tag (the key's bits from 31 up), each \
-           costing one extra state compare";
+           counters for the same run; collisions are states sharing a \
+           key tag (the key's bits from 31 up), each costing one extra \
+           state compare";
           "single-core hosts serialize the domains, so extra domains \
            only measure coordination overhead, not speedup";
         ]
       [
-        "model"; "N"; "M"; "mode"; "domains"; "outcome"; "distinct";
+        "model"; "N"; "M"; "domains"; "outcome"; "distinct";
         "generated"; "depth"; "time(s)"; "kstates/s"; "collisions";
         "steals"; "handoff";
       ]
   in
   (* Full-mode domain counts are chosen for the single-core bench
-     budget: pool4 on the 2.1M-state config exercises the sharded
-     machinery, the big fp-only runs use one domain because on this
-     host extra domains only stretch the wall clock. *)
+     budget: pool4 on the N=4 configs exercises the sharded machinery,
+     the N=5 run uses one domain because on this host extra domains
+     only stretch the wall clock. *)
   let configs =
-    if quick then [ (3, 2, false, 2); (3, 2, true, 2) ]
-    else [ (4, 2, false, 4); (4, 3, true, 4); (5, 3, true, 1) ]
+    if quick then [ (3, 2, 2) ] else [ (4, 2, 4); (4, 3, 4); (5, 3, 1) ]
   in
   let prog = Core.Bakery_pp_model.program () in
   List.iter
-    (fun (n, m, fp_only, domains) ->
+    (fun (n, m, domains) ->
       let sys = MC.System.make prog ~nprocs:n ~bound:m in
       let metrics = Telemetry.Metrics.create () in
       let r =
-        MC.Par_explore.run ~domains ~fingerprint_only:fp_only
+        MC.Par_explore.run ~domains
           ~max_states:(if quick then 200_000 else 400_000_000)
           ~metrics sys
       in
@@ -884,25 +880,18 @@ let e12 ~quick =
           float_of_int r.stats.distinct /. r.stats.runtime
         else 0.0
       in
-      let mode = if fp_only then "fp-only" else "exact" in
-      let outcome =
-        match r.outcome with
-        | MC.Explore.Pass -> "pass"
-        | Violation v -> "violation:" ^ v.invariant
-        | Deadlock _ -> "deadlock"
-        | Capacity -> "capacity"
-      in
-      Table.add_rowf t "%s|%d|%d|%s|%d|%s|%d|%d|%d|%.3f|%.1f|%d|%d|%d"
-        "bakery_pp" n m mode domains outcome r.stats.distinct
+      Table.add_rowf t "%s|%d|%d|%d|%s|%d|%d|%d|%.3f|%.1f|%d|%d|%d"
+        "bakery_pp" n m domains
+        (MC.Explore.outcome_tag r.outcome)
+        r.stats.distinct
         r.stats.generated r.stats.depth r.stats.runtime (sps /. 1e3)
         (c "par_explore.fp_collisions")
         (c "par_explore.steals")
         (c "par_explore.handoff_states");
-      record_metric ~engine:(Printf.sprintf "pool%d_%s" domains mode)
+      record_metric ~engine:(Printf.sprintf "pool%d_exact" domains)
         ~wall_s:r.stats.runtime ~exp:"e12"
         ~metric:
-          (Printf.sprintf "bakery_pp_n%d_m%d/sharded_%s/states_per_sec" n m
-             mode)
+          (Printf.sprintf "bakery_pp_n%d_m%d/sharded_exact/states_per_sec" n m)
         sps)
     configs;
   [ t ]
@@ -1514,7 +1503,7 @@ let all =
     { id = "e9"; summary = "Starvation lassos at the L1 gate (paper §6.3)"; run = e9 };
     { id = "e10"; summary = "More processes than ticket values, N > M (paper §8.1)"; run = e10 };
     { id = "e11"; summary = "Model-checker throughput: compiled evaluator & persistent domain pool"; run = e11 };
-    { id = "e12"; summary = "Sharded explorer: exhaustive Bakery++ past the small-N wall (fp-only)"; run = e12 };
+    { id = "e12"; summary = "Sharded explorer: exhaustive Bakery++ past the small-N wall"; run = e12 };
     { id = "e13"; summary = "SLO observatory: open-loop lock traffic, overflow telemetry, scorecards"; run = e13 };
     { id = "e14"; summary = "Weak registers: Bakery/Bakery++/Black-White under atomic, regular, safe (regsem)"; run = e14 };
     { id = "e15"; summary = "Symmetry + POR reduction: quotient sweep and N > M (C8) past the full-search budget"; run = e15 };

@@ -48,10 +48,9 @@ val e11 : quick:bool -> Table.t list
 
 val e12 : quick:bool -> Table.t list
 (** Sharded explorer: exhaustive Bakery++ configurations past the old
-    engine's small-N wall, using the fingerprint-sharded visited set
-    and (for the largest runs) fingerprint-only state storage.  Reports
-    the engine's collision / steal / hand-off telemetry alongside
-    throughput. *)
+    engine's small-N wall, using the fingerprint-sharded visited set.
+    Reports the engine's collision / steal / hand-off telemetry
+    alongside throughput. *)
 
 val e13 : quick:bool -> Table.t list
 (** SLO observatory: every algorithm in the sweep under identical

@@ -42,17 +42,16 @@ let log_rank w = w land 0x7fff_ffff
 
 (* Replay the log from the initial state: regenerate each state's
    successors under the search's ample set, take the logged rank and
-   canonicalize as the search did, so it rebuilds the state it stored. *)
-let trace_of sys red ~log ?stored id =
+   canonicalize as the search did, and check that it rebuilds the state
+   the search stored. *)
+let trace_of sys red ~log ~stored id =
   let steps = (System.program sys).steps in
   let scratch = Array.make (System.layout sys).State.words 0 in
   let entry id pid step_name state =
     Reduce.canonizer red state;
-    (match stored with
-    | Some get when not (State.equal (get id) state) ->
-        Printf.ksprintf failwith
-          "Explore.trace_of: the log does not rebuild stored state %d" id
-    | _ -> ());
+    if not (State.equal (stored id) state) then
+      Printf.ksprintf failwith
+        "Explore.trace_of: the log does not rebuild stored state %d" id;
     { Trace.pid; step_name; state }
   in
   let rec path id acc =

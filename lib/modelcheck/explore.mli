@@ -119,14 +119,13 @@ val log_parent : int -> int
 val log_rank : int -> int
 
 val trace_of :
-  System.t -> Reduce.t -> log:(int -> int) -> ?stored:(int -> State.packed) ->
+  System.t -> Reduce.t -> log:(int -> int) -> stored:(int -> State.packed) ->
   int -> Trace.t
 (** The path from the root to state [id] of any search that logged a
     {!log_word} per state: from the initial state, each step
     regenerates the previous state's successors under [red]'s ample set,
     takes the logged rank and canonicalizes as the search did; the run
-    comes back in original process ids.  It reads no state, so a
-    fingerprint-only search gets its traces too.  [stored] looks up the
-    search's states by id, if it kept them, to check every rebuilt one.
+    comes back in original process ids.  [stored] looks up the search's
+    states by id, and every rebuilt state is checked against it.
     @raise Failure on a mismatch, or if a state has no move of the
     logged rank. *)

@@ -47,14 +47,9 @@
    violation is still reported with a shortest counterexample.
 
    Each shard logs one {!Explore.log_word} per state it inserts, and
-   {!Explore.trace_of} replays those logs into counterexamples in both
-   modes, as it does for every explorer.
-   Fingerprint-only mode ([fingerprint_only:true]) additionally drops
-   the stored states, TLC-style: the visited set keeps 63-bit
-   fingerprints only, at a ~2^-63-per-pair risk of conflating two
-   states.  Exact shards keep their states bit-packed, a word or two
-   each, and no keys, so a fingerprint-only shard saves nothing where
-   a state packs into one word. *)
+   {!Explore.trace_of} replays those logs into counterexamples, as it
+   does for every explorer, checking each rebuilt state against the
+   one its shard stored. *)
 
 let batch_cap = 64
 let steal_max = 64
@@ -109,8 +104,7 @@ type dstate = {
 }
 
 let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
-    ?(fingerprint_only = false) ?hash ?(reduce = Reduce.Off) ?progress ?metrics
-    sys =
+    ?hash ?(reduce = Reduce.Off) ?progress ?metrics sys =
   let invariants =
     match invariants with
     | Some l -> l
@@ -134,8 +128,9 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let t0 = Telemetry.Clock.now_s () in
   let lay = System.layout sys in
   let words = lay.State.words in
-  let mode = if fingerprint_only then Shard_table.Fp_only else Shard_table.Exact in
-  let tbl = Shard_table.create ?hash ~mode ~nshards:ndomains ~words () in
+  let tbl =
+    Shard_table.create ?hash ~mode:Shard_table.Exact ~nshards:ndomains ~words ()
+  in
   (* Per-shard search log, one log word per local id. *)
   let logs = Array.init ndomains (fun _ -> Vec.create ()) in
   let cur = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
@@ -180,7 +175,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     match constraint_ with None -> true | Some c -> c sys s
   in
   let depth = ref 0 in
-  (* In [Exact] mode the shards' states check the replayed traces. *)
+  (* The shards' states check the replayed traces. *)
   let at f gid =
     let shard = Shard_table.shard_of_gid tbl gid in
     f ~shard (Shard_table.local_of_gid tbl gid)
@@ -188,8 +183,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let trace =
     Explore.trace_of sys red
       ~log:(at (fun ~shard -> Vec.get logs.(shard)))
-      ?stored:
-        (if fingerprint_only then None else Some (at (Shard_table.get tbl)))
+      ~stored:(at (Shard_table.get tbl))
   in
   let total_generated () =
     Array.fold_left (fun acc d -> acc + d.d_generated) 1 dstates

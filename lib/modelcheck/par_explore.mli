@@ -28,7 +28,6 @@ val run :
   ?max_states:int ->
   ?domains:int ->
   ?pool:Pool.t ->
-  ?fingerprint_only:bool ->
   ?hash:(State.packed -> int) ->
   ?reduce:Reduce.mode ->
   ?progress:Telemetry.Progress.t ->
@@ -42,21 +41,18 @@ val run :
     [domains], is left running on return, and must not be used
     concurrently from another thread.
 
-    Counterexample traces in either mode are rebuilt by
-    {!Explore.trace_of} from each shard's log, one {!Explore.log_word}
-    per state.  [fingerprint_only] switches the visited set to
-    {!Shard_table.Fp_only}: no stored states, at a ~2^-63 per-pair
-    chance of conflating two states, with the same traces.  Exact
-    shards keep their states bit-packed ({!Store}) and no keys, so
-    there is no saving: [check bakery_pp -n 4 -m 2] peaks at 82 MiB
-    exact and 99 MiB with [--fp-only].
+    Counterexample traces are rebuilt by {!Explore.trace_of} from each
+    shard's log, one {!Explore.log_word} per state, and checked state
+    by state against the shards, which keep their states bit-packed
+    ({!Store}) and no keys.  A fingerprint collision costs one more
+    state compare and never merges two states.
     [hash] overrides the fingerprint function (tests inject colliding
     or skewed hashes with it).
 
     [reduce] composes with the sharding exactly as in {!Explore.run}:
     successors are canonicalized ({!Reduce}) before fingerprinting, so
-    shard ownership, deduplication, and fingerprint-only storage all
-    operate on orbit representatives; the ample filter runs in each
+    shard ownership and deduplication operate on orbit
+    representatives; the ample filter runs in each
     domain against read-only precomputed tables.  Traces are replayed
     in canonical coordinates and mapped back to original pids.
 

@@ -8,13 +8,13 @@
    shard's memory; reads of other shards' counters are only done at
    wave barriers. *)
 
-type mode = Store.mode = Exact | Fp_only
+type mode = Exact
 
 type t = { nshards : int; hash : State.packed -> int; shards : Store.t array }
 
-let create ?(hash = Fingerprint.hash) ~mode ~nshards ~words:_ () =
+let create ?(hash = Fingerprint.hash) ~mode:Exact ~nshards ~words:_ () =
   if nshards < 1 then invalid_arg "Shard_table.create: nshards must be >= 1";
-  let shards = Array.init nshards (fun _ -> Store.create ~mode ()) in
+  let shards = Array.init nshards (fun _ -> Store.create ()) in
   { nshards; hash; shards }
 
 let fingerprint t s = t.hash s

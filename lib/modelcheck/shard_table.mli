@@ -7,18 +7,18 @@
     reads [fp]'s low bits and the store the quotient's bits from 31 up,
     so both ends of [fp] must depend on every word of the state: the
     fingerprint is {!State.hash}'s accumulation, whose low bits alone
-    would not, finished by one finalizer that spreads it.  An [Exact]
-    shard keeps its packed states and no keys; an [Fp_only] one keeps
-    only the keys.  Each shard has a single writer, so insertion never
-    contends on shared memory.
+    would not, finished by one finalizer that spreads it.  Each shard
+    keeps its packed states and no keys, and has a single writer, so
+    insertion never contends on shared memory.
 
     Concurrency contract: at most one domain inserts into a given shard
     at a time; cross-shard reads of counters and stored states are only
     meaningful at a synchronization point (the engine's wave barrier). *)
 
-type mode = Store.mode =
-  | Exact  (** Full states; answers bit-identical to {!Explore.run}. *)
-  | Fp_only  (** Fingerprints only; see {!Store.mode}. *)
+type mode =
+  | Exact
+      (** Full states, the only mode; answers bit-identical to
+          {!Explore.run}. *)
 
 type t
 
@@ -30,9 +30,11 @@ val create :
   unit ->
   t
 (** [hash] defaults to {!Fingerprint.hash}; it is injectable so tests
-    can force collisions or skew the shards.  [words] is the
-    packed-state width, which each shard's store also reads off the
-    first state it keeps. *)
+    can force collisions or skew the shards.  [mode] and [words] are
+    not read: each shard's store keeps full states and learns their
+    width from the first state it keeps.  Both stay only because the
+    repository benchmark's [replay_shards] passes them; drop them there
+    first, then here. *)
 
 val fingerprint : t -> State.packed -> int
 val owner : t -> int -> int
@@ -54,11 +56,10 @@ val total : t -> int
 
 val collisions : t -> int
 (** Inserted states whose probe passed a distinct state under the same
-    key tag, summed over the shards ({!Store.collisions}; [Exact]
-    only). *)
+    key tag, summed over the shards ({!Store.collisions}). *)
 
 val get : t -> shard:int -> int -> State.packed
-(** Materialize a stored state ([Exact] mode only). *)
+(** Materialize a stored state. *)
 
 val memory_bytes : t -> int
 val occupancy : t -> int * int

@@ -1,13 +1,11 @@
-(* An open-addressing index from key to insertion-order id, plus, in
-   [Exact] mode, the states themselves, bit-packed in a chunked int
-   arena:
+(* An open-addressing index from key to insertion-order id, plus the
+   states themselves, bit-packed in a chunked int arena:
 
    - probing allocates nothing and touches one word per step: each
      index entry packs a 31-bit key tag with the id, and the entry's
      home slot is the tag's low bits, so table growth re-places entries
      from the old table alone, without rehashing any state or keeping
-     its key.  [Fp_only] keeps each full key in an id-indexed vector,
-     since the key is all it knows of the state;
+     its key;
    - a field (one word of the unpacked state) is stored as its value
      minus an offset, in as many bits as the values stored so far
      need; fields are laid into 63-bit words in order and never
@@ -28,8 +26,6 @@
      stays flat into the millions of states; only a widening rebuilds
      them, one chunk at a time. *)
 
-type mode = Exact | Fp_only
-
 (* How states are packed: field [f] holds the values [lo.(f) ..
    hi.(f)], stored as [v - lo.(f)] from bit [shift.(f)] of word
    [word.(f)] of a packed state.  [hi - lo] is the field's bit mask.  A
@@ -44,21 +40,19 @@ type layout = {
 }
 
 type t = {
-  mode : mode;
   mutable table : int array;
       (* slot -> 0 when empty, else (key lsr 31) lsl 32 lor (id + 1) *)
   mutable mask : int;
-  keys : int Vec.t;  (* [Fp_only]: id -> full key *)
   mutable lay : layout;
   mutable buf : int array;  (* the last probed candidate, packed *)
   mutable chunks : int array array;
-      (* [Exact]: state [id] at [(id land chunk_mask) * lay.pwords] in
+      (* state [id] at [(id land chunk_mask) * lay.pwords] in
          [chunks.(id lsr chunk_bits)] *)
   mutable count : int;
   mutable collisions : int;
   (* Where the last missed probe ended, for [add_probed]. *)
   mutable last_slot : int;
-  mutable last_key : int;
+  mutable last_tag : int;
   mutable last_collided : bool;
 }
 
@@ -144,19 +138,17 @@ let decode l src base (dst : State.packed) =
       + lo)
   done
 
-let create ?(mode = Exact) () =
+let create () =
   {
-    mode;
     table = Array.make initial_slots 0;
     mask = initial_slots - 1;
-    keys = Vec.create ();
     lay = unfixed 0;
     buf = [| 0 |];
     chunks = [||];
     count = 0;
     collisions = 0;
     last_slot = 0;
-    last_key = 0;
+    last_tag = 0;
     last_collided = false;
   }
 
@@ -207,7 +199,6 @@ let pack t (s : State.packed) =
   end
 
 let read_into t id (dst : State.packed) =
-  if t.mode = Fp_only then invalid_arg "Store: an Fp_only store keeps no states";
   if id < 0 || id >= t.count then invalid_arg "Store: no such id";
   if Array.length dst <> Array.length t.lay.lo then
     invalid_arg "Store.read_into: buffer length differs from the states'";
@@ -236,36 +227,29 @@ let equal_at t id =
     ((id land chunk_mask) * words)
     t.buf 0 words
 
-(* Look for the candidate under [key] from slot [i]: the id of its
-   entry, or -1 after remembering the free slot that ends its probe
+(* Look for the candidate under key tag [tag] from slot [i]: the id of
+   its entry, or -1 after remembering the free slot that ends its probe
    sequence, and whether a collision (a distinct state under the same
-   tag) was passed on the way.  [Exact] compares packed contents on a
-   tag match, so a hit costs one miss into the arena; [Fp_only] takes
-   an equal key as the state itself. *)
-let rec probe_from t key tag i collided =
+   tag) was passed on the way.  A tag match compares packed contents,
+   so a hit costs one miss into the arena. *)
+let rec probe_from t tag i collided =
   let e = Array.unsafe_get t.table i in
   if e = 0 then begin
     t.last_slot <- i;
-    t.last_key <- key;
+    t.last_tag <- tag;
     t.last_collided <- collided;
     -1
   end
   else if entry_tag e <> tag then
-    probe_from t key tag ((i + 1) land t.mask) collided
+    probe_from t tag ((i + 1) land t.mask) collided
   else
     let id = id_of_entry e in
-    match t.mode with
-    | Exact ->
-        if equal_at t id then id
-        else probe_from t key tag ((i + 1) land t.mask) true
-    | Fp_only ->
-        if Vec.get t.keys id = key then id
-        else probe_from t key tag ((i + 1) land t.mask) collided
+    if equal_at t id then id else probe_from t tag ((i + 1) land t.mask) true
 
 let probe_key t key s =
-  (match t.mode with Exact -> pack t s | Fp_only -> ());
+  pack t s;
   let tag = tag_of key in
-  probe_from t key tag (home tag t.mask) false
+  probe_from t tag (home tag t.mask) false
 
 let probe t s = probe_key t (State.hash s) s
 let find_opt t s = match probe t s with -1 -> None | id -> Some id
@@ -306,11 +290,9 @@ let store_state t id =
 
 let add_probed t (_ : State.packed) =
   let id = t.count in
-  (match t.mode with
-  | Exact -> store_state t id
-  | Fp_only -> ignore (Vec.push t.keys t.last_key));
+  store_state t id;
   if t.last_collided then t.collisions <- t.collisions + 1;
-  t.table.(t.last_slot) <- tag_of t.last_key lor (id + 1);
+  t.table.(t.last_slot) <- t.last_tag lor (id + 1);
   t.count <- id + 1;
   (* Keep the load factor at or below 2/3: linear probing's sequential
      cache lines tolerate it well, and the smaller table keeps more of
@@ -333,4 +315,4 @@ let arena_bytes t =
   let chunk_words =
     Array.fold_left (fun acc c -> acc + Array.length c) 0 t.chunks
   in
-  (chunk_words + t.mask + 1 + Vec.length t.keys) * word_bytes
+  (chunk_words + t.mask + 1) * word_bytes

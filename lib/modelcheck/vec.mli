@@ -1,8 +1,7 @@
-(** A growable log, used by the fingerprint-only store's keys and
-    every explorer's search log.  It grows by fixed chunks of 2{^13}
-    entries once the first chunk is full, so a full chunk is never
-    copied and a log of n entries holds about n slots.  (OCaml 5.1
-    predates [Dynarray].) *)
+(** A growable log, used by every explorer's search log.  It grows by
+    fixed chunks of 2{^13} entries once the first chunk is full, so a
+    full chunk is never copied and a log of n entries holds about n
+    slots.  (OCaml 5.1 predates [Dynarray].) *)
 
 type 'a t
 

@@ -144,9 +144,9 @@ let check_progress_metrics () =
         (Telemetry.Json.member "nprocs" v <> None)
   | Error e -> Alcotest.fail e
 
-(* [--fp-only] without [--parallel] runs the one-domain sharded search,
-   the engine that keeps a fingerprint-only visited set. *)
-let check_fp_only_alone () =
+(* [--parallel 1] runs the sharded engine inline on one domain: the
+   sequential engine's counts, and the sharded engine's snapshot. *)
+let check_parallel_one () =
   let counts args =
     let code, out, _ =
       run_capture ([ "check"; "bakery_pp"; "-n"; "3"; "-m"; "2" ] @ args)
@@ -162,12 +162,10 @@ let check_fp_only_alone () =
   in
   let metrics = Filename.temp_file "cli" ".jsonl" in
   Sys.remove metrics;
-  let alone = counts [ "--fp-only"; "--metrics-out"; metrics ] in
-  let triple = Alcotest.(triple int int int) in
-  check triple "generated/distinct/depth as --parallel 1 --fp-only"
-    (counts [ "--parallel"; "1"; "--fp-only" ])
-    alone;
-  check triple "the pinned N=3/M=2 counts" (128_139, 47_343, 84) alone;
+  let one = counts [ "--parallel"; "1"; "--metrics-out"; metrics ] in
+  check
+    Alcotest.(triple int int int)
+    "the pinned N=3/M=2 counts" (128_139, 47_343, 84) one;
   check bool_t "snapshot carries par_explore.distinct" true
     (List.exists
        (fun line -> metric_name line = Some "par_explore.distinct")
@@ -900,8 +898,7 @@ let () =
         [
           Alcotest.test_case "check --progress --metrics-out" `Quick
             check_progress_metrics;
-          Alcotest.test_case "check --fp-only without --parallel" `Quick
-            check_fp_only_alone;
+          Alcotest.test_case "check --parallel 1" `Quick check_parallel_one;
         ] );
       ( "fuzz",
         [

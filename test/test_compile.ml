@@ -247,11 +247,11 @@ let engines_agree () =
 
 (* --------------------------------------------------- parallel explorer *)
 
-(* [Par_explore.run] at 1..3 domains, with exact and fingerprint-only
-   tables, vs the sequential explorer, on every registry model under
-   every register model: same outcome always, and on a Pass — where
-   both engines explore the full reachable set wave by wave — the
-   exact same distinct and generated counts.  On a violation or at
+(* [Par_explore.run] at 1..3 domains vs the sequential explorer, on
+   every registry model under every register model: same outcome
+   always, and on a Pass — where both engines explore the full
+   reachable set wave by wave — the exact same distinct and generated
+   counts.  On a violation or at
    capacity the engines stop mid-wave at different points, so only
    the outcome is pinned there.  A model whose weak reads can feed an
    out-of-range index stops with [Eval.Error]; both engines must. *)
@@ -277,17 +277,14 @@ let par_matches_sequential () =
           in
           let seq = run (fun () -> MC.Explore.run ~max_states:cap sys) in
           List.iter
-            (fun (domains, fingerprint_only) ->
+            (fun domains ->
               let par =
-                run (fun () ->
-                    MC.Par_explore.run ~max_states:cap ~domains
-                      ~fingerprint_only sys)
+                run (fun () -> MC.Par_explore.run ~max_states:cap ~domains sys)
               in
               let what =
-                Printf.sprintf "%s %s d=%d%s" name
+                Printf.sprintf "%s %s d=%d" name
                   (Regsem.Model.to_string register_model)
                   domains
-                  (if fingerprint_only then " fp-only" else "")
               in
               (* Capacity is a resource limit, not a verdict: the engines
                  overshoot the cap by different amounts within the final
@@ -303,7 +300,7 @@ let par_matches_sequential () =
                   check int_t (what ^ ": generated") s.stats.generated
                     p.stats.generated
               | _ -> ())
-            (List.concat_map (fun d -> [ (d, false); (d, true) ]) [ 1; 2; 3 ]))
+            [ 1; 2; 3 ])
         Regsem.Model.[ Atomic; Regular; Safe ])
     Harness.Registry.models
 

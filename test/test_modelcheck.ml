@@ -260,10 +260,8 @@ let run_graph_words () =
   if per_state >= 4.5 then
     Alcotest.failf "the store and log hold %.2f words per state" per_state
 
-(* With a [stored] lookup, the replay is checked state by state: a log
-   with one wrong rank raises instead of returning a wrong path, and
-   without the lookup the same log yields a path that misses the stored
-   state. *)
+(* The replay is checked state by state against the stored states: a
+   log with one wrong rank raises instead of returning a wrong path. *)
 let trace_replay_checks_stored () =
   let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
   let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
@@ -285,14 +283,11 @@ let trace_replay_checks_stored () =
     else MC.Vec.get g.log id
   in
   let red = MC.Reduce.make MC.Reduce.Off sys in
-  let replay ?stored () = MC.Explore.trace_of sys red ~log ?stored target in
-  (match replay ~stored:(MC.Store.get g.store) () with
+  match
+    MC.Explore.trace_of sys red ~log ~stored:(MC.Store.get g.store) target
+  with
   | _ -> Alcotest.fail "a wrong logged rank must not yield a trace"
-  | exception Failure _ -> ());
-  let tr = replay () in
-  let last = List.nth tr (List.length tr - 1) in
-  check bool_t "unchecked replay misses the stored state" false
-    (MC.State.equal last.state (MC.Store.get g.store target))
+  | exception Failure _ -> ()
 
 (* One log word per state holds the parent's id, -1 to 2^32 - 2, and
    the move's rank, below 2^31; either out of range raises.  A rank no
@@ -322,7 +317,10 @@ let explore_log_word () =
     | 0 -> 0
     | _ -> MC.Explore.log_word ~parent:0 ~rank:moves
   in
-  match MC.Explore.trace_of sys (MC.Reduce.make MC.Reduce.Off sys) ~log 1 with
+  let stored _ = MC.System.initial sys in
+  match
+    MC.Explore.trace_of sys (MC.Reduce.make MC.Reduce.Off sys) ~log ~stored 1
+  with
   | _ -> Alcotest.fail "a rank past the last move must not yield a trace"
   | exception Failure _ -> ()
 
@@ -487,42 +485,63 @@ let outcome_equal a b =
   | MC.Explore.Capacity, MC.Explore.Capacity -> true
   | _ -> false
 
+(* Every counterexample either engine reports is replayed from its log
+   and checked against its stored states, so agreement here also covers
+   the sharded engine's trace reconstruction. *)
 let par_agrees_with_sequential () =
+  let naive = Harness.Registry.find_model "bakery_mod_naive" in
+  let atomic = Regsem.Model.Atomic in
   let cases =
     [
-      (Core.Bakery_pp_model.program (), 2, 2, None);
-      (Core.Bakery_pp_model.program (), 3, 2, None);
-      (Algorithms.Bakery.program (), 2, 2, None);
-      (Algorithms.No_lock.program (), 2, 4, None);
+      (Core.Bakery_pp_model.program (), 2, 2, atomic, None);
+      (Core.Bakery_pp_model.program (), 3, 2, atomic, None);
+      (Algorithms.Bakery.program (), 2, 2, atomic, None);
+      (Algorithms.No_lock.program (), 2, 4, atomic, None);
       ( Algorithms.Bakery.program (),
         2,
         2,
+        atomic,
         Some (Core.Verify.ticket_cap_constraint ~cap:4) );
+      (naive, 3, 2, atomic, None);
+      (naive, 3, 2, Regsem.Model.Safe, None);
     ]
   in
   List.iter
-    (fun (prog, n, m, constraint_) ->
-      let sys = sys_of ~nprocs:n ~bound:m prog in
+    (fun (prog, n, m, register_model, constraint_) ->
+      let sys = MC.System.make ~register_model prog ~nprocs:n ~bound:m in
       let seq = MC.Explore.run ?constraint_ sys in
       List.iter
         (fun domains ->
+          let what =
+            Printf.sprintf "%s N=%d M=%d %s (%d domains)" prog.Mxlang.Ast.title
+              n m
+              (Regsem.Model.to_string register_model)
+              domains
+          in
           let par = MC.Par_explore.run ?constraint_ ~domains sys in
-          check bool_t
-            (Printf.sprintf "%s N=%d M=%d (%d domains): same outcome"
-               prog.Mxlang.Ast.title n m domains)
-            true
+          check bool_t (what ^ ": same outcome") true
             (outcome_equal seq.outcome par.outcome);
           (* Exact state counts are guaranteed on a full exploration;
              on a violation the engines stop mid-wave at different
              points (the sharded engine keeps inserting until the stop
              flag propagates), so only the outcome is pinned. *)
           if seq.outcome = MC.Explore.Pass then
-            check int_t
-              (Printf.sprintf "%s N=%d M=%d (%d domains): same state count"
-                 prog.Mxlang.Ast.title n m domains)
-              seq.stats.distinct par.stats.distinct)
+            check int_t (what ^ ": same state count") seq.stats.distinct
+              par.stats.distinct)
         [ 1; 3 ])
-    cases
+    cases;
+  (* At scale: safe Bakery++ at N=3/M=3 on 2 domains, the sequential
+     engine's 528,663 states. *)
+  let sys =
+    MC.System.make ~register_model:Regsem.Model.Safe
+      (Core.Bakery_pp_model.program ())
+      ~nprocs:3 ~bound:3
+  in
+  let r = MC.Par_explore.run ~domains:2 sys in
+  check bool_t "bakery_pp N=3 M=3 safe (2 domains): passes" true
+    (r.outcome = MC.Explore.Pass);
+  check int_t "bakery_pp N=3 M=3 safe (2 domains): state count" 528_663
+    r.stats.distinct
 
 (* ----------------------------------------------------------------- wave *)
 
@@ -565,13 +584,12 @@ let wave_holds_frontier () =
 
 (* ---------------------------------------------------------------- store *)
 
-(* The one visited-set table, driven directly: both modes under a
-   constant key, growth past the point where the index starts to
-   quadruple, and [probe] as [probe_key] under [State.hash]. *)
+(* The one visited-set table, driven directly: a constant key, growth
+   past the point where the index starts to quadruple, and [probe] as
+   [probe_key] under [State.hash]. *)
 let store_one_table () =
-  (* A constant key puts every state on one probe chain: [Exact] tells
-     the states apart by content and counts each collision, [Fp_only]
-     takes the key for the state and answers the first id. *)
+  (* A constant key puts every state on one probe chain: the store
+     tells the states apart by content and counts each collision. *)
   let few = Array.init 10 (fun i -> [| i; 2 * i; 3 * i |]) in
   let exact = MC.Store.create () in
   Array.iteri
@@ -590,17 +608,6 @@ let store_one_table () =
       check bool_t "exact: get reads it back" true
         (MC.State.equal s (MC.Store.get exact i)))
     few;
-  let fp = MC.Store.create ~mode:MC.Store.Fp_only () in
-  check int_t "fp-only: the first state misses" (-1)
-    (MC.Store.probe_key fp 42 few.(0));
-  check int_t "fp-only: first id" 0 (MC.Store.add_probed fp few.(0));
-  Array.iter
-    (fun s ->
-      check int_t "fp-only: any state under the key is the first" 0
-        (MC.Store.probe_key fp 42 s))
-    few;
-  check int_t "fp-only: one entry" 1 (MC.Store.length fp);
-  check int_t "fp-only: sees no collision" 0 (MC.Store.collisions fp);
   (* 200,000 states pass 2^18 slots (full at 174,763), where growth
      switches from doubling to quadrupling. *)
   let n = 200_000 in
@@ -702,7 +709,7 @@ let store_memory_floor () =
 (* ---------------------------------------------- sharding / fingerprints *)
 
 (* 1 shard and 3 (non-power-of-two, so the mod/div routing is
-   exercised), in both modes; stored states read back only in [Exact]. *)
+   exercised); stored states read back. *)
 let shard_table_basics () =
   let sys = sys_of (Core.Bakery_pp_model.program ()) in
   let words = (MC.System.layout sys).MC.State.words in
@@ -710,15 +717,11 @@ let shard_table_basics () =
   (* past 2/3 of every shard's 4,096 initial slots, so each one grows *)
   let states = Array.init 10_000 (fun i -> Array.make words (i + 7)) in
   List.iter
-    (fun (nshards, mode) ->
-      let tbl = MC.Shard_table.create ~mode ~nshards ~words () in
-      let label msg =
-        Printf.sprintf "%d shard(s), %s: %s" nshards
-          (match mode with
-          | MC.Shard_table.Exact -> "exact"
-          | MC.Shard_table.Fp_only -> "fp-only")
-          msg
+    (fun nshards ->
+      let tbl =
+        MC.Shard_table.create ~mode:MC.Shard_table.Exact ~nshards ~words ()
       in
+      let label msg = Printf.sprintf "%d shard(s): %s" nshards msg in
       let insert s =
         let fp = MC.Shard_table.fingerprint tbl s in
         MC.Shard_table.insert tbl ~shard:(MC.Shard_table.owner tbl fp) ~fp s
@@ -732,9 +735,8 @@ let shard_table_basics () =
         (MC.Shard_table.shard_of_gid tbl gid);
       check int_t (label "gid round-trips local") local
         (MC.Shard_table.local_of_gid tbl gid);
-      if mode = MC.Shard_table.Exact then
-        check bool_t (label "stored state reads back") true
-          (MC.State.equal s0 (MC.Shard_table.get tbl ~shard:sh local));
+      check bool_t (label "stored state reads back") true
+        (MC.State.equal s0 (MC.Shard_table.get tbl ~shard:sh local));
       check int_t (label "total counts the one state") 1
         (MC.Shard_table.total tbl);
       Array.iter
@@ -751,17 +753,11 @@ let shard_table_basics () =
         (mn > 0 && mx >= mn && MC.Shard_table.total tbl = n + 1);
       check int_t (label "no collisions under the real fingerprint") 0
         (MC.Shard_table.collisions tbl))
-    [
-      (1, MC.Shard_table.Exact);
-      (1, MC.Shard_table.Fp_only);
-      (3, MC.Shard_table.Exact);
-      (3, MC.Shard_table.Fp_only);
-    ]
+    [ 1; 3 ]
 
-(* A pathological hash maps every state to one fingerprint.  Exact mode
-   must shrug it off (full states break the ties) while *counting* the
-   collisions; fingerprint-only mode must degrade in the predictable
-   way: all states conflate into one, and bugs go unseen. *)
+(* A pathological hash maps every state to one fingerprint.  The
+   sharded engine must shrug it off (full states break the ties) while
+   *counting* the collisions. *)
 let collision_injection () =
   let bad (_ : MC.State.packed) = 42 in
   let sys = sys_of ~nprocs:2 ~bound:2 (Core.Bakery_pp_model.program ()) in
@@ -775,83 +771,7 @@ let collision_injection () =
   check bool_t "exact: collisions are detected and counted" true
     (Telemetry.Metrics.counter_value
        (Telemetry.Metrics.counter m "par_explore.fp_collisions")
-    > 0);
-  let fp_only =
-    MC.Par_explore.run ~domains:1 ~hash:bad ~fingerprint_only:true sys
-  in
-  check int_t "fp-only: every state conflated into one" 1
-    fp_only.stats.distinct;
-  (* ...and a real mutual-exclusion violation is silently missed *)
-  let bug = sys_of ~nprocs:2 ~bound:4 (Algorithms.No_lock.program ()) in
-  (match (MC.Explore.run bug).outcome with
-  | MC.Explore.Violation _ -> ()
-  | _ -> Alcotest.fail "no_lock must violate mutual exclusion");
-  match
-    (MC.Par_explore.run ~domains:1 ~hash:bad ~fingerprint_only:true bug).outcome
-  with
-  | MC.Explore.Pass -> ()
-  | o ->
-      Alcotest.failf "fp-only with a colliding hash must miss the bug, got %s"
-        (MC.Explore.outcome_tag o)
-
-(* With the real fingerprint, fp-only mode agrees with the sequential
-   engine — including counterexamples, which it reconstructs by
-   replaying recorded moves rather than reading stored states. *)
-let sharded_fp_only_agrees () =
-  let naive = Harness.Registry.find_model "bakery_mod_naive" in
-  let cases =
-    [
-      (Core.Bakery_pp_model.program (), 2, 2, Regsem.Model.Atomic);
-      (Algorithms.No_lock.program (), 2, 4, Regsem.Model.Atomic);
-      (Algorithms.Bakery.program (), 2, 2, Regsem.Model.Atomic);
-      (naive, 3, 2, Regsem.Model.Atomic);
-      (naive, 3, 2, Regsem.Model.Safe);
-    ]
-  in
-  List.iter
-    (fun (prog, n, m, register_model) ->
-      let sys = MC.System.make ~register_model prog ~nprocs:n ~bound:m in
-      let seq = MC.Explore.run sys in
-      List.iter
-        (fun domains ->
-          let what =
-            Printf.sprintf "%s N=%d M=%d %s (%d domains, fp-only)"
-              prog.Mxlang.Ast.title n m
-              (Regsem.Model.to_string register_model)
-              domains
-          in
-          let par =
-            MC.Par_explore.run ~domains ~fingerprint_only:true sys
-          in
-          check bool_t (what ^ ": same outcome") true
-            (outcome_equal seq.outcome par.outcome);
-          if seq.outcome = MC.Explore.Pass then
-            check int_t (what ^ ": same state count") seq.stats.distinct
-              par.stats.distinct;
-          (* One domain fixes the search order, so the trace replayed
-             without states is the exact-mode one, state for state. *)
-          if domains = 1 then
-            check bool_t (what ^ ": exact-mode outcome and trace") true
-              ((MC.Par_explore.run ~domains sys).outcome = par.outcome))
-        [ 1; 3 ])
-    cases;
-  (* At scale: a fingerprint collision among half a million states
-     would drop one from the fp-only count. *)
-  let sys =
-    MC.System.make ~register_model:Regsem.Model.Safe
-      (Core.Bakery_pp_model.program ())
-      ~nprocs:3 ~bound:3
-  in
-  List.iter
-    (fun fingerprint_only ->
-      let what =
-        Printf.sprintf "bakery_pp N=3 M=3 safe (2 domains, %s)"
-          (if fingerprint_only then "fp-only" else "exact")
-      in
-      let r = MC.Par_explore.run ~domains:2 ~fingerprint_only sys in
-      check bool_t (what ^ ": passes") true (r.outcome = MC.Explore.Pass);
-      check int_t (what ^ ": state count") 528_663 r.stats.distinct)
-    [ true; false ]
+    > 0)
 
 (* Hand-off batches go back to the domain that allocated them, so a
    domain that sends far more than it receives still refills from its
@@ -1382,7 +1302,7 @@ let () =
         ] );
       ( "store",
         [
-          Alcotest.test_case "one table: modes, growth, keys" `Quick
+          Alcotest.test_case "one table: collisions, growth, keys" `Quick
             store_one_table;
           Alcotest.test_case "packed arena memory floor" `Quick
             store_memory_floor;
@@ -1442,8 +1362,6 @@ let () =
           Alcotest.test_case "detects deadlock" `Quick par_deadlock;
           Alcotest.test_case "shard table basics" `Quick shard_table_basics;
           Alcotest.test_case "collision injection" `Quick collision_injection;
-          Alcotest.test_case "fp-only agrees via replayed traces" `Quick
-            sharded_fp_only_agrees;
           Alcotest.test_case "hand-off batches return to their owner" `Quick
             handoff_batches_return_to_owner;
         ] );
