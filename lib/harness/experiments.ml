@@ -834,15 +834,16 @@ let e12 ~quick =
     Table.make
       ~title:
         "E12 (sharded explorer): exhaustive Bakery++ beyond the old \
-         small-N wall — fingerprint-sharded visited set, work-stealing \
-         deques"
+         small-N wall — fingerprint-sharded visited set, one owner per \
+         shard"
       ~notes:
         [
           "the seed engine's single shared hash table capped practical \
            runs at N=4; the sharded engine partitions the visited set by \
-           state fingerprint and keeps per-domain work-stealing deques; \
-           every shard keeps its states bit-packed";
-          "collisions/steals/handoffs come from the engine's telemetry \
+           state fingerprint, and each domain inserts and expands only \
+           its own shard's states; every shard keeps its states \
+           bit-packed";
+          "collisions/handoffs come from the engine's telemetry \
            counters for the same run; collisions are states sharing a \
            key tag (the key's bits from 31 up), each costing one extra \
            state compare";
@@ -852,7 +853,7 @@ let e12 ~quick =
       [
         "model"; "N"; "M"; "domains"; "outcome"; "distinct";
         "generated"; "depth"; "time(s)"; "kstates/s"; "collisions";
-        "steals"; "handoff";
+        "handoff";
       ]
   in
   (* Full-mode domain counts are chosen for the single-core bench
@@ -880,13 +881,12 @@ let e12 ~quick =
           float_of_int r.stats.distinct /. r.stats.runtime
         else 0.0
       in
-      Table.add_rowf t "%s|%d|%d|%d|%s|%d|%d|%d|%.3f|%.1f|%d|%d|%d"
+      Table.add_rowf t "%s|%d|%d|%d|%s|%d|%d|%d|%.3f|%.1f|%d|%d"
         "bakery_pp" n m domains
         (MC.Explore.outcome_tag r.outcome)
         r.stats.distinct
         r.stats.generated r.stats.depth r.stats.runtime (sps /. 1e3)
         (c "par_explore.fp_collisions")
-        (c "par_explore.steals")
         (c "par_explore.handoff_states");
       record_metric ~engine:(Printf.sprintf "pool%d_exact" domains)
         ~wall_s:r.stats.runtime ~exp:"e12"

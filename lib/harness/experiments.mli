@@ -49,8 +49,8 @@ val e11 : quick:bool -> Table.t list
 val e12 : quick:bool -> Table.t list
 (** Sharded explorer: exhaustive Bakery++ configurations past the old
     engine's small-N wall, using the fingerprint-sharded visited set.
-    Reports the engine's collision / steal / hand-off telemetry
-    alongside throughput. *)
+    Reports the engine's collision / hand-off telemetry alongside
+    throughput. *)
 
 val e13 : quick:bool -> Table.t list
 (** SLO observatory: every algorithm in the sweep under identical

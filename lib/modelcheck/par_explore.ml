@@ -4,14 +4,16 @@
    not just successor generation, because deduplicating every candidate
    on one domain is an Amdahl bottleneck.  Domain [w] owns shard [w] of
    the visited set ({!Shard_table}): it is the only domain that inserts
-   there, so deduplication runs with zero synchronization on the table
-   itself.
+   there, and the only one that reads the shard's states back during a
+   wave, so the table needs no synchronization at all.
    Within a BFS wave:
 
-   - each domain drains its own work deque ({!Deque}) of frontier
-     states (all owned by its shard), expanding successors into a
-     scratch buffer exactly like the sequential engine — duplicates
-     never allocate;
+   - each domain expands only its own shard's frontier: a stack of the
+     shard-local ids inserted there during the previous wave, one word
+     per state and no lock.  It pops the top id, decodes that state
+     from its shard into a buffer and expands successors into a scratch
+     buffer exactly like the sequential engine — duplicates never
+     allocate;
    - a successor owned by the expanding domain is probed and inserted
      directly; one owned by another shard is appended to a per-
      destination batch and handed off [batch_cap] states at a time (one
@@ -25,19 +27,18 @@
      when it runs out, and allocates only when both are empty — so the
      batches in existence are bounded by those in flight, not by how
      unevenly the hand-off traffic runs between domains;
-   - a domain whose deque runs dry flushes its partial batches, then
-     steals a batch of frontier items from the head of another domain's
-     deque — expansion is shard-agnostic, only insertion is owned;
+   - a domain whose frontier runs dry flushes its partial batches and
+     keeps draining its inbox until the wave ends;
    - the wave ends by quiescence: a global in-flight counter tracks
-     unexpanded frontier items plus live hand-off batches; when it
+     unexpanded frontier states plus live hand-off batches; when it
      reaches zero no same-wave work can exist anywhere and every
      domain exits to the pool barrier.  Idle domains back off (spin,
      then sleep) and count idle epochs for telemetry.
 
-   Nothing in that loop allocates per state or per move: frontier
-   states sit unboxed in the deques' rings, batches are recycled, each
-   domain's successor callback is built once per run, and the visited
-   set probes without closures.
+   Nothing in that loop allocates per state or per move: frontier ids
+   sit in chunked logs ({!Vec}) that keep their capacity across waves,
+   batches are recycled, each domain's successor callback is built once
+   per run, and the visited set probes without closures.
 
    Waves are still globally synchronized, which is what keeps the
    engine's observable semantics bit-identical to {!Explore.run} (the
@@ -52,7 +53,6 @@
    one its shard stored. *)
 
 let batch_cap = 64
-let steal_max = 64
 
 (* One hand-off batch: up to [batch_cap] candidates, each stored flat
    as its fingerprint, log word and state.  [b_owner] is the domain
@@ -81,8 +81,6 @@ let rec publish list b =
 type dstate = {
   mutable d_generated : int;
   mutable d_inserts : int;
-  mutable d_steals : int;  (* successful steal operations *)
-  mutable d_steal_items : int;
   mutable d_batches : int;  (* hand-off batches flushed *)
   mutable d_allocated : int;  (* hand-off batches allocated *)
   mutable d_handoff : int;  (* states handed off *)
@@ -93,10 +91,10 @@ type dstate = {
   mutable d_gid : int;  (* the state being expanded *)
   mutable d_rank : int;  (* the rank of its next move *)
   mutable d_any : bool;  (* has it shown a successor yet *)
+  mutable d_top : int;  (* unexpanded entries of its shard's frontier *)
   d_state : int array;  (* the state being expanded *)
   d_scratch : int array;  (* successor construction buffer *)
   d_probe : int array;  (* batch-drain probe buffer *)
-  d_stolen : int array;  (* stolen frontier items, flat *)
   d_out : batch array;
       (* outgoing batch per destination shard, [no_batch] while empty *)
   mutable d_free : batch;  (* own batches back from their drainers *)
@@ -133,8 +131,10 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   in
   (* Per-shard search log, one log word per local id. *)
   let logs = Array.init ndomains (fun _ -> Vec.create ()) in
-  let cur = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
-  let nxt = ref (Array.init ndomains (fun _ -> Deque.create ~words)) in
+  (* Per-shard frontier: the local ids to expand in this wave ([cur])
+     and in the next ([nxt]). *)
+  let cur = ref (Array.init ndomains (fun _ -> Vec.create ())) in
+  let nxt = ref (Array.init ndomains (fun _ -> Vec.create ())) in
   let inboxes = Array.init ndomains (fun _ -> Atomic.make no_batch) in
   let returns = Array.init ndomains (fun _ -> Atomic.make no_batch) in
   (* A batch entry: fingerprint, log word, state. *)
@@ -146,8 +146,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         {
           d_generated = 0;
           d_inserts = 0;
-          d_steals = 0;
-          d_steal_items = 0;
           d_batches = 0;
           d_allocated = 0;
           d_handoff = 0;
@@ -158,10 +156,10 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_gid = -1;
           d_rank = 0;
           d_any = false;
+          d_top = 0;
           d_state = Array.make words 0;
           d_scratch = Array.make words 0;
           d_probe = Array.make words 0;
-          d_stolen = Array.make (steal_max * (words + 1)) 0;
           d_out = Array.make ndomains no_batch;
           d_free = no_batch;
           d_staged =
@@ -202,8 +200,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     | Some m ->
         let open Telemetry.Metrics in
         let sum f = Array.fold_left (fun acc d -> acc + f d) 0 dstates in
-        add (counter m "par_explore.steals") (sum (fun d -> d.d_steals));
-        add (counter m "par_explore.steal_items") (sum (fun d -> d.d_steal_items));
         add (counter m "par_explore.handoff_batches") (sum (fun d -> d.d_batches));
         add (counter m "par_explore.batches_allocated")
           (sum (fun d -> d.d_allocated));
@@ -222,7 +218,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let exception Stop of Explore.result in
   (* Probe-and-insert a candidate into shard [w] (caller must be its
      owning domain, or the main domain between waves).  [s] is a
-     scratch buffer; the frontier deque copies it if the state is new. *)
+     scratch buffer; a new state's local id joins the next frontier. *)
   let insert_candidate w (d : dstate) ~fp ~log (s : State.packed) =
     let local = Shard_table.insert tbl ~shard:w ~fp s in
     if local >= 0 then begin
@@ -246,7 +242,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         end;
         Atomic.set stop true
       end
-      else if expand_ok s then Deque.push !nxt.(w) g s
+      else if expand_ok s then ignore (Vec.push !nxt.(w) local)
     end
   in
   (* An empty batch for domain [w] to fill: from its free list, which
@@ -364,22 +360,23 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     end;
     Atomic.decr pending
   in
-  let try_steal w (d : dstate) =
-    let got = ref 0 in
-    let v = ref ((w + 1) mod ndomains) in
-    while !got = 0 && !v <> w do
-      let n = Deque.steal !cur.(!v) ~into:d.d_stolen ~max:steal_max in
-      if n > 0 then begin
-        got := n;
-        d.d_steals <- d.d_steals + 1;
-        d.d_steal_items <- d.d_steal_items + n
-      end
-      else v := (!v + 1) mod ndomains
-    done;
-    !got
+  (* Pop the top of shard [w]'s frontier: decode its state into
+     [d.d_state] and return its gid, or [-1] once the shard's frontier
+     is spent.  The cursor is [w]'s own: during a wave only domain [w]
+     pops shard [w], and an inline wave, which runs on the main domain
+     alone, pops every shard in turn. *)
+  let pop w (d : dstate) =
+    let c = dstates.(w) in
+    if c.d_top = 0 then -1
+    else begin
+      c.d_top <- c.d_top - 1;
+      let local = Vec.get !cur.(w) c.d_top in
+      Shard_table.read_into tbl ~shard:w local d.d_state;
+      Shard_table.gid tbl ~shard:w ~local
+    end
   in
   (* One domain's share of a wave, running until global quiescence:
-     no unexpanded frontier item and no live hand-off batch anywhere. *)
+     no unexpanded frontier state and no live hand-off batch anywhere. *)
   let work w =
     let d = dstates.(w) in
     let inbox = inboxes.(w) in
@@ -392,23 +389,14 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         backoff := 0
       end
       else
-        let gid = Deque.pop !cur.(w) d.d_state in
+        let gid = pop w d in
         if gid >= 0 then begin
           expand w d gid d.d_state;
           backoff := 0
         end
         else begin
           flush_all w d;
-          let n = try_steal w d in
-          if n > 0 then begin
-            for k = 0 to n - 1 do
-              let at = k * (words + 1) in
-              Array.blit d.d_stolen (at + 1) d.d_state 0 words;
-              expand w d d.d_stolen.(at) d.d_state
-            done;
-            backoff := 0
-          end
-          else if Atomic.get pending = 0 then running := false
+          if Atomic.get pending = 0 then running := false
           else begin
             (* Idle epoch: out of local work but the wave is not over.
                Spin briefly (multicore: the gap is ns), then sleep
@@ -432,121 +420,118 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         Atomic.set stop true;
         raise e
   in
-  (* Small waves are cheaper expanded on the main domain. *)
+  (* Small waves are cheaper expanded on the main domain, shard by
+     shard. *)
   let inline_wave () =
     let d = dstates.(0) in
     inline := true;
-    Array.iter
-      (fun dq ->
-        let gid = ref (Deque.pop dq d.d_state) in
-        while !gid >= 0 do
-          expand 0 d !gid d.d_state;
-          gid := Deque.pop dq d.d_state
-        done)
-      !cur;
+    for w = 0 to ndomains - 1 do
+      let gid = ref (pop w d) in
+      while !gid >= 0 do
+        expand 0 d !gid d.d_state;
+        gid := pop w d
+      done
+    done;
     inline := false
   in
-  let frontier_size () =
-    Array.fold_left (fun acc dq -> acc + Deque.length dq) 0 !cur
+  (* Make the next frontier the current one, reset each owner's cursor
+     to the top of its shard's stack, and return the frontier's size. *)
+  let next_wave () =
+    let spent = !cur in
+    cur := !nxt;
+    nxt := spent;
+    Array.iter Vec.clear spent;
+    Array.iteri (fun w v -> dstates.(w).d_top <- Vec.length v) !cur;
+    Array.fold_left (fun n v -> n + Vec.length v) 0 !cur
   in
+  (* Live values, read once per wave and shared by the gauges and the
+     progress line. *)
   let wave_tick pool_for_stats frontier =
-    (match metrics with
-    | None -> ()
-    | Some m ->
-        (* Live gauges for the flight-recorder sampler, refreshed once
-           per wave.  Steal/idle live values are gauges under live_*
-           names because record_finish owns the bare names as
-           counters. *)
-        let set name v =
-          Telemetry.Metrics.set (Telemetry.Metrics.gauge m name) v
-        in
-        set "par_explore.frontier_depth" (float_of_int frontier);
-        set "par_explore.max_states" (float_of_int max_states);
-        let elapsed = Telemetry.Clock.now_s () -. t0 in
-        let generated = total_generated () in
-        let mn, mx = Shard_table.occupancy tbl in
-        set "par_explore.live_generated" (float_of_int generated);
-        set "par_explore.live_distinct"
-          (float_of_int (Shard_table.total tbl));
-        set "par_explore.live_kstates_s"
-          (if elapsed > 0.0 then float_of_int generated /. elapsed /. 1e3
-           else 0.0);
-        set "par_explore.shard_occupancy_min" (float_of_int mn);
-        set "par_explore.shard_occupancy_max" (float_of_int mx);
-        set "par_explore.live_steals"
-          (float_of_int
-             (Array.fold_left (fun a d -> a + d.d_steals) 0 dstates));
-        set "par_explore.live_idle_epochs"
-          (float_of_int
-             (Array.fold_left (fun a d -> a + d.d_idle) 0 dstates));
-        set "par_explore.table_mb"
-          (float_of_int (Shard_table.memory_bytes tbl) /. 1048576.0));
-    match progress with
-    | None -> ()
-    | Some p ->
-        let fields () =
-          let elapsed = Telemetry.Clock.now_s () -. t0 in
-          let generated = total_generated () in
-          let mn, mx = Shard_table.occupancy tbl in
-          let base =
-            [
-              ("depth", Telemetry.Json.Num (float_of_int !depth));
-              ("generated", Telemetry.Json.Num (float_of_int generated));
-              ( "distinct",
-                Telemetry.Json.Num (float_of_int (Shard_table.total tbl)) );
-              ("frontier", Telemetry.Json.Num (float_of_int frontier));
-              ("domains", Telemetry.Json.Num (float_of_int ndomains));
-              ( "kstates_s",
-                Telemetry.Json.Num
-                  (if elapsed > 0.0 then
-                     float_of_int generated /. elapsed /. 1e3
-                   else 0.0) );
-              ("shard_min", Telemetry.Json.Num (float_of_int mn));
-              ("shard_max", Telemetry.Json.Num (float_of_int mx));
-              ( "steals",
-                Telemetry.Json.Num
-                  (float_of_int
-                     (Array.fold_left (fun a d -> a + d.d_steals) 0 dstates))
-              );
-              ( "table_mb",
-                Telemetry.Json.Num
-                  (float_of_int (Shard_table.memory_bytes tbl) /. 1048576.0) );
-            ]
+    if Option.is_some metrics || Option.is_some progress then begin
+      let elapsed = Telemetry.Clock.now_s () -. t0 in
+      let generated = float_of_int (total_generated ()) in
+      let distinct = float_of_int (Shard_table.total tbl) in
+      let kstates_s =
+        if elapsed > 0.0 then generated /. elapsed /. 1e3 else 0.0
+      in
+      let mn, mx = Shard_table.occupancy tbl in
+      let mn = float_of_int mn and mx = float_of_int mx in
+      let table_mb =
+        float_of_int (Shard_table.memory_bytes tbl) /. 1048576.0
+      in
+      (match metrics with
+      | None -> ()
+      | Some m ->
+          (* Live gauges for the flight-recorder sampler.  The idle
+             count is a gauge under a live_* name because record_finish
+             owns the bare name as a counter. *)
+          let set name v =
+            Telemetry.Metrics.set (Telemetry.Metrics.gauge m name) v
           in
-          match pool_for_stats with
-          | None -> base
-          | Some (pl, last_busy, last_wall) ->
-              let busy = Pool.busy_ns pl in
-              let wall = Telemetry.Clock.now_s () in
-              let dt = wall -. !last_wall in
-              let fractions =
-                Array.mapi
-                  (fun i b ->
-                    let frac =
-                      if dt > 0.0 then
-                        float_of_int (b - !last_busy.(i)) /. (dt *. 1e9)
-                      else 0.0
-                    in
-                    Telemetry.Json.Num (Float.min 1.0 (Float.max 0.0 frac)))
-                  busy
-              in
-              last_busy := busy;
-              last_wall := wall;
-              let total =
-                Array.fold_left
-                  (fun acc v ->
-                    match v with Telemetry.Json.Num f -> acc +. f | _ -> acc)
-                  0.0 fractions
-              in
-              base
-              @ [
-                  ( "pool_busy",
-                    Telemetry.Json.Num
-                      (total /. float_of_int (Array.length fractions)) );
-                  ("domain_busy", Telemetry.Json.Arr (Array.to_list fractions));
+          set "par_explore.frontier_depth" (float_of_int frontier);
+          set "par_explore.max_states" (float_of_int max_states);
+          set "par_explore.live_generated" generated;
+          set "par_explore.live_distinct" distinct;
+          set "par_explore.live_kstates_s" kstates_s;
+          set "par_explore.shard_occupancy_min" mn;
+          set "par_explore.shard_occupancy_max" mx;
+          set "par_explore.live_idle_epochs"
+            (float_of_int
+               (Array.fold_left (fun a d -> a + d.d_idle) 0 dstates));
+          set "par_explore.table_mb" table_mb);
+      match progress with
+      | None -> ()
+      | Some p ->
+          let fields () =
+            let base =
+              List.map
+                (fun (k, v) -> (k, Telemetry.Json.Num v))
+                [
+                  ("depth", float_of_int !depth);
+                  ("generated", generated);
+                  ("distinct", distinct);
+                  ("frontier", float_of_int frontier);
+                  ("domains", float_of_int ndomains);
+                  ("kstates_s", kstates_s);
+                  ("shard_min", mn);
+                  ("shard_max", mx);
+                  ("table_mb", table_mb);
                 ]
-        in
-        Telemetry.Progress.poll p fields
+            in
+            match pool_for_stats with
+            | None -> base
+            | Some (pl, last_busy, last_wall) ->
+                let busy = Pool.busy_ns pl in
+                let wall = Telemetry.Clock.now_s () in
+                let dt = wall -. !last_wall in
+                let fractions =
+                  Array.mapi
+                    (fun i b ->
+                      let frac =
+                        if dt > 0.0 then
+                          float_of_int (b - !last_busy.(i)) /. (dt *. 1e9)
+                        else 0.0
+                      in
+                      Float.min 1.0 (Float.max 0.0 frac))
+                    busy
+                in
+                last_busy := busy;
+                last_wall := wall;
+                let total = Array.fold_left ( +. ) 0.0 fractions in
+                base
+                @ [
+                    ( "pool_busy",
+                      Telemetry.Json.Num
+                        (total /. float_of_int (Array.length fractions)) );
+                    ( "domain_busy",
+                      Telemetry.Json.Arr
+                        (Array.to_list
+                           (Array.map (fun f -> Telemetry.Json.Num f) fractions))
+                    );
+                  ]
+          in
+          Telemetry.Progress.poll p fields
+    end
   in
   (* After each wave barrier, turn per-domain records into an outcome.
      Violation wins over deadlock (both are one-wave-nondeterministic
@@ -590,19 +575,13 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     insert_candidate o dstates.(0) ~fp ~log init;
     (* The initial insert pushed into [nxt]: promote it to the first
        frontier. *)
-    let tmp = !cur in
-    cur := !nxt;
-    nxt := tmp;
+    let n = ref (next_wave ()) in
     post_wave ();
-    let n = ref (frontier_size ()) in
     while !n > 0 do
       Atomic.set pending !n;
       if !n < 2 || ndomains = 1 then inline_wave () else run_wave worker;
       post_wave ();
-      let tmp = !cur in
-      cur := !nxt;
-      nxt := tmp;
-      n := frontier_size ();
+      n := next_wave ();
       if !n > 0 then incr depth;
       wave_tick pool_for_stats !n
     done;

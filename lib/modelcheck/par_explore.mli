@@ -4,11 +4,12 @@
     Each state's {!Fingerprint.hash} assigns it to an owning domain;
     every domain deduplicates and stores its own shard of the visited
     set ({!Shard_table}) with no synchronization on the table itself.
-    Within a wave, domains expand their own work deques ({!Deque}),
-    hand foreign-shard successors across in batches (each drained
-    batch goes back to the domain that allocated it), steal work from
-    each other when idle, and detect wave completion by quiescence (a
-    global in-flight counter).
+    Within a wave, each domain expands only its own shard's states,
+    popping their shard-local ids from a per-shard stack (one word per
+    frontier state) and decoding each from its shard; it hands
+    foreign-shard successors across in batches (each drained batch
+    goes back to the domain that allocated it), and the wave ends by
+    quiescence (a global in-flight counter).
 
     Waves remain globally synchronized, so the observable result is
     bit-identical to {!Explore.run}: states inserted during wave [d]
@@ -58,10 +59,10 @@ val run :
 
     [progress] reports once per BFS wave (rate-limited): depth, states
     generated/distinct, frontier size, kstates/s, shard occupancy
-    spread, steal count, table bytes, and — when a pool is driving the
-    waves — each worker domain's busy fraction since the previous
-    report.  [metrics] accumulates final stats under [par_explore.*],
-    including steal/hand-off/idle counters, the hand-off batches
+    spread, table MiB, and — when a pool is driving the waves — each
+    worker domain's busy fraction since the previous report.
+    [metrics] accumulates final stats under [par_explore.*], including
+    hand-off/idle counters, the hand-off batches
     allocated ([par_explore.batches_allocated], bounded by those in
     flight at once, since each batch returns to the domain that
     allocated it), fingerprint collisions,

@@ -3,8 +3,8 @@
 
    A state's fingerprint picks its owning shard ([fp mod nshards]), and
    that shard's store is keyed by [fp / nshards], so no shard indexes on
-   bits that are constant within it.  Each shard is written by one
-   domain at a time, so concurrent insertions never touch another
+   bits that are constant within it.  Each shard is written and read by
+   one domain at a time, so concurrent insertions never touch another
    shard's memory; reads of other shards' counters are only done at
    wave barriers. *)
 
@@ -32,6 +32,7 @@ let insert t ~shard ~fp (s : State.packed) =
   else Store.add_probed st s
 
 let get t ~shard local = Store.get t.shards.(shard) local
+let read_into t ~shard local dst = Store.read_into t.shards.(shard) local dst
 
 (* Closed folds: [insert]'s callers read [total] every 256 inserts, and
    a fold over a passed-in function would allocate its closure there. *)

@@ -12,7 +12,9 @@
     insertion never contends on shared memory.
 
     Concurrency contract: at most one domain inserts into a given shard
-    at a time; cross-shard reads of counters and stored states are only
+    at a time.  A shard's stored states are read by its owning domain,
+    or by the main domain between waves, never by another domain while
+    the owner inserts; cross-shard reads of counters are only
     meaningful at a synchronization point (the engine's wave barrier). *)
 
 type mode =
@@ -60,6 +62,9 @@ val collisions : t -> int
 
 val get : t -> shard:int -> int -> State.packed
 (** Materialize a stored state. *)
+
+val read_into : t -> shard:int -> int -> State.packed -> unit
+(** {!get} into a caller-owned buffer ({!Store.read_into}). *)
 
 val memory_bytes : t -> int
 val occupancy : t -> int * int

@@ -92,10 +92,3 @@ let imbalance ~occ_min ~occ_max =
     done;
     Some !worst
   end
-
-let starvation ~steals ~idle =
-  let ns = Array.length steals and ni = Array.length idle in
-  if ns < 2 || ni < 2 then None
-  else
-    Some
-      (steals.(ns - 1) -. steals.(0), idle.(ni - 1) -. idle.(0))

@@ -55,11 +55,3 @@ val eta : target:float -> t:float array -> y:float array -> eta option
 val imbalance : occ_min:float array -> occ_max:float array -> float option
 (** Worst max/min shard-occupancy ratio across paired samples
     (minimum occupancy clamped to 1 state).  [None] without data. *)
-
-val starvation :
-  steals:float array -> idle:float array -> (float * float) option
-(** [(steal_growth, idle_growth)] over the record: the increase in the
-    steals and idle-epochs counters from first to last sample.  Idle
-    epochs climbing while steals stall is the signature of steal
-    starvation (nothing left to take, shards still hungry).  [None]
-    unless both series have at least two samples. *)

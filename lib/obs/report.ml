@@ -145,21 +145,15 @@ let shard_stats samples =
   match Analyze.imbalance ~occ_min ~occ_max with
   | None -> None
   | Some ratio ->
-      (* Live gauges during a run; the bare counter names only exist in
-         a record that sampled past record_finish. *)
-      let series_or a b =
-        match Flight.series samples a with
-        | [||] -> Flight.series samples b
+      (* The live gauge during a run; the bare counter name only exists
+         in a record that sampled past record_finish. *)
+      let idle =
+        match Flight.series samples "par_explore.live_idle_epochs" with
+        | [||] -> Flight.series samples "par_explore.idle_epochs"
         | s -> s
       in
-      let starv =
-        Analyze.starvation
-          ~steals:(series_or "par_explore.live_steals" "par_explore.steals")
-          ~idle:
-            (series_or "par_explore.live_idle_epochs"
-               "par_explore.idle_epochs")
-      in
-      Some (ratio, starv)
+      let n = Array.length idle in
+      Some (ratio, if n < 2 then None else Some (idle.(n - 1) -. idle.(0)))
 
 (* Scorecard rows, generically: obs stays below workload in the dep
    graph, and the report only needs a handful of fields. *)
@@ -255,16 +249,9 @@ let render input =
     drifts;
   let shard = shard_stats samples in
   (match shard with
-  | Some (ratio, starv) ->
-      if ratio > 4. then
-        finding "shards: worst occupancy imbalance %sx" (fnum ratio);
-      (match starv with
-      | Some (steal_growth, idle_growth)
-        when idle_growth > 0. && steal_growth <= 0. ->
-          finding "shards: %s idle epochs with no steals (starvation)"
-            (fnum idle_growth)
-      | _ -> ())
-  | None -> ());
+  | Some (ratio, _) when ratio > 4. ->
+      finding "shards: worst occupancy imbalance %sx" (fnum ratio)
+  | _ -> ());
   (* The snapshot is written at exit, so a run killed by a signal
      leaves its metrics run with a header and nothing after it. *)
   if input.metrics_header <> None && input.metrics = [] then
@@ -384,16 +371,15 @@ let render input =
   (* Shard balance *)
   (match shard with
   | None -> ()
-  | Some (ratio, starv) ->
+  | Some (ratio, idle) ->
       section buf "Shard balance";
       Buffer.add_string buf
         (Printf.sprintf "- worst occupancy imbalance: %sx\n" (fnum ratio));
-      (match starv with
-      | Some (steal_growth, idle_growth) ->
+      Option.iter
+        (fun growth ->
           Buffer.add_string buf
-            (Printf.sprintf "- steals over record: %s, idle epochs: %s\n"
-               (fnum steal_growth) (fnum idle_growth))
-      | None -> ()));
+            (Printf.sprintf "- idle epochs over record: %s\n" (fnum growth)))
+        idle);
 
   (* Metrics snapshot: last row per metric name wins (the file appends
      across runs), then sorted by name. *)

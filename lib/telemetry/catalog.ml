@@ -43,13 +43,10 @@ let all =
     "par_explore.live_generated";
     "par_explore.live_idle_epochs";
     "par_explore.live_kstates_s";
-    "par_explore.live_steals";
     "par_explore.max_states";
     "par_explore.runtime_s";
     "par_explore.shard_occupancy_max";
     "par_explore.shard_occupancy_min";
-    "par_explore.steal_items";
-    "par_explore.steals";
     "par_explore.table_mb";
     (* schedsim runner *)
     "sim.crashes";

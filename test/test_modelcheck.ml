@@ -775,9 +775,9 @@ let collision_injection () =
 
 (* Hand-off batches go back to the domain that allocated them, so a
    domain that sends far more than it receives still refills from its
-   own.  Shard 1 owns seven states in eight here, so domain 0 hands off
-   most of what it expands (it steals from domain 1) and gets little
-   back in its inbox. *)
+   own.  Shard 1 owns seven states in eight here.  Domain 0 expands
+   only shard 0's eighth of the states, hands most of their successors
+   to shard 1, and gets little back in its inbox. *)
 let handoff_batches_return_to_owner () =
   let sys =
     MC.System.make ~register_model:Regsem.Model.Safe
@@ -806,6 +806,53 @@ let handoff_batches_return_to_owner () =
   if 10 * allocated > handed then
     Alcotest.failf "%d batches allocated for %d handed off (limit: a tenth)"
       allocated handed
+
+(* Words a run allocates, minor and major, a promoted word counted
+   once. *)
+let allocated_words f =
+  Gc.compact ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* Each shard's frontier is one local id per state, decoded from the
+   owner's store when expanded, as the sequential engine's wave is.
+   Keeping each frontier state unpacked instead, as an engine whose
+   domains steal each other's frontier must, allocates 1.16 times the
+   sequential search's words here. *)
+let par_allocates_no_more_than_seq () =
+  let sys =
+    MC.System.make ~register_model:Regsem.Model.Safe
+      (Core.Bakery_pp_model.program ())
+      ~nprocs:3 ~bound:3
+  in
+  let seq, seq_words = allocated_words (fun () -> MC.Explore.run sys) in
+  let par, par_words =
+    allocated_words (fun () -> MC.Par_explore.run ~domains:1 sys)
+  in
+  check int_t "sequential state count" 528_663 seq.stats.distinct;
+  check int_t "sharded state count" 528_663 par.stats.distinct;
+  if par_words > seq_words then
+    Alcotest.failf "one domain allocated %.0f words, the sequential search %.0f"
+      par_words seq_words
+
+(* One domain expands its shard's frontier last in first out, as every
+   earlier sharded engine did, so a violation stops at the same point:
+   the counts pin the expansion order. *)
+let par_one_domain_violation_counts () =
+  let sys =
+    MC.System.make (Harness.Registry.find_model "bakery_mod_naive") ~nprocs:3
+      ~bound:2
+  in
+  let r = MC.Par_explore.run ~domains:1 sys in
+  (match r.outcome with
+  | MC.Explore.Violation { invariant; _ } ->
+      check Alcotest.string "violated invariant" "mutual-exclusion" invariant
+  | o -> Alcotest.failf "expected a violation, got %s" (MC.Explore.outcome_tag o));
+  check int_t "distinct" 15_201 r.stats.distinct;
+  check int_t "generated" 41_752 r.stats.generated;
+  check int_t "depth" 33 r.stats.depth
 
 let par_deadlock () =
   let b = Mxlang.Builder.create ~title:"stuck_par" in
@@ -1364,6 +1411,11 @@ let () =
           Alcotest.test_case "collision injection" `Quick collision_injection;
           Alcotest.test_case "hand-off batches return to their owner" `Quick
             handoff_batches_return_to_owner;
+          Alcotest.test_case
+            "one owner per shard allocates no more than the sequential search"
+            `Quick par_allocates_no_more_than_seq;
+          Alcotest.test_case "one-domain violation keeps its counts" `Quick
+            par_one_domain_violation_counts;
         ] );
       ( "regsem",
         [
