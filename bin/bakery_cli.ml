@@ -198,7 +198,8 @@ type telemetry = {
    polling the registry; `bench locks` passes [false] because the lock
    observatory pushes richer samples itself.  [tl_finish] is idempotent
    and registered with [at_exit], so the violation and early-[exit]
-   paths flush the metrics snapshot and close every sink too. *)
+   paths flush the metrics snapshot and close every sink too; with
+   [--metrics-out], a SIGTERM runs it as well. *)
 let telemetry_setup ~name ?flight_out ?(flight_interval = 0.25)
     ?(flight_pull = true) progress metrics_out trace_out =
   let trace =
@@ -233,10 +234,9 @@ let telemetry_setup ~name ?flight_out ?(flight_interval = 0.25)
           Telemetry.Metrics.observe_gc m;
           Obs.Recorder.of_metrics m)
   | _ -> ());
-  let finished = ref false in
+  let finished = Atomic.make false in
   let tl_finish () =
-    if not !finished then begin
-      finished := true;
+    if Atomic.compare_and_set finished false true then begin
       Option.iter Obs.Recorder.stop tl_flight;
       (match (snapshot, tl_metrics) with
       | Some (sink : Telemetry.Sink.t), Some m ->
@@ -259,6 +259,16 @@ let telemetry_setup ~name ?flight_out ?(flight_interval = 0.25)
     end
   in
   at_exit tl_finish;
+  (* SIGTERM skips at_exit, so a killed run would lose its snapshot:
+     write it, then die of the signal as before.  The handler may run on
+     any domain, the flight sampler's included. *)
+  if snapshot <> None then
+    Sys.set_signal Sys.sigterm
+      (Sys.Signal_handle
+         (fun _ ->
+           (try tl_finish () with _ -> ());
+           Sys.set_signal Sys.sigterm Sys.Signal_default;
+           Unix.kill (Unix.getpid ()) Sys.sigterm));
   { tl_progress; tl_metrics; tl_trace = trace; tl_flight; tl_finish }
 
 (* ----------------------------------------------- counterexample export *)
@@ -450,12 +460,34 @@ let sim_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
+  (* --sched takes the --reduce route: a bad spelling exits 2 in the
+     term, before any output file is opened.  Each value waits for the
+     seed. *)
   let sched_arg =
     let doc =
       "Scheduler: $(b,rr) (round-robin), $(b,uniform), or \
        $(b,handicap) (process 0 runs every 50th decision)."
     in
-    Arg.(value & opt string "uniform" & info [ "sched" ] ~docv:"S" ~doc)
+    let parse raw =
+      or_usage_error
+        (Harness.Argscan.parse_enum ~docv:"SCHEDULER" ~flag:"--sched"
+           ~values:
+             [
+               ("rr", fun _ -> Schedsim.Scheduler.Round_robin);
+               ("round-robin", fun _ -> Schedsim.Scheduler.Round_robin);
+               ("uniform", fun seed -> Schedsim.Scheduler.Uniform seed);
+               ( "handicap",
+                 fun seed ->
+                   Schedsim.Scheduler.Handicap { victim = 0; period = 50; seed }
+               );
+             ]
+           raw)
+    in
+    Term.(
+      const parse
+      $ Arg.(
+          value & opt string "uniform"
+          & info [ "sched" ] ~docv:"SCHEDULER" ~doc))
   in
   let crash_arg =
     probability_flag "crash"
@@ -484,16 +516,7 @@ let sim_cmd =
       chrome_out progress metrics_out trace_out =
     let p = find_model model in
     let tl = telemetry_setup ~name:"sim" progress metrics_out trace_out in
-    let strategy =
-      match sched with
-      | "rr" | "round-robin" -> Schedsim.Scheduler.Round_robin
-      | "uniform" -> Schedsim.Scheduler.Uniform seed
-      | "handicap" ->
-          Schedsim.Scheduler.Handicap { victim = 0; period = 50; seed }
-      | s ->
-          Printf.eprintf "unknown scheduler %S\n" s;
-          exit 2
-    in
+    let strategy = sched seed in
     let cfg =
       {
         (Schedsim.Runner.default_config ~nprocs ~bound) with
@@ -1315,16 +1338,32 @@ let report_cmd =
           records, metrics snapshots, event streams and BENCH_*.json rows")
     Term.(const run $ files_arg $ out_arg)
 
+(* A model that fails at run time (an index outside its array, a modulo
+   by zero) is the model's error, not the tool's: one line and exit 1,
+   from every subcommand.  Any other exception stays cmdliner's internal
+   error, exit 125. *)
 let () =
   let info =
     Cmd.info "bakery_cli" ~version:"1.0.0"
       ~doc:"Bakery++ (ICPP 2020) reproduction toolkit"
   in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd; show_cmd; check_cmd; sim_cmd; explain_cmd; lasso_cmd;
+        refine_cmd; verify_cmd; tla_cmd; graph_cmd; fuzz_cmd; bench_cmd;
+        report_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; show_cmd; check_cmd; sim_cmd; explain_cmd; lasso_cmd;
-            refine_cmd; verify_cmd; tla_cmd; graph_cmd; fuzz_cmd; bench_cmd;
-            report_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Mxlang.Eval.Error msg ->
+        Printf.eprintf "model error: %s\n" msg;
+        1
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "bakery_cli: internal error, uncaught exception:\n%s\n%s"
+          (Printexc.to_string e)
+          (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

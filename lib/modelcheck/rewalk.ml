@@ -41,26 +41,23 @@ type t = {
   rw_steps : step list;
 }
 
-let writes_of env ~rshared ~shared ~locals ~pid (a : Mxlang.Ast.action) =
-  (* Simultaneous-assignment semantics: indices and right-hand sides are
-     taken in the pre-state — through the flickered view [rshared] when
-     a weak register model perturbed this step's reads — while the
-     recorded previous contents come from the true pre-state. *)
+(* Indices and right-hand sides are resolved in the pre-state — through
+   the flickered view [rshared] when a weak register model perturbed
+   this step's reads — while the previous contents come from the true
+   pre-state. *)
+let writes_of env ~rshared ~shared ~locals ~pid a =
   List.filter_map
-    (fun (l, e) ->
-      match l with
-      | Mxlang.Ast.Lo _ -> None
-      | Mxlang.Ast.Sh (v, ix) ->
-          let value = Mxlang.Eval.eval env ~shared:rshared ~locals ~pid e in
-          let idx = Mxlang.Eval.eval env ~shared:rshared ~locals ~pid ix in
+    (function
+      | Mxlang.Eval.Local _ -> None
+      | Mxlang.Eval.Shared { var; cell; value } ->
           Some
             {
-              wr_var = v;
-              wr_cell = idx;
-              wr_prev = shared.(Mxlang.Eval.offset env v + idx);
+              wr_var = var;
+              wr_cell = cell;
+              wr_prev = shared.(Mxlang.Eval.offset env var + cell);
               wr_value = value;
             })
-    a.effects
+    (Mxlang.Eval.writes env ~shared:rshared ~locals ~pid a)
 
 let of_trace sys (trace : Trace.t) =
   match trace with

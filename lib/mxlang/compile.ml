@@ -41,15 +41,6 @@ let bforce = function Bconst b -> fun _ -> b | Bdyn f -> f
    exactly where the interpreter would raise it. *)
 let raising msg = Dyn (fun _ -> raise (Error msg))
 
-let read_error env v idx =
-  Printf.sprintf "read %s[%d]: index out of range 0..%d"
-    env.Eval.program.var_names.(v) idx
-    (Ast.cells_of ~nprocs:env.nprocs env.program v - 1)
-
-let write_error env v idx =
-  Printf.sprintf "write %s[%d]: index out of range"
-    env.Eval.program.var_names.(v) idx
-
 (* [lbase] is the offset of the executing process's locals inside the
    flat memory image; [q] is the constant bound by the innermost
    unrolled quantifier, or [None] outside any quantifier. *)
@@ -73,12 +64,12 @@ let rec cexpr_of env ~lbase ~pid ~q (e : Ast.expr) : cexpr =
       | Const i when i >= 0 && i < n ->
           let cell = o + i in
           Dyn (fun m -> Array.unsafe_get m cell)
-      | Const i -> raising (read_error env v i)
+      | Const i -> raising (Eval.read_error env v i)
       | Dyn f ->
           Dyn
             (fun m ->
               let i = f m in
-              if i < 0 || i >= n then raise (Error (read_error env v i));
+              if i < 0 || i >= n then raise (Error (Eval.read_error env v i));
               Array.unsafe_get m (o + i)))
   | Add (a, b) -> arith env ~lbase ~pid ~q ( + ) a b
   | Sub (a, b) -> arith env ~lbase ~pid ~q ( - ) a b
@@ -234,12 +225,13 @@ let ceffect env ~lbase ~pid ((l, e) : Ast.lhs * Ast.expr) =
         and n = Ast.cells_of ~nprocs:env.Eval.nprocs env.Eval.program v in
         match cexpr_of env ~lbase ~pid ~q:None ix with
         | Const i when i >= 0 && i < n -> Const (o + i)
-        | Const i -> Dyn (fun _ -> raise (Error (write_error env v i)))
+        | Const i -> Dyn (fun _ -> raise (Error (Eval.write_error env v i)))
         | Dyn f ->
             Dyn
               (fun m ->
                 let i = f m in
-                if i < 0 || i >= n then raise (Error (write_error env v i));
+                if i < 0 || i >= n then
+                  raise (Error (Eval.write_error env v i));
                 o + i))
   in
   (dest, value)

@@ -1,5 +1,10 @@
 (** Evaluation of mxlang expressions and actions against a concrete
-    machine state.
+    machine state: the one interpreter of the language.  The checker's
+    interpreted engine, the simulator, {!Reads} and the counterexample
+    re-walker evaluate guards and effects here; {!Compile} stages the
+    same meaning into closures.  Every shared read goes through one
+    range-checked accessor that {!observe} can watch, and every write is
+    resolved by {!writes}.
 
     The state layout is shared with the model checker and the simulator:
     shared memory is a flat [int array] (variables laid out back to back,
@@ -7,7 +12,9 @@
     flat [int array] of locals. *)
 
 exception Error of string
-(** Raised on dynamic errors: out-of-range shared index, modulo by zero. *)
+(** Raised on dynamic errors: out-of-range shared index (["read a[5]:
+    index out of range 0..1"], ["write a[2]: index out of range"]),
+    modulo by zero. *)
 
 type env = {
   program : Ast.program;
@@ -22,6 +29,15 @@ val make_env : Ast.program -> nprocs:int -> bound:int -> env
 
 val offset : env -> Ast.var -> int
 (** Offset of the first cell of a variable in the flat shared array. *)
+
+val in_bounds : env -> Ast.var -> int -> bool
+(** Is [idx] a cell of variable [v]?  The range check behind every read
+    and write. *)
+
+val read_error : env -> Ast.var -> int -> string
+val write_error : env -> Ast.var -> int -> string
+(** The {!Error} messages for a read or a write of [v] at [idx] outside
+    it, which {!Compile} raises too. *)
 
 val init_shared : env -> int array
 (** Freshly allocated initial shared memory. *)
@@ -43,17 +59,36 @@ val enabled_actions :
   env -> shared:int array -> locals:int array -> pid:int -> pc:int -> Ast.action list
 (** All actions of the step at [pc] whose guards hold in the given state. *)
 
-val apply :
+type write =
+  | Local of { slot : int; value : int }
+  | Shared of { var : Ast.var; cell : int; value : int }
+      (** [cell] indexes within [var], at [offset env var + cell] *)
+
+val writes :
+  env -> shared:int array -> locals:int array -> pid:int -> Ast.action ->
+  write list
+(** The action's effects resolved in the given pre-state, in order: each
+    right-hand side, then its destination index, which must be a cell of
+    its variable.  Nothing is written. *)
+
+val observe :
   env ->
   shared:int array ->
   locals:int array ->
   pid:int ->
+  watch:(Ast.var -> int -> int -> unit) ->
   Ast.action ->
   unit
+(** Evaluate the action's guard, then resolve its effects as {!writes}
+    does, calling [watch var cell value] on every shared read in
+    evaluation order. *)
+
+val apply :
+  env -> shared:int array -> locals:int array -> pid:int -> Ast.action -> unit
 (** Apply an action's effects in place (simultaneous-assignment semantics:
-    all right-hand sides and indices are evaluated before any write).
-    The caller is responsible for updating the process's program counter
-    to [action.target]. *)
+    {!writes} resolves every effect before any lands).  The caller is
+    responsible for updating the process's program counter to
+    [action.target]. *)
 
 val apply_split :
   env ->

@@ -3,111 +3,23 @@
    Causal trace analysis (lib/trace) needs to know which register cells
    an executed action *observed*, with the values it saw — that is the
    happens-before edge of Lamport's bakery argument ("the fatal read saw
-   the wrapped write").  The extractor mirrors the evaluator's actual
-   control flow: short-circuit [And]/[Or], the taken branch of [Ite],
-   and quantifier loops that stop at the deciding witness — so the
-   result is exactly the set of cells whose values the interpreter's
-   verdict depended on, in evaluation order. *)
+   the wrapped write").  The reads are recorded by running the one
+   evaluator, [Eval], with a watcher on its shared-cell accessor, so they
+   follow its control flow exactly: short-circuit [And]/[Or], the taken
+   branch of [Ite], and quantifier loops that stop at the deciding
+   witness. *)
 
 type read = { rd_var : Ast.var; rd_cell : int; rd_value : int }
-
-type ctx = {
-  env : Eval.env;
-  shared : int array;
-  locals : int array;
-  pid : int;
-  mutable acc : read list; (* reversed *)
-}
-
-let note ctx v idx =
-  let value = ctx.shared.(Eval.offset ctx.env v + idx) in
-  ctx.acc <- { rd_var = v; rd_cell = idx; rd_value = value } :: ctx.acc;
-  value
-
-let rec expr ctx ~q (e : Ast.expr) =
-  match e with
-  | Int k -> k
-  | N -> ctx.env.Eval.nprocs
-  | M -> ctx.env.Eval.bound
-  | Pid -> ctx.pid
-  | Qidx ->
-      if q < 0 then raise (Eval.Error "Qidx used outside a quantifier") else q
-  | Local l -> ctx.locals.(l)
-  | Rd (v, ix) -> note ctx v (expr ctx ~q ix)
-  | Add (a, b) -> expr ctx ~q a + expr ctx ~q b
-  | Sub (a, b) -> expr ctx ~q a - expr ctx ~q b
-  | Mul (a, b) -> expr ctx ~q a * expr ctx ~q b
-  | Mod (a, b) ->
-      let x = expr ctx ~q a in
-      let d = expr ctx ~q b in
-      if d = 0 then raise (Eval.Error "modulo by zero");
-      ((x mod d) + d) mod d
-  | Max_arr v ->
-      (* the max scan reads every cell of the array *)
-      let n = Ast.cells_of ~nprocs:ctx.env.Eval.nprocs ctx.env.Eval.program v in
-      let best = ref (note ctx v 0) in
-      for i = 1 to n - 1 do
-        let x = note ctx v i in
-        if x > !best then best := x
-      done;
-      !best
-  | Ite (c, a, b) -> if bexpr ctx ~q c then expr ctx ~q a else expr ctx ~q b
-
-and bexpr ctx ~q (b : Ast.bexpr) =
-  match b with
-  | True -> true
-  | False -> false
-  | Not x -> not (bexpr ctx ~q x)
-  | And (x, y) -> bexpr ctx ~q x && bexpr ctx ~q y
-  | Or (x, y) -> bexpr ctx ~q x || bexpr ctx ~q y
-  | Cmp (c, x, y) -> Ast.compare_with c (expr ctx ~q x) (expr ctx ~q y)
-  | Lex_lt ((a, b1), (c, d)) ->
-      let a = expr ctx ~q a in
-      let b1 = expr ctx ~q b1 in
-      let c = expr ctx ~q c in
-      let d = expr ctx ~q d in
-      a < c || (a = c && b1 < d)
-  | Qexists (range, p) ->
-      let rec loop i =
-        i < ctx.env.Eval.nprocs
-        && ((Eval.in_range ~pid:ctx.pid range i && bexpr ctx ~q:i p)
-           || loop (i + 1))
-      in
-      loop 0
-  | Qall (range, p) ->
-      let rec loop i =
-        i >= ctx.env.Eval.nprocs
-        || (((not (Eval.in_range ~pid:ctx.pid range i)) || bexpr ctx ~q:i p)
-           && loop (i + 1))
-      in
-      loop 0
 
 (* Keep the first observation of each (var, cell): re-reads in the same
    atomic action necessarily see the same value (writes land after all
    evaluation), so duplicates carry no extra information. *)
-let dedup reads =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun r ->
-      let key = (r.rd_var, r.rd_cell) in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    reads
-
 let of_action env ~shared ~locals ~pid (a : Ast.action) =
-  let ctx = { env; shared; locals; pid; acc = [] } in
-  ignore (bexpr ctx ~q:(-1) a.guard);
-  List.iter
-    (fun (l, e) ->
-      ignore (expr ctx ~q:(-1) e);
-      match l with
-      | Ast.Lo _ -> ()
-      | Ast.Sh (_, ix) -> ignore (expr ctx ~q:(-1) ix))
-    a.effects;
-  dedup (List.rev ctx.acc)
+  let acc = ref [] in
+  Eval.observe env ~shared ~locals ~pid a ~watch:(fun v idx value ->
+      if not (List.exists (fun r -> r.rd_var = v && r.rd_cell = idx) !acc)
+      then acc := { rd_var = v; rd_cell = idx; rd_value = value } :: !acc);
+  List.rev !acc
 
 (* Static over-approximation of the cells an action may read, for the
    weak-register engine: the flicker enumerator must know every cell a

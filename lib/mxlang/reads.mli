@@ -2,10 +2,12 @@
 
     Given an action and the pre-state it executed in, recover the shared
     cells its guard and effects actually observed, with the values seen.
-    The walk mirrors {!Eval}'s control flow — short-circuit connectives,
-    the taken [Ite] branch, quantifier loops stopping at the deciding
-    witness — so the result is exactly the set of cells the verdict
-    depended on, not a syntactic over-approximation. *)
+    {!of_action} is no second evaluator: it runs {!Eval}, the one
+    interpreter, watching its shared reads ({!Eval.observe}) through
+    short-circuit connectives, the taken [Ite] branch and quantifier
+    loops stopping at the deciding witness, so the result is exactly the
+    set of cells the verdict depended on, not a syntactic
+    over-approximation. *)
 
 type read = {
   rd_var : Ast.var;  (** which shared variable *)
@@ -20,10 +22,11 @@ val of_action :
   pid:int ->
   Ast.action ->
   read list
-(** Reads performed by [action]'s guard and effects (right-hand sides
-    and destination indices) in evaluation order, deduplicated by
-    (variable, cell) keeping the first occurrence.  The action must be
-    executable in the given state (same precondition as {!Eval.apply}). *)
+(** Reads performed by [action]'s guard and effects in evaluation
+    order — the guard first, then each effect's right-hand side before
+    its destination index — deduplicated by (variable, cell) keeping the
+    first occurrence.  The action must be executable in the given state:
+    an out-of-range index raises {!Eval.Error}, as {!Eval.apply} would. *)
 
 val static_cells : Eval.env -> pid:int -> Ast.action -> int array
 (** Sorted flat shared offsets the action may read in ANY state: both

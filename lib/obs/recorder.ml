@@ -92,7 +92,9 @@ let start_sampler ?(interval_s = 0.25) t ~poll =
 
 let stop t =
   (* Take the pieces under the lock, then join outside it: the sampler
-     domain calls [record], which needs the same mutex. *)
+     domain calls [record], which needs the same mutex.  A signal
+     handler may call [stop] on the sampler domain itself, which must
+     not join itself: its loop ends at the [stopping] flag. *)
   Atomic.set t.stopping true;
   let sampler, poll =
     locked t (fun () ->
@@ -100,7 +102,9 @@ let stop t =
         t.sampler <- None;
         (s, p))
   in
-  (match sampler with Some d -> ignore (Domain.join d) | None -> ());
+  (match sampler with
+  | Some d when Domain.get_id d <> Domain.self () -> ignore (Domain.join d)
+  | Some _ | None -> ());
   locked t (fun () ->
       if not t.stopped then begin
         (* One last sample so short runs always record a final state. *)

@@ -30,8 +30,9 @@ val start_sampler : ?interval_s:float -> t -> poll:(unit -> (string * float) lis
     per recorder; raises [Invalid_argument] on a second call. *)
 
 val stop : t -> unit
-(** Join the sampler domain (if any), take one final sample from its
-    poll thunk, and close the record.  Idempotent. *)
+(** Join the sampler domain (if any; not when called on that domain,
+    as a signal handler may be), take one final sample from its poll
+    thunk, and close the record.  Idempotent. *)
 
 val samples : t -> Flight.sample list
 (** Ring contents, oldest first. *)

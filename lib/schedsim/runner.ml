@@ -154,79 +154,64 @@ let runnable_vector sim buffer =
    with probability [flicker_prob], a perturbed value drawn from the
    register model's candidate set — the value the in-flight write will
    store for a regular register, anything in the variable's range
-   ({!Regsem.Domain.ceilings}) for a safe one. *)
+   ({!Regsem.Domain.ceilings}) for a safe one.  A destination outside
+   its variable overlaps no read: that write raises when it lands. *)
 let perturbed_view sim fc ~reader =
   let view = Array.copy sim.shared in
   for other = 0 to sim.cfg.nprocs - 1 do
-    if other <> reader && alive sim other then
+    if other <> reader && alive sim other then begin
+      let eval =
+        Mxlang.Eval.eval sim.env ~shared:sim.shared ~locals:sim.locals.(other)
+          ~pid:other
+      in
       List.iter
         (fun (a : Mxlang.Ast.action) ->
           List.iter
-            (fun (l, e) ->
-              match l with
-              | Mxlang.Ast.Lo _ -> ()
-              | Mxlang.Ast.Sh (v, ix) -> (
-                  match
-                    Mxlang.Eval.eval sim.env ~shared:sim.shared
-                      ~locals:sim.locals.(other) ~pid:other ix
-                  with
+            (function
+              | Mxlang.Ast.Lo _, _ -> ()
+              | Mxlang.Ast.Sh (v, ix), e -> (
+                  match eval ix with
+                  | exception Mxlang.Eval.Error _ -> ()
                   | idx -> (
-                      let cell = Mxlang.Eval.offset sim.env v + idx in
                       if
-                        cell >= 0
-                        && cell < Array.length view
+                        Mxlang.Eval.in_bounds sim.env v idx
                         && Prng.Rng.float sim.rng 1.0 < fc.flicker_prob
                       then
+                        let cell = Mxlang.Eval.offset sim.env v + idx in
                         match
                           match fc.flicker_model with
-                          | Regsem.Model.Atomic -> view.(cell)
+                          | Regsem.Model.Atomic -> None
                           | Regsem.Model.Regular ->
                               (* the overlapped read may see the value
                                  the write is about to store *)
-                              Mxlang.Eval.eval sim.env ~shared:sim.shared
-                                ~locals:sim.locals.(other) ~pid:other e
+                              Some (eval e)
                           | Regsem.Model.Safe ->
-                              Prng.Rng.int sim.rng
-                                (sim.ceilings.(v) + fc.flicker_slack + 1)
+                              Some
+                                (Prng.Rng.int sim.rng
+                                   (sim.ceilings.(v) + fc.flicker_slack + 1))
                         with
-                        | value when fc.flicker_model <> Regsem.Model.Atomic ->
+                        | Some value ->
                             view.(cell) <- value;
                             sim.flickers <- sim.flickers + 1;
                             emit sim
                               (Event.Flicker
                                  { time = sim.time; pid = reader; cell; value })
-                        | _ -> ()
-                        | exception Mxlang.Eval.Error _ -> ())
-                  | exception Mxlang.Eval.Error _ -> ()))
+                        | None | (exception Mxlang.Eval.Error _) -> ())))
             a.effects)
         sim.program.steps.(sim.pcs.(other)).actions
+    end
   done;
-
   view
 
-(* Apply [action] for [pid], reading from [read_shared] (possibly a
-   perturbed view) and writing into the real memory. *)
+(* Apply [action] for [pid]: [Eval] resolves its writes against
+   [read_shared] (possibly a perturbed view); the runner's own policy is
+   what a too-large store does and which events the writes leave. *)
 let apply_action sim ~read_shared ~pid (a : Mxlang.Ast.action) =
   let locals = sim.locals.(pid) in
-  let writes =
-    List.map
-      (fun (l, e) ->
-        let value =
-          Mxlang.Eval.eval sim.env ~shared:read_shared ~locals ~pid e
-        in
-        match l with
-        | Mxlang.Ast.Lo lv -> `Local (lv, value)
-        | Mxlang.Ast.Sh (v, ix) ->
-            let idx =
-              Mxlang.Eval.eval sim.env ~shared:read_shared ~locals ~pid ix
-            in
-            `Shared (v, idx, value))
-      a.effects
-  in
   List.iter
     (function
-      | `Local (lv, value) -> locals.(lv) <- value
-      | `Shared (v, idx, raw) ->
+      | Mxlang.Eval.Local { slot; value } -> locals.(slot) <- value
+      | Mxlang.Eval.Shared { var = v; cell = idx; value = raw } ->
           let cell = Mxlang.Eval.offset sim.env v + idx in
           let value =
             if sim.program.bounded.(v) && raw > sim.cfg.bound then begin
@@ -252,7 +237,7 @@ let apply_action sim ~read_shared ~pid (a : Mxlang.Ast.action) =
                  raw;
                });
           sim.shared.(cell) <- value)
-    writes
+    (Mxlang.Eval.writes sim.env ~shared:read_shared ~locals ~pid a)
 
 let crash_process sim pid =
   sim.crashes <- sim.crashes + 1;
@@ -476,14 +461,10 @@ let run program cfg =
               sim.shared
           | Some fc -> perturbed_view sim fc ~reader:pid
         in
-        let actions =
-          List.filter
-            (fun (a : Mxlang.Ast.action) ->
-              Mxlang.Eval.eval_b sim.env ~shared:read_shared
-                ~locals:sim.locals.(pid) ~pid a.guard)
-            program.steps.(sim.pcs.(pid)).actions
-        in
-        (match actions with
+        (match
+           Mxlang.Eval.enabled_actions sim.env ~shared:read_shared
+             ~locals:sim.locals.(pid) ~pid ~pc:sim.pcs.(pid)
+         with
         | [] -> () (* flicker made the guard false: the step spins *)
         | a :: rest ->
             let a =

@@ -731,13 +731,10 @@ let report_last_run () =
     "sample count and span are the second run's" expected (flight_line out);
   List.iter Sys.remove [ flight; metrics ]
 
-(* The crash-forensics contract (satellite of the flight recorder):
-   SIGTERM mid-run must leave a flight record whose every line is
-   whole — the per-line flush, not at_exit, is what guarantees it,
-   because SIGTERM never runs at_exit.  For the same reason the
-   metrics run holds only its header, and the report says its
-   snapshot is missing. *)
-let report_kill_mid_flight () =
+(* Start a check that writes a flight record and a metrics snapshot,
+   wait until the sampler has written a few lines, kill it with
+   [signal], and return both files once it has died of that signal. *)
+let kill_mid_flight signal =
   let flight = Filename.temp_file "cli" ".flight.jsonl" in
   let metrics = Filename.temp_file "cli" ".metrics.jsonl" in
   List.iter Sys.remove [ flight; metrics ];
@@ -751,7 +748,6 @@ let report_kill_mid_flight () =
       Unix.stdin devnull devnull
   in
   Unix.close devnull;
-  (* wait until the sampler has demonstrably written a few lines *)
   let deadline = Unix.gettimeofday () +. 10.0 in
   let enough () =
     Sys.file_exists flight && List.length (slurp_lines flight) >= 4
@@ -760,10 +756,18 @@ let report_kill_mid_flight () =
     Unix.sleepf 0.02
   done;
   check bool_t "run produced flight lines before the kill" true (enough ());
-  Unix.kill pid Sys.sigterm;
+  Unix.kill pid signal;
   (match Unix.waitpid [] pid with
-  | _, Unix.WSIGNALED s when s = Sys.sigterm -> ()
-  | _, _ -> Alcotest.fail "process did not die from SIGTERM");
+  | _, Unix.WSIGNALED s when s = signal -> ()
+  | _, _ -> Alcotest.fail "process did not die from the signal");
+  (flight, metrics)
+
+(* The crash-forensics contract (satellite of the flight recorder):
+   SIGTERM mid-run must leave a flight record whose every line is
+   whole, and, because the CLI catches SIGTERM to write it before dying
+   of the signal, a metrics snapshot. *)
+let report_kill_mid_flight () =
+  let flight, metrics = kill_mid_flight Sys.sigterm in
   let lines = slurp_lines flight in
   check bool_t "record survived the kill" true (List.length lines >= 4);
   List.iteri
@@ -778,6 +782,21 @@ let report_kill_mid_flight () =
   check int_t "report renders the killed run's record" 0 code;
   check bool_t "killed-run report has series" true
     (contains ~affix:"## Time series" out);
+  check bool_t "metrics snapshot written on SIGTERM" true
+    (List.exists
+       (fun l -> contains ~affix:{|"kind": "metric"|} l)
+       (slurp_lines metrics));
+  let code, out, err = run_capture [ "report"; flight; metrics ] in
+  List.iter Sys.remove [ flight; metrics ];
+  if code <> 0 then Alcotest.fail ("report failed: " ^ err);
+  check bool_t "killed-run report finds the snapshot" false
+    (contains ~affix:"snapshot missing" out)
+
+(* SIGKILL cannot be caught: the per-line flush still leaves whole
+   flight lines, but the metrics run holds only its header, and the
+   report says its snapshot is missing. *)
+let report_sigkill_loses_snapshot () =
+  let flight, metrics = kill_mid_flight Sys.sigkill in
   let code, out, err = run_capture [ "report"; flight; metrics ] in
   List.iter Sys.remove [ flight; metrics ];
   if code <> 0 then Alcotest.fail ("report failed: " ^ err);
@@ -867,6 +886,46 @@ let out_file_usage_errors () =
       ("-o/--out", [ "report"; "-o"; bad; "golden/flight_small.jsonl" ]);
     ]
 
+(* A model that fails at run time is reported as the model's error:
+   one line naming it, exit 1, from the checker and the simulator
+   alike. *)
+let model_runtime_errors () =
+  List.iter
+    (fun (args, msg) ->
+      let code, out, err = run_capture args in
+      let what = String.concat " " args in
+      check int_t (what ^ " exits 1") 1 code;
+      check Alcotest.string (what ^ " prints one line")
+        ("model error: " ^ msg ^ "\n")
+        err;
+      check Alcotest.string (what ^ " prints no result") "" out)
+    [
+      ( [ "check"; "dekker"; "-n"; "3"; "-m"; "4" ],
+        "read flag[-1]: index out of range 0..2" );
+      ( [
+          "sim"; "eisenberg_mcguire"; "-n"; "3"; "-m"; "3"; "--steps";
+          "200000"; "--flicker"; "0.2"; "--seed"; "3";
+        ],
+        "read flag[3]: index out of range 0..2" );
+    ]
+
+(* An unknown scheduler is a usage error found in the flag's term,
+   before the run opens any output file. *)
+let sim_sched_usage_error () =
+  let metrics = Filename.temp_file "cli" ".metrics.jsonl" in
+  Sys.remove metrics;
+  let code, out, err =
+    run_capture
+      [ "sim"; "bakery_pp"; "--sched"; "bogus"; "--metrics-out"; metrics ]
+  in
+  check int_t "--sched bogus exits 2" 2 code;
+  check bool_t "error starts with the flag" true
+    (String.starts_with ~prefix:"--sched:" err);
+  check bool_t "error lists the schedulers" true
+    (contains ~affix:"rr|round-robin|uniform|handicap" err);
+  check Alcotest.string "runs nothing" "" out;
+  check bool_t "no metrics file opened" false (Sys.file_exists metrics)
+
 let lasso_victim_usage_error () =
   (* a victim that is not one of the -n processes is a usage error, not
      a verdict about a process that does not exist *)
@@ -941,6 +1000,8 @@ let () =
           Alcotest.test_case "usage errors" `Quick report_usage_errors;
           Alcotest.test_case "SIGTERM leaves whole lines" `Quick
             report_kill_mid_flight;
+          Alcotest.test_case "SIGKILL loses the snapshot" `Quick
+            report_sigkill_loses_snapshot;
           Alcotest.test_case "any order of files" `Quick report_any_order;
           Alcotest.test_case "refuses what is not a run record" `Quick
             report_refuses_non_records;
@@ -956,6 +1017,8 @@ let () =
             lasso_victim_usage_error;
           Alcotest.test_case "output paths checked first" `Quick
             out_file_usage_errors;
+          Alcotest.test_case "sim --sched unknown" `Quick sim_sched_usage_error;
+          Alcotest.test_case "model runtime errors" `Quick model_runtime_errors;
         ] );
       ( "reduce",
         [

@@ -504,6 +504,58 @@ let regsem_rank0_unperturbed () =
            ~flick:0)
   | _ -> Alcotest.fail "expected exactly one rank-0 move"
 
+(* ---------------------------------------------------------------- reads *)
+
+(* [Reads]' documented contracts, on random well-formed programs and the
+   states a bounded search reaches: every cell [of_action] records is in
+   [static_cells] for the same pid and action (the superset the flicker
+   enumerator relies on), each recorded value is the state's cell, and
+   no (variable, cell) pair is recorded twice. *)
+let reads_contracts () =
+  let checked = ref 0 in
+  for seed = 1 to 12 do
+    let nprocs = 2 + (seed mod 2) in
+    let prog =
+      Fuzz.Gen.program (Prng.Rng.create seed)
+        { Fuzz.Gen.default_prog_params with g_nprocs = nprocs; g_bound = 3 }
+    in
+    let sys = MC.System.make prog ~nprocs ~bound:3 in
+    let lay = MC.System.layout sys in
+    let env = lay.MC.State.env in
+    let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
+    for id = 0 to MC.Store.length g.store - 1 do
+      let s = MC.Store.get g.store id in
+      let shared = MC.State.shared_part lay s in
+      for pid = 0 to nprocs - 1 do
+        let locals = MC.State.locals_part lay s pid in
+        List.iter
+          (fun (a : Ast.action) ->
+            let what = Printf.sprintf "seed %d state %d p%d" seed id pid in
+            let static = Reads.static_cells env ~pid a in
+            let reads = Reads.of_action env ~shared ~locals ~pid a in
+            List.iter
+              (fun (r : Reads.read) ->
+                let cell = Eval.offset env r.rd_var + r.rd_cell in
+                incr checked;
+                if not (Array.mem cell static) then
+                  Alcotest.failf "%s: read cell %d outside static_cells" what
+                    cell;
+                if r.rd_value <> shared.(cell) then
+                  Alcotest.failf "%s: cell %d recorded %d, state holds %d"
+                    what cell r.rd_value shared.(cell))
+              reads;
+            let keys =
+              List.map (fun (r : Reads.read) -> (r.rd_var, r.rd_cell)) reads
+            in
+            if List.length (List.sort_uniq compare keys) <> List.length keys
+            then Alcotest.failf "%s: a (var, cell) pair repeats" what)
+          (Eval.enabled_actions env ~shared ~locals ~pid
+             ~pc:(MC.State.pc lay s pid))
+      done
+    done
+  done;
+  check bool_t "some reads were checked" true (!checked > 0)
+
 let () =
   Alcotest.run "mxlang"
     [
@@ -540,6 +592,11 @@ let () =
           Alcotest.test_case "bakery_pp module exports" `Quick tla_export;
           Alcotest.test_case "UNCHANGED clause present" `Quick
             tla_unchanged_clause;
+        ] );
+      ( "reads",
+        [
+          Alcotest.test_case "recorded reads keep their contracts" `Quick
+            reads_contracts;
         ] );
       ( "regsem",
         [

@@ -428,6 +428,39 @@ let history_export () =
   check bool_t "csv has steps" true (contains csv ",step,");
   check bool_t "csv has cs events" true (contains csv ",cs_enter,")
 
+(* A destination index outside its variable is the same error in the
+   simulator as in the checker, compiled or interpreted: both resolve
+   writes through [Eval].  Two processes, per-process [a] and [c], one
+   step writing a[pid+1] := 7: process 1's write falls past [a]. *)
+let out_of_range_write () =
+  let p =
+    let open Mxlang in
+    let b = Builder.create ~title:"write_past_end" in
+    let a = Builder.shared_per_process b "a" () in
+    let _c = Builder.shared_per_process b "c" () in
+    let l0 = Builder.fresh_label b "L0" in
+    Builder.define b l0 ~kind:Ast.Noncritical
+      [ Builder.action ~effects:[ Dsl.(set a (self +: one) (int 7)) ] l0 ];
+    Builder.build b
+  in
+  let error_of f =
+    match f () with
+    | _ -> None
+    | exception Mxlang.Eval.Error msg -> Some msg
+  in
+  let expected = Some "write a[2]: index out of range" in
+  let sys = Modelcheck.System.make p ~nprocs:2 ~bound:3 in
+  List.iter
+    (fun (what, f) ->
+      check Alcotest.(option string) what expected (error_of f))
+    [
+      ("check, compiled", fun () -> ignore (Modelcheck.Explore.run sys));
+      ( "check, interpreted",
+        fun () -> ignore (Modelcheck.Explore.run ~interpreted:true sys) );
+      ( "sim",
+        fun () -> ignore (Schedsim.Runner.run p (default ~nprocs:2 ~bound:3)) );
+    ]
+
 let () =
   Alcotest.run "schedsim"
     [
@@ -451,6 +484,8 @@ let () =
           Alcotest.test_case "wrap policy corrupts bakery" `Quick
             run_wrap_breaks_mutex;
           Alcotest.test_case "label accounting" `Quick run_label_counts_sum;
+          Alcotest.test_case "out-of-range write raises" `Quick
+            out_of_range_write;
         ] );
       ( "crash",
         [
