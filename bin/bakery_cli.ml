@@ -19,6 +19,19 @@ let find_model name =
         (String.concat ", " Harness.Registry.model_names);
       exit 2
 
+(* A model run with a process count it is not written for is a usage
+   error naming -n, found before any output file is opened. *)
+let find_model_for name ~nprocs =
+  let p = find_model name in
+  (match Harness.Registry.fixed_nprocs name with
+  | Some n when n <> nprocs ->
+      Printf.eprintf
+        "-n/--nprocs: model %s runs with exactly %d processes, got %d\n" name n
+        nprocs;
+      exit 2
+  | _ -> ());
+  p
+
 (* ------------------------------------------------------- shared args *)
 
 let model_arg =
@@ -373,7 +386,7 @@ let check_cmd =
   let run model nprocs bound register_model reduce cap max_states with_overflow
       coverage parallel chrome_out dot_out progress metrics_out
       trace_out flight_out flight_interval =
-    let p = find_model model in
+    let p = find_model_for model ~nprocs in
     if cap > 0 && not (Core.Verify.has_tickets p) then begin
       Printf.eprintf "--cap: model %s has no number variable to cap\n" model;
       exit 2
@@ -514,7 +527,7 @@ let sim_cmd =
   in
   let run model nprocs bound steps seed sched crash flicker flicker_model wrap
       chrome_out progress metrics_out trace_out =
-    let p = find_model model in
+    let p = find_model_for model ~nprocs in
     let tl = telemetry_setup ~name:"sim" progress metrics_out trace_out in
     let strategy = sched seed in
     let cfg =
@@ -681,7 +694,7 @@ let explain_cmd =
         prerr_endline "one of --model or --repro is required";
         exit 2
     | Some m, None ->
-        let p = find_model m in
+        let p = find_model_for m ~nprocs in
         explain_check p ~model:m ~nprocs ~bound ~max_states
     | None, Some file -> (
         match Fuzz.Repro.load file with
@@ -818,7 +831,7 @@ let graph_cmd =
   in
   let out_arg = out_file [ "o"; "output" ] ~doc:"Write DOT to $(docv)." in
   let run model nprocs bound max_states out =
-    let p = find_model model in
+    let p = find_model_for model ~nprocs in
     let sys = Modelcheck.System.make p ~nprocs ~bound in
     let dot = Modelcheck.Dot.of_system ~max_states sys in
     match out with

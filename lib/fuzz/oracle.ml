@@ -303,6 +303,40 @@ let orbit_count red (g : MC.Explore.graph) =
   done;
   State_tbl.length orbits
 
+(* An independent quotient search: BFS over [System.successors] under
+   the ample set, keeping a table of [Reduce.canon] states.  Its
+   generated, distinct and depth are what every reduced engine must
+   count on a Pass, twins included.  It stops past [max_states], with
+   counts no passing search can have. *)
+let quotient_search red sys ~max_states =
+  let seen = State_tbl.create 1024 in
+  let canon s = fst (MC.Reduce.canon red s) in
+  let generated = ref 1 in
+  let expand next s =
+    let only = MC.Reduce.ample red s in
+    List.fold_left
+      (fun next (m : MC.System.move) ->
+        incr generated;
+        let c = canon m.MC.System.dest in
+        if State_tbl.mem seen c then next
+        else begin
+          State_tbl.add seen c ();
+          c :: next
+        end)
+      next
+      (if only >= 0 then MC.System.successors_of_pid sys s only
+       else MC.System.successors sys s)
+  in
+  let rec level depth frontier =
+    match List.fold_left expand [] frontier with
+    | _ :: _ as next when State_tbl.length seen <= max_states ->
+        level (depth + 1) next
+    | _ -> (!generated, State_tbl.length seen, depth)
+  in
+  let init = canon (MC.System.initial sys) in
+  State_tbl.add seen init ();
+  level 0 [ init ]
+
 (* Reduced-vs-full claims, per enabled mode:
    1. verdict classes agree (Pass vs Pass, bug vs bug); a state-budget
       [Capacity] on either side decides nothing and passes;
@@ -311,7 +345,9 @@ let orbit_count red (g : MC.Explore.graph) =
    3. on a Pass, the quotient stores at most as many states as the full
       search — and for [Sym] on a certified program (within an orbit
       enumeration budget) {e exactly} one state per orbit of the full
-      reachable set. *)
+      reachable set;
+   4. on a Pass, the reduced sequential and 2-domain searches count the
+      generated, distinct and depth of [quotient_search]. *)
 let reduced_oracle ~program ~nprocs ~bound ~max_states =
   let sys = MC.System.make program ~nprocs ~bound in
   let full = MC.Explore.run ~invariants ~max_states sys in
@@ -326,10 +362,33 @@ let reduced_oracle ~program ~nprocs ~bound ~max_states =
         match (full.outcome, red.outcome) with
         | MC.Explore.Capacity, _ | _, MC.Explore.Capacity -> Pass
         | MC.Explore.Pass, MC.Explore.Pass ->
+            let counts (st : MC.Explore.stats) =
+              (st.generated, st.distinct, st.depth)
+            in
+            let show (g, d, depth) =
+              Printf.sprintf "generated=%d distinct=%d depth=%d" g d depth
+            in
+            let seq = counts red.stats in
+            let quotient =
+              quotient_search (MC.Reduce.make mode sys) sys ~max_states
+            in
+            let par =
+              MC.Par_explore.run ~invariants ~max_states ~domains:2
+                ~reduce:mode sys
+            in
             if red.stats.distinct > full.stats.distinct then
               fail "reduced_inflation"
                 "%s: quotient stored %d distinct states, full search %d" mname
                 red.stats.distinct full.stats.distinct
+            else if quotient <> seq then
+              fail "reduced_counts" "%s: sequential [%s], quotient search [%s]"
+                mname (show seq) (show quotient)
+            else if par.outcome <> MC.Explore.Pass || counts par.stats <> seq
+            then
+              fail "reduced_counts" "%s: sequential [%s], 2 domains [%s %s]"
+                mname (show seq)
+                (MC.Explore.outcome_tag par.outcome)
+                (show (counts par.stats))
             else if
               mode = MC.Reduce.Sym && certified
               && full.stats.distinct <= orbit_budget

@@ -64,6 +64,12 @@ let model_builders : (string * (unit -> Mxlang.Ast.program)) list =
 
 let model_names = List.map fst model_builders
 
+(* The two-process algorithms index their partner as [1 - pid], so any
+   other process count reads outside their arrays. *)
+let fixed_process_counts = [ ("peterson2", 2); ("dekker", 2) ]
+
+let fixed_nprocs name = List.assoc_opt name fixed_process_counts
+
 let find_model name = (List.assoc name model_builders) ()
 
 let models = List.map (fun (name, build) -> (name, build ())) model_builders

@@ -10,5 +10,10 @@ val model_names : string list
 val find_model : string -> Mxlang.Ast.program
 (** Builds the program; raises [Not_found] for unknown names. *)
 
+val fixed_nprocs : string -> int option
+(** [Some n] for a model written for exactly [n] processes (the
+    two-process algorithms), [None] for one that runs with any
+    [N >= 1]. *)
+
 val models : (string * Mxlang.Ast.program) list
 (** All models, built. *)

@@ -93,7 +93,8 @@ let outcome_tag = function
 
 (* Final telemetry for a finished search: one forced TLC-style progress
    line plus registry counters.  Off the hot path — called once. *)
-let record_finish ?progress ?metrics ~prefix outcome (stats : stats) =
+let record_finish ?progress ?metrics ~prefix ~twin_moves outcome
+    (stats : stats) =
   (match progress with
   | None -> ()
   | Some p ->
@@ -116,6 +117,7 @@ let record_finish ?progress ?metrics ~prefix outcome (stats : stats) =
       let open Telemetry.Metrics in
       add (counter m (prefix ^ ".generated")) stats.generated;
       add (counter m (prefix ^ ".distinct")) stats.distinct;
+      add (counter m (prefix ^ ".twin_moves")) twin_moves;
       set (gauge m (prefix ^ ".depth")) (float_of_int stats.depth);
       set (gauge m (prefix ^ ".runtime_s")) stats.runtime;
       set (gauge m (prefix ^ ".kstates_s"))
@@ -128,11 +130,9 @@ let record_finish ?progress ?metrics ~prefix outcome (stats : stats) =
    the store and its search log, which [run_graph] hands on. *)
 let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     ~red ?progress ?metrics sys =
-  let canon = Reduce.canonizer red in
   let t0 = Telemetry.Clock.now_s () in
   let idx = Store.create () in
   let log = Vec.create () in
-  let generated = ref 0 in
   let max_depth = ref 0 in
   let wave = Wave.create () in
   let lay = System.layout sys in
@@ -142,6 +142,50 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
   let trace id =
     trace_of sys red ~log:(Vec.get log) ~stored:(Store.get idx) id
   in
+  (* Invariants are staged once per run (layouts and step kinds resolved
+     up front); they and the state constraint run on the scratch buffer
+     (identical contents to what was just stored). *)
+  let names = Array.of_list (List.map (fun inv -> inv.Invariant.name) invariants) in
+  let holds = Array.of_list (List.map (fun inv -> Invariant.stage inv sys) invariants) in
+  let vet id' buf =
+    if Store.length idx > max_states then raise (Stop Capacity);
+    let k = ref 0 in
+    while !k < Array.length holds && (Array.unsafe_get holds !k) buf do
+      incr k
+    done;
+    if !k < Array.length holds then
+      raise (Stop (Violation { invariant = names.(!k); trace = trace id' }));
+    match constraint_ with
+    | Some c when not (c sys buf) -> ()
+    | _ -> Wave.push wave id'
+  in
+  let store_new ~parent ~rank buf =
+    let id' = Store.add_probed idx buf in
+    ignore (Vec.push log (log_word ~parent ~rank));
+    vet id' buf
+  in
+  (* The expanded state's id, shared with the per-successor callback so
+     that one closure serves the whole search. *)
+  let from = ref 0 in
+  let emit rank =
+    if Store.probe idx scratch = -1 then store_new ~parent:!from ~rank scratch
+  in
+  (* [interpreted] swaps in the interpreter's moves, copied into the
+     same scratch buffer. *)
+  let iter =
+    if not interpreted then System.iter_successors_between sys
+    else fun s ~lo ~hi ~scratch f ->
+      List.iter
+        (fun (m : System.move) ->
+          if m.pid >= lo && m.pid <= hi then begin
+            Array.blit m.dest 0 scratch 0 lay.State.words;
+            f ~pid:m.pid ~from_pc:m.from_pc ~alt:m.alt ~flick:m.flick
+          end)
+        (System.successors_interpreted sys s)
+  in
+  let ex = Reduce.expander red ~iter ~scratch emit in
+  (* The initial state, then every move counted. *)
+  let generated () = 1 + Reduce.generated ex in
   (* One tick per dequeued state; a disabled reporter costs one call to
      a static no-op closure, nothing else (E11 must not move). *)
   let tick =
@@ -152,12 +196,13 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
           let elapsed = Telemetry.Clock.now_s () -. t0 in
           [
             ("depth", Telemetry.Json.Num (float_of_int !max_depth));
-            ("generated", Telemetry.Json.Num (float_of_int !generated));
+            ("generated", Telemetry.Json.Num (float_of_int (generated ())));
             ("distinct", Telemetry.Json.Num (float_of_int (Store.length idx)));
             ("queue", Telemetry.Json.Num (float_of_int (Wave.pending wave)));
             ( "kstates_s",
               Telemetry.Json.Num
-                (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
+                (if elapsed > 0.0 then
+                   float_of_int (generated ()) /. elapsed /. 1e3
                  else 0.0) );
             ("store_load", Telemetry.Json.Num (Store.load_factor idx));
             ( "arena_mb",
@@ -197,11 +242,11 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     | None -> ()
     | Some (g_frontier, g_gen, g_dist, g_rate) ->
         Telemetry.Metrics.set g_frontier (float_of_int frontier);
-        Telemetry.Metrics.set g_gen (float_of_int !generated);
+        Telemetry.Metrics.set g_gen (float_of_int (generated ()));
         Telemetry.Metrics.set g_dist (float_of_int (Store.length idx));
         let elapsed = Telemetry.Clock.now_s () -. t0 in
         Telemetry.Metrics.set g_rate
-          (if elapsed > 0.0 then float_of_int !generated /. elapsed /. 1e3
+          (if elapsed > 0.0 then float_of_int (generated ()) /. elapsed /. 1e3
            else 0.0));
     match wave_hist with
     | None -> ()
@@ -210,54 +255,10 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
         Telemetry.Metrics.observe h (t -. !wave_t0);
         wave_t0 := t
   in
-  (* Invariants are staged once per run (layouts and step kinds resolved
-     up front); they and the state constraint run on the scratch buffer
-     (identical contents to what was just stored). *)
-  let names = Array.of_list (List.map (fun inv -> inv.Invariant.name) invariants) in
-  let holds = Array.of_list (List.map (fun inv -> Invariant.stage inv sys) invariants) in
-  let vet id' buf =
-    if Store.length idx > max_states then raise (Stop Capacity);
-    let k = ref 0 in
-    while !k < Array.length holds && (Array.unsafe_get holds !k) buf do
-      incr k
-    done;
-    if !k < Array.length holds then
-      raise (Stop (Violation { invariant = names.(!k); trace = trace id' }));
-    match constraint_ with
-    | Some c when not (c sys buf) -> ()
-    | _ -> Wave.push wave id'
-  in
-  let store_new ~parent ~rank buf =
-    let id' = Store.add_probed idx buf in
-    ignore (Vec.push log (log_word ~parent ~rank));
-    vet id' buf
-  in
-  (* The expanded state's id, its next move's rank and whether it had a
-     move, shared with the per-move callback so that one closure serves
-     the whole search. *)
-  let from = ref 0 and rank = ref 0 and any = ref false in
-  let on_move ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ =
-    any := true;
-    incr generated;
-    canon scratch;
-    if Store.probe idx scratch = -1 then
-      store_new ~parent:!from ~rank:!rank scratch;
-    incr rank
-  in
-  let interpreted_moves only =
-    List.iter
-      (fun (m : System.move) ->
-        if only < 0 || m.pid = only then begin
-          Array.blit m.dest 0 scratch 0 lay.State.words;
-          on_move ~pid:m.pid ~from_pc:m.from_pc ~alt:m.alt ~flick:m.flick
-        end)
-      (System.successors_interpreted sys current)
-  in
   let outcome =
     try
       let init = System.initial sys in
-      canon init;
-      incr generated;
+      Reduce.canonizer red init;
       if Store.probe idx init = -1 then store_new ~parent:(-1) ~rank:0 init;
       (* BFS depth by wave boundary: ids enter the driver in depth
          order, so no per-state depth needs storing. *)
@@ -265,27 +266,23 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
           tick ();
           Store.read_into idx id current;
           from := id;
-          rank := 0;
-          any := false;
-          let only = Reduce.ample red current in
-          if interpreted then interpreted_moves only
-          else System.iter_successors_scratch ~only sys current ~scratch on_move;
-          (* An ample process is enabled by construction, so [only >= 0]
-             never masks a deadlock. *)
-          if check_deadlock && not !any then
+          (* An ample process is enabled by construction, so expanding
+             it alone never masks a deadlock. *)
+          if Reduce.expand ex current = 0 && check_deadlock then
             raise (Stop (Deadlock { trace = trace id })));
       Pass
     with Stop o -> o
   in
   let stats =
     {
-      generated = !generated;
+      generated = generated ();
       distinct = Store.length idx;
       depth = !max_depth;
       runtime = Telemetry.Clock.now_s () -. t0;
     }
   in
-  record_finish ?progress ?metrics ~prefix:"explore" outcome stats;
+  record_finish ?progress ?metrics ~prefix:"explore"
+    ~twin_moves:(Reduce.twin_moves ex) outcome stats;
   (match metrics with
   | None -> ()
   | Some m ->

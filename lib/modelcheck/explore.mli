@@ -102,11 +102,14 @@ val record_finish :
   ?progress:Telemetry.Progress.t ->
   ?metrics:Telemetry.Metrics.t ->
   prefix:string ->
+  twin_moves:int ->
   outcome ->
   stats ->
   unit
 (** Final telemetry for a finished search: one forced progress line and
-    [<prefix>.*] registry entries.  Shared with {!Par_explore}. *)
+    [<prefix>.*] registry entries, among them [<prefix>.twin_moves], the
+    moves counted in [generated] without being built
+    ({!Reduce.twin_moves}).  Shared with {!Par_explore}. *)
 
 val log_word : parent:int -> rank:int -> int
 (** One state's search-log entry: its parent's id ([-1] for the root,

@@ -8,12 +8,12 @@
    wave, so the table needs no synchronization at all.
    Within a BFS wave:
 
-   - each domain expands only its own shard's frontier: a stack of the
-     shard-local ids inserted there during the previous wave, one word
-     per state and no lock.  It pops the top id, decodes that state
-     from its shard into a buffer and expands successors into a scratch
-     buffer exactly like the sequential engine — duplicates never
-     allocate;
+   - each domain expands only its own shard's frontier: the range of
+     shard-local ids stored there during the previous wave (ids count
+     up in insertion order), so no word per state and no lock.  It
+     takes the top id, decodes that state from its shard into a buffer
+     and expands it through {!Reduce.expand} into a scratch buffer
+     exactly like the sequential engine — duplicates never allocate;
    - a successor owned by the expanding domain is probed and inserted
      directly; one owned by another shard is appended to a per-
      destination batch and handed off [batch_cap] states at a time (one
@@ -35,10 +35,9 @@
      domain exits to the pool barrier.  Idle domains back off (spin,
      then sleep) and count idle epochs for telemetry.
 
-   Nothing in that loop allocates per state or per move: frontier ids
-   sit in chunked logs ({!Vec}) that keep their capacity across waves,
-   batches are recycled, each domain's successor callback is built once
-   per run, and the visited set probes without closures.
+   Nothing in that loop allocates per state or per move: batches are
+   recycled, each domain's expander is built once per run, and the
+   visited set probes without closures.
 
    Waves are still globally synchronized, which is what keeps the
    engine's observable semantics bit-identical to {!Explore.run} (the
@@ -79,7 +78,6 @@ let rec publish list b =
 (* Per-domain mutable state.  Written only by its domain during a wave;
    read by the main domain after the pool barrier. *)
 type dstate = {
-  mutable d_generated : int;
   mutable d_inserts : int;
   mutable d_batches : int;  (* hand-off batches flushed *)
   mutable d_allocated : int;  (* hand-off batches allocated *)
@@ -89,9 +87,13 @@ type dstate = {
   mutable d_violation_inv : string;
   mutable d_deadlock_gid : int;
   mutable d_gid : int;  (* the state being expanded *)
-  mutable d_rank : int;  (* the rank of its next move *)
-  mutable d_any : bool;  (* has it shown a successor yet *)
-  mutable d_top : int;  (* unexpanded entries of its shard's frontier *)
+  (* Its shard's frontier: this wave expands the local ids in
+     [d_base .. d_top - 1], from the top down.  The next wave's ids
+     begin at [d_end], and [d_next] counts those that will expand. *)
+  mutable d_base : int;
+  mutable d_top : int;
+  mutable d_end : int;
+  mutable d_next : int;
   d_state : int array;  (* the state being expanded *)
   d_scratch : int array;  (* successor construction buffer *)
   d_probe : int array;  (* batch-drain probe buffer *)
@@ -115,7 +117,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       Reduce.make reduce sys
     else Reduce.make Reduce.Off sys
   in
-  let canon = Reduce.canonizer red in
   let ndomains =
     match (pool, domains) with
     | Some p, _ -> Pool.size p
@@ -131,10 +132,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   in
   (* Per-shard search log, one log word per local id. *)
   let logs = Array.init ndomains (fun _ -> Vec.create ()) in
-  (* Per-shard frontier: the local ids to expand in this wave ([cur])
-     and in the next ([nxt]). *)
-  let cur = ref (Array.init ndomains (fun _ -> Vec.create ())) in
-  let nxt = ref (Array.init ndomains (fun _ -> Vec.create ())) in
   let inboxes = Array.init ndomains (fun _ -> Atomic.make no_batch) in
   let returns = Array.init ndomains (fun _ -> Atomic.make no_batch) in
   (* A batch entry: fingerprint, log word, state. *)
@@ -144,7 +141,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let dstates =
     Array.init ndomains (fun _ ->
         {
-          d_generated = 0;
           d_inserts = 0;
           d_batches = 0;
           d_allocated = 0;
@@ -154,9 +150,10 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_violation_inv = "";
           d_deadlock_gid = -1;
           d_gid = -1;
-          d_rank = 0;
-          d_any = false;
+          d_base = 0;
           d_top = 0;
+          d_end = 0;
+          d_next = 0;
           d_state = Array.make words 0;
           d_scratch = Array.make words 0;
           d_probe = Array.make words 0;
@@ -183,42 +180,11 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       ~log:(at (fun ~shard -> Vec.get logs.(shard)))
       ~stored:(at (Shard_table.get tbl))
   in
-  let total_generated () =
-    Array.fold_left (fun acc d -> acc + d.d_generated) 1 dstates
-  in
-  let finish outcome =
-    let stats =
-      {
-        Explore.generated = total_generated ();
-        distinct = Shard_table.total tbl;
-        depth = !depth;
-        runtime = Telemetry.Clock.now_s () -. t0;
-      }
-    in
-    (match metrics with
-    | None -> ()
-    | Some m ->
-        let open Telemetry.Metrics in
-        let sum f = Array.fold_left (fun acc d -> acc + f d) 0 dstates in
-        add (counter m "par_explore.handoff_batches") (sum (fun d -> d.d_batches));
-        add (counter m "par_explore.batches_allocated")
-          (sum (fun d -> d.d_allocated));
-        add (counter m "par_explore.handoff_states") (sum (fun d -> d.d_handoff));
-        add (counter m "par_explore.idle_epochs") (sum (fun d -> d.d_idle));
-        add (counter m "par_explore.fp_collisions") (Shard_table.collisions tbl);
-        let mn, mx = Shard_table.occupancy tbl in
-        set (gauge m "par_explore.shard_occupancy_min") (float_of_int mn);
-        set (gauge m "par_explore.shard_occupancy_max") (float_of_int mx);
-        set (gauge m "par_explore.table_mb")
-          (float_of_int (Shard_table.memory_bytes tbl) /. 1048576.0));
-    Explore.record_finish ?progress ?metrics ~prefix:"par_explore" outcome
-      stats;
-    { Explore.outcome; stats }
-  in
   let exception Stop of Explore.result in
   (* Probe-and-insert a candidate into shard [w] (caller must be its
      owning domain, or the main domain between waves).  [s] is a
-     scratch buffer; a new state's local id joins the next frontier. *)
+     scratch buffer; a new state joins the next frontier, and counts in
+     [d_next] if the constraint lets it expand. *)
   let insert_candidate w (d : dstate) ~fp ~log (s : State.packed) =
     let local = Shard_table.insert tbl ~shard:w ~fp s in
     if local >= 0 then begin
@@ -242,7 +208,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
         end;
         Atomic.set stop true
       end
-      else if expand_ok s then ignore (Vec.push !nxt.(w) local)
+      else if expand_ok s then
+        dstates.(w).d_next <- dstates.(w).d_next + 1
     end
   in
   (* An empty batch for domain [w] to fill: from its free list, which
@@ -323,38 +290,57 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
      goes straight into its owner's shard: no worker runs, so there is
      no concurrent writer. *)
   let inline = ref false in
-  (* Domain [w]'s successor callback, built once per run: own-shard
-     candidates insert directly, foreign ones are routed into
-     batches. *)
-  let emitter w =
+  (* Domain [w]'s expander, built once per run: own-shard successors
+     insert directly, foreign ones are routed into batches. *)
+  let expander w =
     let d = dstates.(w) in
-    fun ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ ->
-      d.d_any <- true;
-      d.d_generated <- d.d_generated + 1;
-      canon d.d_scratch;
-      let fp = Shard_table.fingerprint tbl d.d_scratch in
-      let o = Shard_table.owner tbl fp in
-      let log = Explore.log_word ~parent:d.d_gid ~rank:d.d_rank in
-      d.d_rank <- d.d_rank + 1;
-      if o = w || !inline then insert_candidate o d ~fp ~log d.d_scratch
-      else route w d o ~fp ~log d.d_scratch
+    Reduce.expander red ~iter:(System.iter_successors_between sys)
+      ~scratch:d.d_scratch (fun rank ->
+        let fp = Shard_table.fingerprint tbl d.d_scratch in
+        let o = Shard_table.owner tbl fp in
+        let log = Explore.log_word ~parent:d.d_gid ~rank in
+        if o = w || !inline then insert_candidate o d ~fp ~log d.d_scratch
+        else route w d o ~fp ~log d.d_scratch)
   in
-  let emitters = Array.init ndomains emitter in
+  let expanders = Array.init ndomains expander in
+  let sum_expanders f = Array.fold_left (fun acc x -> acc + f x) 0 expanders in
+  (* The initial state, then every move counted. *)
+  let total_generated () = 1 + sum_expanders Reduce.generated in
+  let finish outcome =
+    let stats =
+      {
+        Explore.generated = total_generated ();
+        distinct = Shard_table.total tbl;
+        depth = !depth;
+        runtime = Telemetry.Clock.now_s () -. t0;
+      }
+    in
+    (match metrics with
+    | None -> ()
+    | Some m ->
+        let open Telemetry.Metrics in
+        let sum f = Array.fold_left (fun acc d -> acc + f d) 0 dstates in
+        add (counter m "par_explore.handoff_batches") (sum (fun d -> d.d_batches));
+        add (counter m "par_explore.batches_allocated")
+          (sum (fun d -> d.d_allocated));
+        add (counter m "par_explore.handoff_states") (sum (fun d -> d.d_handoff));
+        add (counter m "par_explore.idle_epochs") (sum (fun d -> d.d_idle));
+        add (counter m "par_explore.fp_collisions") (Shard_table.collisions tbl);
+        let mn, mx = Shard_table.occupancy tbl in
+        set (gauge m "par_explore.shard_occupancy_min") (float_of_int mn);
+        set (gauge m "par_explore.shard_occupancy_max") (float_of_int mx);
+        set (gauge m "par_explore.table_mb")
+          (float_of_int (Shard_table.memory_bytes tbl) /. 1048576.0));
+    Explore.record_finish ?progress ?metrics ~prefix:"par_explore"
+      ~twin_moves:(sum_expanders Reduce.twin_moves) outcome stats;
+    { Explore.outcome; stats }
+  in
   (* Expand one frontier state.  Decrementing [pending] comes last so
      the item's routed work is always counted before the item itself is
      retired. *)
   let expand w (d : dstate) gid (s : State.packed) =
     d.d_gid <- gid;
-    d.d_rank <- 0;
-    d.d_any <- false;
-    (* [~only] would box its argument on every call. *)
-    (match Reduce.ample red s with
-    | -1 ->
-        System.iter_successors_scratch sys s ~scratch:d.d_scratch emitters.(w)
-    | only ->
-        System.iter_successors_scratch ~only sys s ~scratch:d.d_scratch
-          emitters.(w));
-    if not d.d_any then begin
+    if Reduce.expand expanders.(w) s = 0 then begin
       if d.d_deadlock_gid < 0 then d.d_deadlock_gid <- gid;
       Atomic.set stop true
     end;
@@ -362,18 +348,20 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   in
   (* Pop the top of shard [w]'s frontier: decode its state into
      [d.d_state] and return its gid, or [-1] once the shard's frontier
-     is spent.  The cursor is [w]'s own: during a wave only domain [w]
-     pops shard [w], and an inline wave, which runs on the main domain
-     alone, pops every shard in turn. *)
+     is spent.  A state the constraint keeps from expanding is passed
+     over, as [insert_candidate] left it out of [d_next].  The cursor
+     is [w]'s own: during a wave only domain [w] pops shard [w], and an
+     inline wave, which runs on the main domain alone, pops every shard
+     in turn. *)
   let pop w (d : dstate) =
     let c = dstates.(w) in
-    if c.d_top = 0 then -1
-    else begin
+    let gid = ref (-1) in
+    while !gid < 0 && c.d_top > c.d_base do
       c.d_top <- c.d_top - 1;
-      let local = Vec.get !cur.(w) c.d_top in
-      Shard_table.read_into tbl ~shard:w local d.d_state;
-      Shard_table.gid tbl ~shard:w ~local
-    end
+      Shard_table.read_into tbl ~shard:w c.d_top d.d_state;
+      if expand_ok d.d_state then gid := Shard_table.gid tbl ~shard:w ~local:c.d_top
+    done;
+    !gid
   in
   (* One domain's share of a wave, running until global quiescence:
      no unexpanded frontier state and no live hand-off batch anywhere. *)
@@ -434,15 +422,19 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     done;
     inline := false
   in
-  (* Make the next frontier the current one, reset each owner's cursor
-     to the top of its shard's stack, and return the frontier's size. *)
+  (* Make the states each shard stored during the last wave its
+     frontier, and return how many of them will expand. *)
   let next_wave () =
-    let spent = !cur in
-    cur := !nxt;
-    nxt := spent;
-    Array.iter Vec.clear spent;
-    Array.iteri (fun w v -> dstates.(w).d_top <- Vec.length v) !cur;
-    Array.fold_left (fun n v -> n + Vec.length v) 0 !cur
+    let n = ref 0 in
+    for w = 0 to ndomains - 1 do
+      let c = dstates.(w) in
+      c.d_base <- c.d_end;
+      c.d_end <- Shard_table.length tbl ~shard:w;
+      c.d_top <- c.d_end;
+      n := !n + c.d_next;
+      c.d_next <- 0
+    done;
+    !n
   in
   (* Live values, read once per wave and shared by the gauges and the
      progress line. *)
@@ -566,15 +558,12 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           Some (pl, ref (Pool.busy_ns pl), ref (Telemetry.Clock.now_s ()))
     in
     let init = System.initial sys in
-    canon init;
-    dstates.(0).d_generated <- 0;
-    (* [total_generated] seeds the sum with 1 for the initial state. *)
+    Reduce.canonizer red init;
     let fp = Shard_table.fingerprint tbl init in
     let o = Shard_table.owner tbl fp in
     let log = Explore.log_word ~parent:(-1) ~rank:0 in
     insert_candidate o dstates.(0) ~fp ~log init;
-    (* The initial insert pushed into [nxt]: promote it to the first
-       frontier. *)
+    (* The initial state is the first frontier. *)
     let n = ref (next_wave ()) in
     post_wave ();
     while !n > 0 do

@@ -5,8 +5,9 @@
     every domain deduplicates and stores its own shard of the visited
     set ({!Shard_table}) with no synchronization on the table itself.
     Within a wave, each domain expands only its own shard's states,
-    popping their shard-local ids from a per-shard stack (one word per
-    frontier state) and decoding each from its shard; it hands
+    taking the shard-local ids stored in the previous wave from the
+    top down (a range per shard, no word per frontier state) and
+    decoding each from its shard; it hands
     foreign-shard successors across in batches (each drained batch
     goes back to the domain that allocated it), and the wave ends by
     quiescence (a global in-flight counter).

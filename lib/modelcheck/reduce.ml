@@ -174,12 +174,12 @@ let make_sym sys =
     s_pend = pend;
   }
 
-(* The canonicalization hot path below runs once per generated
-   successor, so it is first-order, top-level and typed [int array]: a
-   local closure or a polymorphic compare here would allocate or slow
-   every call.  [sort_blocks] checks the state's length once; every key
-   cell then lies inside it by construction of the layout, so the inner
-   loops skip the per-access bounds checks. *)
+(* One of the routines below runs once per generated successor, so
+   they are first-order, top-level and typed [int array]: a local
+   closure or a polymorphic compare here would allocate or slow every
+   call.  [sort_blocks] and [reseat_block] check the state's length
+   once; every key cell then lies inside it by construction of the
+   layout, so the inner loops skip the per-access bounds checks. *)
 
 (* Every live pending index := its block's slot when [rename], else 0. *)
 let fix_pending sym (s : State.packed) ~rename =
@@ -203,23 +203,35 @@ let rec block_lt (cols : int array) (s : int array) a b c =
   and y = Array.unsafe_get s (o + (b * w)) in
   x < y || (x = y && block_lt cols s a b (c + 2))
 
-(* Cell [off + i*stride] moves down to [off + j*stride] (j <= i); the
-   cells between move up one stride. *)
+(* Are the blocks at slots [a] and [b] equal cell for cell, from the
+   column at [cols.(c)] on? *)
+let rec block_eq (cols : int array) (s : int array) a b c =
+  c >= Array.length cols
+  ||
+  let o = Array.unsafe_get cols c and w = Array.unsafe_get cols (c + 1) in
+  Array.unsafe_get s (o + (a * w)) = Array.unsafe_get s (o + (b * w))
+  && block_eq cols s a b (c + 2)
+
+(* Cell [off + i*stride] moves to [off + j*stride]; the cells between
+   move one stride towards [i]. *)
 let rotate (s : int array) off stride j i =
   let x = Array.unsafe_get s (off + (i * stride)) in
-  for k = i downto j + 1 do
-    Array.unsafe_set s (off + (k * stride))
-      (Array.unsafe_get s (off + ((k - 1) * stride)))
-  done;
+  if j <= i then
+    for k = i downto j + 1 do
+      Array.unsafe_set s (off + (k * stride))
+        (Array.unsafe_get s (off + ((k - 1) * stride)))
+    done
+  else
+    for k = i to j - 1 do
+      Array.unsafe_set s (off + (k * stride))
+        (Array.unsafe_get s (off + ((k + 1) * stride)))
+    done;
   Array.unsafe_set s (off + (j * stride)) x
 
 (* Orbit representative, in place: a stable insertion sort of the
    process blocks by a key that cannot see pids.  Unless [perm] is
    empty, it receives the slot map (length [nprocs]): canonical block
-   [j] is source block [perm.(j)].  Stability makes both deterministic.
-   A successor of a canonical state has at most one block out of order
-   (certified programs write per-process state only at [Pid]), so the
-   usual cost is n-1 comparisons and at most one block shift. *)
+   [j] is source block [perm.(j)].  Stability makes both deterministic. *)
 let sort_blocks sym (s : State.packed) (perm : int array) =
   let cols = sym.s_cols and n = sym.s_n in
   let track = Array.length perm > 0 in
@@ -243,6 +255,32 @@ let sort_blocks sym (s : State.packed) (perm : int array) =
       if track then rotate perm 0 1 !j i
     end
   done;
+  if pending then fix_pending sym s ~rename:true
+
+(* [sort_blocks] of a successor of a canonical state in which only the
+   process at slot [i] moved (certified programs write per-process
+   state only at [Pid]), in one shift: the other blocks are still in
+   order, so the moved block goes left past every block its key is
+   below, or else right past every block whose key is below its own.
+   Stopping at equal keys is what the stable sort does. *)
+let reseat_block sym (s : State.packed) i =
+  let cols = sym.s_cols and n = sym.s_n in
+  if Array.length s <> sym.s_words then
+    invalid_arg "Reduce: state does not match the system's layout";
+  let pending = Array.length sym.s_pend > 0 in
+  if pending then fix_pending sym s ~rename:false;
+  let j = ref i in
+  while !j > 0 && block_lt cols s i (!j - 1) 0 do
+    decr j
+  done;
+  if !j = i then
+    while !j < n - 1 && block_lt cols s (!j + 1) i 0 do
+      incr j
+    done;
+  if !j <> i then
+    for c = 0 to (Array.length cols / 2) - 1 do
+      rotate s cols.(2 * c) cols.((2 * c) + 1) !j i
+    done;
   if pending then fix_pending sym s ~rename:true
 
 (* ------------------------------------------------------------------ *)
@@ -336,6 +374,8 @@ let canonizer t =
     let sym = t.sym in
     fun s -> sort_blocks sym s [||]
 
+let reseat t s pid = if t.active then reseat_block t.sym s pid
+
 let canon t s =
   let c = Array.copy s in
   let perm = Array.init t.sym.s_n (fun i -> i) in
@@ -379,6 +419,110 @@ let ample t s =
           else go (pid + 1)
       in
       go 0
+
+(* ------------------------------------------------------------------ *)
+(* Expansion.                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One search domain's expansion of stored states.  The expanded state
+   is canonical whenever symmetry is active, which gives two shortcuts
+   that change no count, rank or representative:
+
+   - a successor moved one process, so [reseat] canonicalizes it in
+     place of the full sort;
+   - a process whose block equals its left neighbour's ({e twin}) is
+     swapped with it by a symmetry that fixes the state, so its moves
+     reach exactly the neighbour's canonical successors, one for one.
+     They are counted and ranked without being built.
+
+   Twins are skipped only when every process is expanded.  [x_last_pid]
+   and [x_last_count] count the moves of the last process expanded, for
+   a twin that follows it. *)
+type expander = {
+  x_red : t;
+  x_iter :
+    State.packed ->
+    lo:int ->
+    hi:int ->
+    scratch:State.packed ->
+    (pid:int -> from_pc:int -> alt:int -> flick:int -> unit) ->
+    unit;
+  x_scratch : State.packed;
+  x_emit : int -> unit;
+  x_on_move : pid:int -> from_pc:int -> alt:int -> flick:int -> unit;
+  mutable x_generated : int;
+  mutable x_twins : int;
+  mutable x_rank : int;
+  mutable x_last_pid : int;
+  mutable x_last_count : int;
+}
+
+let on_move x ~pid ~from_pc:_ ~alt:_ ~flick:_ =
+  if x.x_red.active then begin
+    if pid <> x.x_last_pid then begin
+      x.x_last_pid <- pid;
+      x.x_last_count <- 0
+    end;
+    x.x_last_count <- x.x_last_count + 1;
+    reseat_block x.x_red.sym x.x_scratch pid
+  end;
+  x.x_generated <- x.x_generated + 1;
+  let rank = x.x_rank in
+  x.x_rank <- rank + 1;
+  x.x_emit rank
+
+let expander t ~iter ~scratch emit =
+  let rec x =
+    {
+      x_red = t;
+      x_iter = iter;
+      x_scratch = scratch;
+      x_emit = emit;
+      x_on_move =
+        (fun ~pid ~from_pc ~alt ~flick -> on_move x ~pid ~from_pc ~alt ~flick);
+      x_generated = 0;
+      x_twins = 0;
+      x_rank = 0;
+      x_last_pid = -1;
+      x_last_count = 0;
+    }
+  in
+  x
+
+let generated x = x.x_generated
+let twin_moves x = x.x_twins
+
+let expand x (s : State.packed) =
+  let t = x.x_red in
+  let n = t.sym.s_n and cols = t.sym.s_cols in
+  let g0 = x.x_generated in
+  x.x_rank <- 0;
+  x.x_last_pid <- -1;
+  let only = ample t s in
+  if only >= 0 then
+    x.x_iter s ~lo:only ~hi:only ~scratch:x.x_scratch x.x_on_move
+  else if not t.active then
+    x.x_iter s ~lo:0 ~hi:(n - 1) ~scratch:x.x_scratch x.x_on_move
+  else begin
+    (* [lo]: the first process not yet expanded or skipped. *)
+    let lo = ref 0 in
+    for pid = 1 to n - 1 do
+      if block_eq cols s (pid - 1) pid 0 then begin
+        if !lo < pid then
+          x.x_iter s ~lo:!lo ~hi:(pid - 1) ~scratch:x.x_scratch x.x_on_move;
+        let c = if x.x_last_pid = pid - 1 then x.x_last_count else 0 in
+        x.x_generated <- x.x_generated + c;
+        x.x_twins <- x.x_twins + c;
+        x.x_rank <- x.x_rank + c;
+        x.x_last_pid <- pid;
+        x.x_last_count <- c;
+        lo := pid + 1
+      end
+    done;
+    if !lo < n then
+      x.x_iter s ~lo:!lo ~hi:(n - 1) ~scratch:x.x_scratch x.x_on_move
+  end;
+  x.x_generated - g0
 
 (* ------------------------------------------------------------------ *)
 (* Counterexample coordinates.                                         *)

@@ -91,11 +91,18 @@ val canonizer : t -> State.packed -> unit
     process's cells of per-process shared arrays, then its locals, live
     pending write indices read as 0) in stable lexicographic order.  The
     blocks are sorted where they sit by an insertion sort, then each
-    live pending index is renamed to its block's final slot.  A
-    successor of a canonical state has at most one block out of order,
-    so a call usually costs [N-1] block comparisons and at most one
-    block shift.  A call allocates nothing: this is the hot path of the
-    reduced search, run once per generated successor. *)
+    live pending index is renamed to its block's final slot.  A call
+    allocates nothing.  It takes any state; the searches canonicalize
+    the successors of canonical states through {!expand}, which finds
+    the same representative with one shift. *)
+
+val reseat : t -> State.packed -> int -> unit
+(** [reseat t s pid] is {!canonizer} for a successor [s] of a canonical
+    state in which only process [pid] moved: the other blocks are still
+    in order, so it shifts [pid]'s block alone, left past every block
+    its key is below or right past every block whose key is below its
+    own, and renames live pending indices as the sort does.  Allocates
+    nothing; the identity when symmetry is inactive. *)
 
 val canon : t -> State.packed -> State.packed * int array
 (** Copying variant of {!canonizer}, by the same sort: the canonical
@@ -120,6 +127,53 @@ val invariants_reducible : Invariant.t list -> bool
 val ample : t -> State.packed -> int
 (** The ample process for this state, or [-1] to expand all processes.
     Only ever [>= 0] when the mode is [Sym_por]. *)
+
+(** {2 Expansion} *)
+
+type expander
+(** One search domain's expansion of its stored states under the
+    reduction, with its own counters.  Every search expands through
+    one. *)
+
+val expander :
+  t ->
+  iter:
+    (State.packed ->
+    lo:int ->
+    hi:int ->
+    scratch:State.packed ->
+    (pid:int -> from_pc:int -> alt:int -> flick:int -> unit) ->
+    unit) ->
+  scratch:State.packed ->
+  (int -> unit) ->
+  expander
+(** [expander t ~iter ~scratch emit]: [iter] enumerates the moves of a
+    range of processes into [scratch], in
+    {!System.iter_successors_between}'s order (which it is, unless a
+    search swaps in the interpreter); [emit rank] is called once per
+    successor built, with the successor in [scratch] (canonical when
+    symmetry is active) and [rank] its index among the state's moves
+    under the ample set, the rank a {!Explore.log_word} records. *)
+
+val expand : expander -> State.packed -> int
+(** Expand a stored state, which must be canonical when symmetry is
+    active, and return how many moves it has under the ample set.
+
+    When symmetry is active, each successor moved one process, so
+    {!reseat} canonicalizes it.  When, in addition, every process is
+    expanded, a {e twin} — a process whose block (pc, cells of
+    per-process arrays, locals) equals its left neighbour's — is not
+    expanded: swapping the two fixes the state, so the twin's moves
+    reach the neighbour's canonical successors, one for one.  They
+    count in {!generated} and in the ranks as if built, so counts,
+    ranks and traces are those of expanding every move. *)
+
+val generated : expander -> int
+(** Moves counted by every {!expand} so far, twins included. *)
+
+val twin_moves : expander -> int
+(** The part of {!generated} that twins contributed without being
+    built. *)
 
 val decanonicalize : t -> Trace.t -> Trace.t
 (** Rewrite a trace of the quotient search into a genuine run of the

@@ -38,6 +38,8 @@ let read_into t ~shard local dst = Store.read_into t.shards.(shard) local dst
    a fold over a passed-in function would allocate its closure there. *)
 let total t = Array.fold_left (fun n st -> n + Store.length st) 0 t.shards
 
+let length t ~shard = Store.length t.shards.(shard)
+
 let collisions t =
   Array.fold_left (fun n st -> n + Store.collisions st) 0 t.shards
 

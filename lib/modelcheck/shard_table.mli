@@ -56,6 +56,10 @@ val insert : t -> shard:int -> fp:int -> State.packed -> int
 
 val total : t -> int
 
+val length : t -> shard:int -> int
+(** States stored in one shard; its local ids are [0 .. length - 1], in
+    insertion order. *)
+
 val collisions : t -> int
 (** Inserted states whose probe passed a distinct state under the same
     key tag, summed over the shards ({!Store.collisions}). *)

@@ -85,13 +85,10 @@ let register_model t =
    is the single largest allocation saving in the checker.  Under a
    weak model the views come from a {!Regsem.Flicker} frame, which
    allocates nothing once warm. *)
-let iter_successors_scratch ?(only = -1) t (s : State.packed) ~scratch f =
+let iter_successors_between t (s : State.packed) ~lo:pid_lo ~hi:pid_hi
+    ~scratch f =
   let lay = t.lay in
   let actions = t.comp.actions in
-  (* [only >= 0] restricts expansion to that process — the ample-set
-     reduction's single-process wave ({!Reduce.ample}). *)
-  let pid_lo = if only >= 0 then only else 0
-  and pid_hi = if only >= 0 then only else t.env.nprocs - 1 in
   match t.weak with
   | None ->
       for pid = pid_lo to pid_hi do
@@ -139,6 +136,14 @@ let iter_successors_scratch ?(only = -1) t (s : State.packed) ~scratch f =
       | exception e ->
           Regsem.Flicker.leave fl;
           raise e)
+
+(* [only >= 0] restricts expansion to that process — the ample-set
+   reduction's single-process wave ({!Reduce.ample}).  The searches call
+   [iter_successors_between] directly: an optional argument would box
+   its value on every call. *)
+let iter_successors_scratch ?(only = -1) t s ~scratch f =
+  if only >= 0 then iter_successors_between t s ~lo:only ~hi:only ~scratch f
+  else iter_successors_between t s ~lo:0 ~hi:(t.env.nprocs - 1) ~scratch f
 
 (* The move-list views of the same enumeration, for the consumers that
    keep every destination (lasso, refinement, coverage, dot, the

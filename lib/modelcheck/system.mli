@@ -83,6 +83,19 @@ val iter_successors_scratch :
     [-1] expands all processes.  {!successors} and {!successors_of_pid}
     are this enumeration with each destination copied. *)
 
+val iter_successors_between :
+  t ->
+  State.packed ->
+  lo:int ->
+  hi:int ->
+  scratch:State.packed ->
+  (pid:int -> from_pc:int -> alt:int -> flick:int -> unit) ->
+  unit
+(** The same enumeration restricted to processes [lo .. hi], in the same
+    order: {!iter_successors_scratch} without an optional argument,
+    whose value would be boxed on every call.  The searches expand
+    through it ({!Reduce.expand}). *)
+
 val successors_interpreted : t -> State.packed -> move list
 (** The same moves computed by the AST interpreter ({!Mxlang.Eval})
     instead of the compiled closures — the differential-testing baseline

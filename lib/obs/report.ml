@@ -114,8 +114,12 @@ let drift_findings samples =
   |> List.filter (fun name -> watched name && not (search_size name))
   |> List.map (fun name -> Analyze.drift ~metric:name (Flight.series samples name))
 
-let explorer_eta samples =
-  (* Either engine's live progress against the run's state budget. *)
+(* Either engine's live progress against the run's state budget, for a
+   search that has not finished: [record_finish] writes the engine's
+   final counters (its bare [distinct]), into the flight's last sample
+   and the metrics snapshot alike. *)
+let explorer_eta input =
+  let samples = input.flight in
   let live =
     List.find_opt
       (fun n -> Array.length (Flight.series samples n) >= 2)
@@ -124,20 +128,29 @@ let explorer_eta samples =
   match live with
   | None -> None
   | Some name -> (
-      let target_name =
+      let engine =
         if String.length name >= 3 && String.sub name 0 3 = "par" then
-          "par_explore.max_states"
-        else "explore.max_states"
+          "par_explore"
+        else "explore"
       in
-      match Flight.series samples target_name with
-      | [||] -> None
-      | targets ->
-          let target = targets.(Array.length targets - 1) in
-          if target <= 0. || not (Float.is_finite target) then None
-          else
-            Analyze.eta ~target ~t:(Flight.times samples name)
-              ~y:(Flight.series samples name)
-            |> Option.map (fun e -> (name, target, e)))
+      let final = engine ^ ".distinct" in
+      let finished =
+        List.mem final (Flight.names samples)
+        || List.exists
+             (fun row -> str_member "metric" row = Some final)
+             input.metrics
+      in
+      if finished then None
+      else
+        match Flight.series samples (engine ^ ".max_states") with
+        | [||] -> None
+        | targets ->
+            let target = targets.(Array.length targets - 1) in
+            if target <= 0. || not (Float.is_finite target) then None
+            else
+              Analyze.eta ~target ~t:(Flight.times samples name)
+                ~y:(Flight.series samples name)
+              |> Option.map (fun e -> (name, target, e)))
 
 let shard_stats samples =
   let occ_min = Flight.series samples "par_explore.shard_occupancy_min" in
@@ -355,7 +368,7 @@ let render input =
   end;
 
   (* ETA *)
-  (match explorer_eta samples with
+  (match explorer_eta input with
   | None -> ()
   | Some (name, target, (e : Analyze.eta)) ->
       section buf "Completion ETA";

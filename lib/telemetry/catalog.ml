@@ -17,6 +17,7 @@ let all =
     "explore.max_states";
     "explore.runtime_s";
     "explore.table_mb";
+    "explore.twin_moves";
     "explore.wave_s";
     (* fuzz driver: one cases counter per oracle *)
     "fuzz.*.cases";
@@ -48,6 +49,7 @@ let all =
     "par_explore.shard_occupancy_max";
     "par_explore.shard_occupancy_min";
     "par_explore.table_mb";
+    "par_explore.twin_moves";
     (* schedsim runner *)
     "sim.crashes";
     "sim.cs_entries";

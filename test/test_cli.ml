@@ -577,6 +577,37 @@ let report_pipeline () =
   check bool_t "stdout report rendered" true (contains ~affix:"# Run report" out);
   List.iter Sys.remove [ flight; metrics ]
 
+(* A finished search has nothing left to project: its report shows no
+   completion ETA, whether it reads the flight alone or with the
+   metrics snapshot. *)
+let report_finished_no_eta () =
+  let flight = Filename.temp_file "cli" ".flight.jsonl" in
+  let metrics = Filename.temp_file "cli" ".metrics.jsonl" in
+  List.iter Sys.remove [ flight; metrics ];
+  let code, out, err =
+    run_capture
+      [
+        "check"; "bakery_pp"; "-n"; "3"; "-m"; "2"; "--register-model";
+        "safe"; "--metrics-out"; metrics; "--flight-out"; flight;
+        "--flight-interval"; "0.01";
+      ]
+  in
+  if code <> 0 then Alcotest.fail ("check failed: " ^ err);
+  check bool_t "the check passes with 224371 states" true
+    (contains ~affix:"224371 distinct" out);
+  List.iter
+    (fun files ->
+      let code, doc, err = run_capture ("report" :: files) in
+      if code <> 0 then Alcotest.fail ("report failed: " ^ err);
+      check bool_t "the flight has live progress" true
+        (contains ~affix:"explore.live_distinct" doc);
+      check bool_t
+        (String.concat " " ("report" :: files) ^ " has no ETA")
+        false
+        (contains ~affix:"Completion ETA" doc))
+    [ [ metrics; flight ]; [ flight ] ];
+  List.iter Sys.remove [ flight; metrics ]
+
 let write_file path text =
   let oc = open_out path in
   output_string oc text;
@@ -900,14 +931,47 @@ let model_runtime_errors () =
         err;
       check Alcotest.string (what ^ " prints no result") "" out)
     [
-      ( [ "check"; "dekker"; "-n"; "3"; "-m"; "4" ],
-        "read flag[-1]: index out of range 0..2" );
+      ( [
+          "check"; "eisenberg_mcguire"; "-n"; "3"; "-m"; "3";
+          "--register-model"; "safe";
+        ],
+        "read flag[3]: index out of range 0..2" );
       ( [
           "sim"; "eisenberg_mcguire"; "-n"; "3"; "-m"; "3"; "--steps";
           "200000"; "--flicker"; "0.2"; "--seed"; "3";
         ],
         "read flag[3]: index out of range 0..2" );
     ]
+
+(* The two-process models run with exactly two processes: any other
+   -n is a usage error naming the flag, found before the run opens any
+   output file, on every subcommand that builds a model. *)
+let two_process_usage_errors () =
+  let metrics = Filename.temp_file "cli" ".metrics.jsonl" in
+  Sys.remove metrics;
+  List.iter
+    (fun model ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun args ->
+              let args = args @ [ "-n"; n; "-m"; "3" ] in
+              let code, out, err = run_capture args in
+              let what = String.concat " " args in
+              check int_t (what ^ " exits 2") 2 code;
+              check bool_t (what ^ " names -n") true
+                (String.starts_with ~prefix:"-n/--nprocs:" err);
+              check Alcotest.string (what ^ " runs nothing") "" out;
+              check bool_t (what ^ " opens no metrics file") false
+                (Sys.file_exists metrics))
+            [
+              [ "check"; model; "--metrics-out"; metrics ];
+              [ "sim"; model; "--metrics-out"; metrics ];
+              [ "graph"; model ];
+              [ "explain"; "--model"; model ];
+            ])
+        [ "1"; "3" ])
+    [ "dekker"; "peterson2" ]
 
 (* An unknown scheduler is a usage error found in the flag's term,
    before the run opens any output file. *)
@@ -997,6 +1061,8 @@ let () =
         [
           Alcotest.test_case "check → flight → report pipeline" `Quick
             report_pipeline;
+          Alcotest.test_case "a finished check has no ETA" `Quick
+            report_finished_no_eta;
           Alcotest.test_case "usage errors" `Quick report_usage_errors;
           Alcotest.test_case "SIGTERM leaves whole lines" `Quick
             report_kill_mid_flight;
@@ -1019,6 +1085,8 @@ let () =
             out_file_usage_errors;
           Alcotest.test_case "sim --sched unknown" `Quick sim_sched_usage_error;
           Alcotest.test_case "model runtime errors" `Quick model_runtime_errors;
+          Alcotest.test_case "two-process models refuse other -n" `Quick
+            two_process_usage_errors;
         ] );
       ( "reduce",
         [

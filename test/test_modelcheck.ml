@@ -1326,6 +1326,142 @@ let reduce_canonizer_allocation_free () =
   if per_call >= 1.0 then
     Alcotest.failf "canonizer allocates %.2f minor words per call" per_call
 
+(* A successor of a canonical state moved one process, so [reseat]
+   shifts that process's block alone; it must land on [canon]'s
+   representative for every move of every register model.  The search
+   expands through an expander that also skips twins: every successor
+   it builds is [canon]'s, every move it skips reaches a successor it
+   built, and it counts every move. *)
+let prop_reseat_matches_canon =
+  QCheck.Test.make
+    ~name:"reseat = canon on every successor of a canonical state"
+    ~count:20
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let rng = Prng.Rng.create seed in
+      let nprocs = 2 + (seed mod 3) and bound = 2 + (seed / 3 mod 2) in
+      let generated =
+        Fuzz.Gen.program_symmetric rng
+          { Fuzz.Gen.g_nprocs = nprocs; g_bound = bound; g_max_steps = 4 }
+      in
+      let programs =
+        generated
+        :: List.map Harness.Registry.find_model [ "ticket"; "ticket_mod"; "tas" ]
+      in
+      List.iter
+        (fun prog ->
+          List.iter
+            (fun register_model ->
+              let sys = MC.System.make ~register_model prog ~nprocs ~bound in
+              let red = MC.Reduce.make MC.Reduce.Sym sys in
+              if not (MC.Reduce.symmetry_active red) then
+                QCheck.Test.fail_report
+                  "reduction inactive on a certified program";
+              let scratch = Array.make (MC.System.layout sys).MC.State.words 0 in
+              let built = ref [] in
+              let ex =
+                MC.Reduce.expander red
+                  ~iter:(MC.System.iter_successors_between sys) ~scratch
+                  (fun rank -> built := (rank, Array.copy scratch) :: !built)
+              in
+              let g, _ = MC.Explore.run_graph ~max_states:1_000 sys in
+              let n = MC.Store.length g.store in
+              for i = 0 to min 40 n - 1 do
+                let c, _ =
+                  MC.Reduce.canon red (MC.Store.get g.store ((i * 7919) mod n))
+                in
+                let moves = Array.of_list (MC.System.successors sys c) in
+                let canons =
+                  Array.map
+                    (fun (m : MC.System.move) -> fst (MC.Reduce.canon red m.dest))
+                    moves
+                in
+                Array.iteri
+                  (fun k (m : MC.System.move) ->
+                    let r = Array.copy m.dest in
+                    MC.Reduce.reseat red r m.pid;
+                    if not (MC.State.equal r canons.(k)) then
+                      QCheck.Test.fail_report "reseat differs from canon")
+                  moves;
+                built := [];
+                if MC.Reduce.expand ex c <> Array.length moves then
+                  QCheck.Test.fail_report "expand miscounts the moves";
+                List.iter
+                  (fun (rank, st) ->
+                    if not (MC.State.equal st canons.(rank)) then
+                      QCheck.Test.fail_report "a built successor is not canon's")
+                  !built;
+                Array.iteri
+                  (fun k st ->
+                    if
+                      not
+                        (List.exists (fun (_, b) -> MC.State.equal b st) !built)
+                    then
+                      QCheck.Test.fail_reportf
+                        "skipped move %d reaches no built successor" k)
+                  canons
+              done)
+            [ Regsem.Model.Atomic; Regsem.Model.Regular; Regsem.Model.Safe ])
+        programs;
+      true)
+
+(* Twin moves are counted in [generated] without being built; both
+   engines skip the same ones. *)
+let reduce_twin_moves_pinned () =
+  List.iter
+    (fun (n, twins) ->
+      let sys = sys_of ~nprocs:n ~bound:n (Harness.Registry.find_model "ticket_mod") in
+      let counter engine run =
+        let m = Telemetry.Metrics.create () in
+        let (r : MC.Explore.result) = run m in
+        check bool_t "passes" true (r.outcome = MC.Explore.Pass);
+        Telemetry.Metrics.counter_value
+          (Telemetry.Metrics.counter m (engine ^ ".twin_moves"))
+      in
+      check int_t
+        (Printf.sprintf "explore.twin_moves at N=M=%d" n)
+        twins
+        (counter "explore" (fun metrics ->
+             MC.Explore.run ~metrics ~reduce:MC.Reduce.Sym sys));
+      check int_t
+        (Printf.sprintf "par_explore.twin_moves at N=M=%d" n)
+        twins
+        (counter "par_explore" (fun metrics ->
+             MC.Par_explore.run ~metrics ~domains:2 ~reduce:MC.Reduce.Sym sys)))
+    [ (4, 1_740); (5, 19_420) ]
+
+(* Expanding a state allocates nothing, with or without symmetry.
+   Setting a search up and growing its tables while they are small
+   takes a few thousand minor words whatever the system, so the whole
+   search is compared with the same search cut at 2,000 states: past
+   those, it allocates under a tenth of a minor word per state. *)
+let explore_allocation_free () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    let (r : MC.Explore.result) = f () in
+    (r, Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun (what, sys, reduce) ->
+      let cut, w_cut =
+        minor_words (fun () -> MC.Explore.run ~max_states:2_000 ~reduce sys)
+      in
+      let r, w = minor_words (fun () -> MC.Explore.run ~reduce sys) in
+      check bool_t (what ^ " passes") true (r.outcome = MC.Explore.Pass);
+      let per_state =
+        (w -. w_cut) /. float_of_int (r.stats.distinct - cut.stats.distinct)
+      in
+      if per_state >= 0.1 then
+        Alcotest.failf "%s: %.3f minor words per expanded state" what per_state)
+    [
+      ( "bakery_pp N=3 M=2",
+        sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()),
+        MC.Reduce.Off );
+      ( "ticket_mod N=5 M=5 sym",
+        sys_of ~nprocs:5 ~bound:5 (Harness.Registry.find_model "ticket_mod"),
+        MC.Reduce.Sym );
+    ]
+
 (* --------------------------------------------------------------- report *)
 
 let report_strings () =
@@ -1454,6 +1590,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_canonizer_matches_reference;
           Alcotest.test_case "canonizer allocates nothing" `Quick
             reduce_canonizer_allocation_free;
+          QCheck_alcotest.to_alcotest prop_reseat_matches_canon;
+          Alcotest.test_case "twin moves pinned for both engines" `Quick
+            reduce_twin_moves_pinned;
+          Alcotest.test_case "a search allocates nothing per state" `Quick
+            explore_allocation_free;
         ] );
       ("report", [ Alcotest.test_case "render" `Quick report_strings ]);
     ]
