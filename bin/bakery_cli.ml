@@ -351,6 +351,15 @@ let show_cmd =
 
 (* -------------------------------------------------------------- check *)
 
+(* A search that runs out of states has decided nothing: it exits 3,
+   not 1, so a script can tell an inconclusive run from a refutation. *)
+let exhausted = 3
+
+(* A verdict's exit codes, then cmdliner's own but its "0 on
+   success". *)
+let verdict_exits infos =
+  infos @ List.filter (fun i -> Cmd.Exit.info_code i <> 0) Cmd.Exit.defaults
+
 let check_cmd =
   let cap_arg =
     int_flag [ "cap" ] ~default:0 ~docv:"CAP"
@@ -451,11 +460,30 @@ let check_cmd =
         if chrome_out <> None || dot_out <> None then
           prerr_endline
             "no counterexample to export (the check did not fail)");
-    match r.outcome with Modelcheck.Explore.Pass -> exit 0 | _ -> exit 1
+    match r.outcome with
+    | Modelcheck.Explore.Pass -> exit 0
+    | Capacity -> exit exhausted
+    | Violation _ | Deadlock _ -> exit 1
   in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Model-check a model for mutual exclusion (and overflow-freedom)")
+       ~doc:"Model-check a model for mutual exclusion (and overflow-freedom)"
+       ~exits:
+         (verdict_exits
+            [
+              Cmd.Exit.info 0
+                ~doc:"the invariants hold in every reachable state.";
+              Cmd.Exit.info 1
+                ~doc:
+                  "an invariant is violated or a state deadlocks, and the \
+                   counterexample is printed; or the model fails at run \
+                   time, in one line on standard error.";
+              Cmd.Exit.info 2 ~doc:"on a usage error.";
+              Cmd.Exit.info exhausted
+                ~doc:
+                  "the $(b,--max-states) budget ran out before the search \
+                   did: nothing was proved or refuted.";
+            ]))
     Term.(
       const run $ model_arg $ nprocs_arg $ bound_arg $ register_model_arg
       $ reduce_arg $ cap_arg $ max_states_arg $ no_overflow_arg $ coverage_arg
@@ -684,7 +712,7 @@ let explain_cmd =
       | Modelcheck.Explore.Capacity ->
           Printf.eprintf
             "state budget exhausted before a verdict; raise --max-states\n";
-          exit 1
+          exit exhausted
     in
     match (model, repro) with
     | Some _, Some _ ->
@@ -727,7 +755,21 @@ let explain_cmd =
     (Cmd.info "explain"
        ~doc:
          "Render a counterexample or .repro file as an annotated \
-          step-by-step story with causal analysis")
+          step-by-step story with causal analysis"
+       ~exits:
+         (verdict_exits
+            [
+              Cmd.Exit.info 0 ~doc:"a counterexample or repro was explained.";
+              Cmd.Exit.info 1
+                ~doc:
+                  "the $(b,--model) check passes: there is nothing to \
+                   explain.";
+              Cmd.Exit.info 2 ~doc:"on a usage error or an unloadable repro.";
+              Cmd.Exit.info exhausted
+                ~doc:
+                  "the $(b,--max-states) budget ran out before the check \
+                   found a counterexample or proved there is none.";
+            ]))
     Term.(
       const run $ model_opt_arg $ repro_arg $ nprocs_arg $ bound_arg
       $ register_model_arg $ reduce_arg $ max_states_arg $ max_steps_arg
@@ -881,7 +923,9 @@ let fuzz_cmd =
     let doc =
       "Registry model the replay oracle draws schedules for.  Repeatable; \
        default bakery_pp and peterson2 (models expected to be safe — point \
-       this at bakery_mod_naive or bakery to hunt for violations)."
+       this at bakery_mod_naive or bakery to hunt for violations).  A \
+       two-process model named here with another -n is a usage error; the \
+       default leaves peterson2 out unless -n is 2."
     in
     Arg.(value & opt_all string [] & info [ "model" ] ~docv:"MODEL" ~doc)
   in
@@ -962,10 +1006,26 @@ let fuzz_cmd =
           | names ->
               List.map (fun n -> or_usage_error (Fuzz.Oracle.of_name n)) names
         in
+        (* A named model must run at this -n; the default list leaves
+           out the models that cannot, and says so. *)
         let models =
-          match models with [] -> Fuzz.Driver_params.default.models | l -> l
+          match models with
+          | [] ->
+              List.filter
+                (fun m ->
+                  match Harness.Registry.fixed_nprocs m with
+                  | Some n when n <> nprocs ->
+                      Printf.eprintf
+                        "fuzz: replay models leave out %s, which runs with \
+                         exactly %d processes, not -n %d\n"
+                        m n nprocs;
+                      false
+                  | _ -> true)
+                Fuzz.Driver_params.default.models
+          | l ->
+              List.iter (fun m -> ignore (find_model_for m ~nprocs)) l;
+              l
         in
-        List.iter (fun m -> ignore (find_model m)) models;
         let tl =
           telemetry_setup ~name:"fuzz" ?flight_out ~flight_interval progress
             metrics_out trace_out

@@ -845,8 +845,9 @@ let e12 ~quick =
            bit-packed";
           "collisions/handoffs come from the engine's telemetry \
            counters for the same run; collisions are states sharing a \
-           key tag (the key's bits from 31 up), each costing one extra \
-           state compare";
+           key tag in their shard's store (the key's top bits, kept \
+           beside the id in a 32-bit index entry), each costing one \
+           extra state compare";
           "single-core hosts serialize the domains, so extra domains \
            only measure coordination overhead, not speedup";
         ]

@@ -7,9 +7,13 @@
    the arena only if genuinely new.  Most generated states of a big
    search are duplicates, so the steady state allocates nothing at all.
 
-   Each new state logs one word, its parent's id and the rank of its
-   move among the parent's successors; [trace_of] replays such logs for
-   every explorer by regenerating those successors.
+   The search keeps no log.  It records where each BFS level's ids
+   start, and [scan_log] finds a stored state's parent again by
+   scanning the level above it in id order: the first state there with
+   a move to it is the one that stored it, so the word it computes —
+   the parent's id and the rank of the move — is the one a log would
+   have kept.  [trace_of] replays such words for every explorer by
+   regenerating successors.
 
    [interpreted = true] swaps only the successor function: the AST
    interpreter's move list is copied into the same scratch buffer, move
@@ -27,8 +31,13 @@ type outcome =
 
 type result = { outcome : outcome; stats : stats }
 
-type graph =
-  { sys : System.t; store : Store.t; log : int Vec.t; complete : bool }
+type graph = {
+  sys : System.t;
+  store : Store.t;
+  levels : int Vec.t;
+  constraint_ : (System.t -> State.packed -> bool) option;
+  complete : bool;
+}
 
 (* The parent's id plus one (0 for the root) in the 32 bits above the
    rank's 31; the top one is OCaml's sign bit, which [lsr] reads back. *)
@@ -43,7 +52,7 @@ let log_rank w = w land 0x7fff_ffff
 (* Replay the log from the initial state: regenerate each state's
    successors under the search's ample set, take the logged rank and
    canonicalize as the search did, and check that it rebuilds the state
-   the search stored. *)
+   the search stored.  Each state's word is asked for once. *)
 let trace_of sys red ~log ~stored id =
   let steps = (System.program sys).steps in
   let scratch = Array.make (System.layout sys).State.words 0 in
@@ -55,15 +64,15 @@ let trace_of sys red ~log ~stored id =
     { Trace.pid; step_name; state }
   in
   let rec path id acc =
-    let p = log_parent (log id) in
-    if p < 0 then (id, acc) else path p (id :: acc)
+    let w = log id in
+    if log_parent w < 0 then (id, acc) else path (log_parent w) ((id, w) :: acc)
   in
   let root, rest = path id [] in
   let init = entry root (-1) "<init>" (System.initial sys) in
   let prev = ref init in
   let exception Found of int * int in
-  let replay id =
-    let s = !prev.state and rank = log_rank (log id) and k = ref 0 in
+  let replay (id, w) =
+    let s = !prev.state and rank = log_rank w and k = ref 0 in
     match
       System.iter_successors_scratch ~only:(Reduce.ample red s) sys s ~scratch
         (fun ~pid ~from_pc ~alt:_ ~flick:_ ->
@@ -72,15 +81,79 @@ let trace_of sys red ~log ~stored id =
     with
     | () ->
         Printf.ksprintf failwith "Explore.trace_of: state %d has no move %d"
-          (log_parent (log id)) rank
+          (log_parent w) rank
     | exception Found (pid, pc) ->
         prev := entry id pid steps.(pc).step_name (Array.copy scratch);
         !prev
   in
   Reduce.decanonicalize red (init :: List.map replay rest)
 
+(* The level of local id [local] in a shard whose levels start at
+   [starts]: the last level whose first id is at or below it.  [starts]
+   never falls, and two levels start at the same id only when the first
+   of them holds none of the shard's states. *)
+let level_of starts local =
+  let lo = ref 0 and hi = ref (Vec.length starts - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if Vec.get starts mid <= local then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+let scan_log sys red ?constraint_ ~iter ~starts ~length ~read =
+  let n = Array.length starts and last = System.nprocs sys - 1 in
+  let words = (System.layout sys).State.words in
+  let target = Array.make words 0 and cur = Array.make words 0 in
+  let scratch = Array.make words 0 in
+  let canon = Reduce.canonizer red in
+  let exception Found of int in
+  fun id ->
+    let shard = id mod n and local = id / n in
+    match level_of starts.(shard) local with
+    | 0 -> log_word ~parent:(-1) ~rank:0
+    | k -> (
+        read ~shard local target;
+        (* Raise the word of the first move out of level [k - 1] that
+           rebuilds [target]. *)
+        match
+          for s = 0 to n - 1 do
+            let st = starts.(s) in
+            let stop = if k < Vec.length st then Vec.get st k else length s in
+            for p = Vec.get st (k - 1) to stop - 1 do
+              read ~shard:s p cur;
+              if match constraint_ with None -> true | Some c -> c sys cur
+              then begin
+                let rank = ref 0 and only = Reduce.ample red cur in
+                let lo, hi = if only >= 0 then (only, only) else (0, last) in
+                iter cur ~lo ~hi ~scratch
+                  (fun ~pid:_ ~from_pc:_ ~alt:_ ~flick:_ ->
+                    canon scratch;
+                    if State.equal scratch target then
+                      raise_notrace
+                        (Found (log_word ~parent:((p * n) + s) ~rank:!rank));
+                    incr rank)
+              end
+            done
+          done
+        with
+        | () ->
+            failwith
+              ("Explore.scan_log: no state of the level above moves to \
+                stored state " ^ string_of_int id)
+        | exception Found w -> w)
+
+(* A sequential search is one shard. *)
+let store_log sys red ?constraint_ ~iter store levels =
+  scan_log sys red ?constraint_ ~iter ~starts:[| levels |]
+    ~length:(fun _ -> Store.length store)
+    ~read:(fun ~shard:_ -> Store.read_into store)
+
+let log_of (g : graph) =
+  store_log g.sys (Reduce.make Reduce.Off g.sys) ?constraint_:g.constraint_
+    ~iter:(System.iter_successors_between g.sys) g.store g.levels
+
 let trace_to (g : graph) id =
-  trace_of g.sys (Reduce.make Reduce.Off g.sys) ~log:(Vec.get g.log)
+  trace_of g.sys (Reduce.make Reduce.Off g.sys) ~log:(log_of g)
     ~stored:(Store.get g.store) id
 
 let default_invariants = lazy [ Invariant.mutex; Invariant.no_overflow ]
@@ -127,26 +200,46 @@ let record_finish ?progress ?metrics ~prefix ~twin_moves outcome
 
 (* The search itself: dedup-before-copy BFS on the arena store, the
    frontier's ids in a {!Wave} ring.  Returns the result together with
-   the store and its search log, which [run_graph] hands on. *)
+   the store and the ids where its levels start, which [run_graph]
+   hands on. *)
 let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     ~red ?progress ?metrics sys =
   let t0 = Telemetry.Clock.now_s () in
+  let lay = System.layout sys in
   let idx = Store.create () in
-  let log = Vec.create () in
+  Store.set_siblings idx (State.siblings lay);
+  (* Level [k]'s first id; the root's level starts at 0. *)
+  let levels = Vec.create () in
+  ignore (Vec.push levels 0);
   let max_depth = ref 0 in
   let wave = Wave.create () in
-  let lay = System.layout sys in
   let scratch = Array.make lay.State.words 0 in
   let current = Array.make lay.State.words 0 in
   let exception Stop of outcome in
-  let trace id =
-    trace_of sys red ~log:(Vec.get log) ~stored:(Store.get idx) id
-  in
   (* Invariants are staged once per run (layouts and step kinds resolved
      up front); they and the state constraint run on the scratch buffer
      (identical contents to what was just stored). *)
   let names = Array.of_list (List.map (fun inv -> inv.Invariant.name) invariants) in
   let holds = Array.of_list (List.map (fun inv -> Invariant.stage inv sys) invariants) in
+  (* [interpreted] swaps in the interpreter's moves, copied into the
+     same scratch buffer.  Its traces are scanned in its own move order
+     and replayed through the compiled closures, which check it. *)
+  let iter =
+    if not interpreted then System.iter_successors_between sys
+    else fun s ~lo ~hi ~scratch f ->
+      List.iter
+        (fun (m : System.move) ->
+          if m.pid >= lo && m.pid <= hi then begin
+            Array.blit m.dest 0 scratch 0 lay.State.words;
+            f ~pid:m.pid ~from_pc:m.from_pc ~alt:m.alt ~flick:m.flick
+          end)
+        (System.successors_interpreted sys s)
+  in
+  let trace id =
+    trace_of sys red
+      ~log:(store_log sys red ?constraint_ ~iter idx levels)
+      ~stored:(Store.get idx) id
+  in
   let vet id' buf =
     if Store.length idx > max_states then raise (Stop Capacity);
     let k = ref 0 in
@@ -159,30 +252,8 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     | Some c when not (c sys buf) -> ()
     | _ -> Wave.push wave id'
   in
-  let store_new ~parent ~rank buf =
-    let id' = Store.add_probed idx buf in
-    ignore (Vec.push log (log_word ~parent ~rank));
-    vet id' buf
-  in
-  (* The expanded state's id, shared with the per-successor callback so
-     that one closure serves the whole search. *)
-  let from = ref 0 in
-  let emit rank =
-    if Store.probe idx scratch = -1 then store_new ~parent:!from ~rank scratch
-  in
-  (* [interpreted] swaps in the interpreter's moves, copied into the
-     same scratch buffer. *)
-  let iter =
-    if not interpreted then System.iter_successors_between sys
-    else fun s ~lo ~hi ~scratch f ->
-      List.iter
-        (fun (m : System.move) ->
-          if m.pid >= lo && m.pid <= hi then begin
-            Array.blit m.dest 0 scratch 0 lay.State.words;
-            f ~pid:m.pid ~from_pc:m.from_pc ~alt:m.alt ~flick:m.flick
-          end)
-        (System.successors_interpreted sys s)
-  in
+  let store_new buf = vet (Store.add_probed idx buf) buf in
+  let emit () = if Store.probe idx scratch = -1 then store_new scratch in
   let ex = Reduce.expander red ~iter ~scratch emit in
   (* The initial state, then every move counted. *)
   let generated () = 1 + Reduce.generated ex in
@@ -236,8 +307,11 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
             Telemetry.Metrics.gauge m "explore.live_distinct",
             Telemetry.Metrics.gauge m "explore.live_kstates_s" )
   in
+  (* Level [depth] is stored whole when it starts to expand, so the
+     next level starts at the store's length. *)
   let on_wave ~depth ~frontier =
     max_depth := depth;
+    ignore (Vec.push levels (Store.length idx));
     (match live with
     | None -> ()
     | Some (g_frontier, g_gen, g_dist, g_rate) ->
@@ -259,13 +333,13 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
     try
       let init = System.initial sys in
       Reduce.canonizer red init;
-      if Store.probe idx init = -1 then store_new ~parent:(-1) ~rank:0 init;
+      if Store.probe idx init = -1 then store_new init;
+      ignore (Vec.push levels (Store.length idx));
       (* BFS depth by wave boundary: ids enter the driver in depth
          order, so no per-state depth needs storing. *)
       Wave.drive ~on_wave wave (fun id ->
           tick ();
           Store.read_into idx id current;
-          from := id;
           (* An ample process is enabled by construction, so expanding
              it alone never masks a deadlock. *)
           if Reduce.expand ex current = 0 && check_deadlock then
@@ -289,7 +363,7 @@ let search ~invariants ~constraint_ ~max_states ~check_deadlock ~interpreted
       Telemetry.Metrics.set
         (Telemetry.Metrics.gauge m "explore.table_mb")
         (float_of_int (Store.arena_bytes idx) /. 1048576.0));
-  ({ outcome; stats }, idx, log)
+  ({ outcome; stats }, idx, levels)
 
 let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = true)
     ?(interpreted = false) ?(reduce = Reduce.Off) ?progress ?metrics sys =
@@ -311,8 +385,9 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?(check_deadlock = tr
   r
 
 let run_graph ?constraint_ ?(max_states = 5_000_000) sys =
-  let r, store, log =
+  let r, store, levels =
     search ~invariants:[] ~constraint_ ~max_states ~check_deadlock:false
       ~interpreted:false ~red:(Reduce.make Reduce.Off sys) sys
   in
-  ({ sys; store; log; complete = r.outcome <> Capacity }, r.stats)
+  ( { sys; store; levels; constraint_; complete = r.outcome <> Capacity },
+    r.stats )

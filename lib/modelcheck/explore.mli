@@ -21,12 +21,19 @@ type outcome =
 
 type result = { outcome : outcome; stats : stats }
 
-(** The search's own store and log, reusable by the SCC/lasso analyses
-    through {!Store.get}, {!Store.find_opt} and {!Store.length}. *)
+(** The search's own store, reusable by the SCC/lasso analyses through
+    {!Store.get}, {!Store.find_opt} and {!Store.length}.  It keeps no
+    log: {!log_of} finds a state's parent again by scanning the level
+    above it. *)
 type graph = {
   sys : System.t;
   store : Store.t;  (** every stored state, by id in BFS order *)
-  log : int Vec.t;  (** by state id, its {!log_word} *)
+  levels : int Vec.t;
+      (** by BFS depth, the id where that level starts; level [k] ends
+          where level [k + 1] starts, the last at [Store.length store] *)
+  constraint_ : (System.t -> State.packed -> bool) option;
+      (** the search's state constraint: a state it rejects was stored
+          but not expanded, so it is nobody's parent *)
   complete : bool;
       (** [false] if [max_states] stopped the search before the frontier
           emptied: the graph is then a BFS prefix of the reachable one,
@@ -90,9 +97,14 @@ val run_graph :
     {!Coverage} and {!Dot}.  At [max_states] the search stops and the
     graph says so ([complete = false]). *)
 
+val log_of : graph -> int -> int
+(** [log_of g] computes a stored state's {!log_word} on demand, by
+    {!scan_log} over the graph's levels; each partial application owns
+    its scratch buffers. *)
+
 val trace_to : graph -> int -> Trace.t
 (** The BFS path from the root to a stored state id: {!trace_of} over
-    the graph's log, checked against its store. *)
+    {!log_of}, checked against the graph's store. *)
 
 val outcome_tag : outcome -> string
 (** Short machine tag: ["pass"], ["violation:<invariant>"],
@@ -112,23 +124,63 @@ val record_finish :
     ({!Reduce.twin_moves}).  Shared with {!Par_explore}. *)
 
 val log_word : parent:int -> rank:int -> int
-(** One state's search-log entry: its parent's id ([-1] for the root,
-    at most 2^32 - 2) and the rank of the move that reached it, its
-    index in {!System.iter_successors_scratch} order under the search's
-    ample set (below 2^31; [0] for the root).
+(** One state's log word: its parent's id ([-1] for the root, at most
+    2^32 - 2) and the rank of the move that reached it, its index in
+    {!System.iter_successors_scratch} order under the search's ample
+    set (below 2^31; [0] for the root).  The searches compute it on
+    demand ({!scan_log}); {!Refine} still logs one per state.
     @raise Invalid_argument if either is out of range. *)
 
 val log_parent : int -> int
 val log_rank : int -> int
 
+val scan_log :
+  System.t ->
+  Reduce.t ->
+  ?constraint_:(System.t -> State.packed -> bool) ->
+  iter:
+    (State.packed ->
+    lo:int ->
+    hi:int ->
+    scratch:State.packed ->
+    (pid:int -> from_pc:int -> alt:int -> flick:int -> unit) ->
+    unit) ->
+  starts:int Vec.t array ->
+  length:(int -> int) ->
+  read:(shard:int -> int -> State.packed -> unit) ->
+  int ->
+  int
+(** [scan_log sys red ~iter ~starts ~length ~read] is the {!log_word}
+    of a stored state of a level-by-level search, computed by scanning
+    the level above it.  Ids interleave [n = Array.length starts]
+    shards as {!Shard_table.gid} does, [id = local * n + shard]; a
+    sequential search is one shard.  Shard [s]'s level [k] holds its
+    local ids from [Vec.get starts.(s) k] up to where level [k + 1]
+    starts, or to [length s] for its last level; [read ~shard local
+    buf] decodes a stored state.
+
+    The parent is the first state of the level above in (shard, local
+    id) order that [constraint_] lets expand and that has a move which,
+    under [red]'s ample set and canonizer, rebuilds the stored state;
+    the rank is that move's, in the order of [iter], the search's own
+    move enumeration ({!System.iter_successors_between}, or the
+    interpreter's moves for an interpreted search, whose ranks
+    {!trace_of} then checks against the compiled closures).  In a
+    sequential search that is the parent and the move which stored the
+    state, so the word is the one a log would have kept.  The root's
+    word is [log_word ~parent:(-1) ~rank:0].  A partial application
+    owns its scratch buffers.
+    @raise Failure if no state of the level above moves to it. *)
+
 val trace_of :
   System.t -> Reduce.t -> log:(int -> int) -> stored:(int -> State.packed) ->
   int -> Trace.t
-(** The path from the root to state [id] of any search that logged a
-    {!log_word} per state: from the initial state, each step
-    regenerates the previous state's successors under [red]'s ample set,
-    takes the logged rank and canonicalizes as the search did; the run
-    comes back in original process ids.  [stored] looks up the search's
-    states by id, and every rebuilt state is checked against it.
+(** The path from the root to state [id] of any search that can give a
+    {!log_word} per state, asked once per state of the path: from the
+    initial state, each step regenerates the previous state's
+    successors under [red]'s ample set, takes the word's rank and
+    canonicalizes as the search did; the run comes back in original
+    process ids.  [stored] looks up the search's states by id, and
+    every rebuilt state is checked against it.
     @raise Failure on a mismatch, or if a state has no move of the
-    logged rank. *)
+    word's rank. *)

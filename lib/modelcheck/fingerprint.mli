@@ -2,17 +2,18 @@
     {!State.hash}'s one xor-multiply per word, finished by one
     splitmix64 finalizer per state.
 
-    Two hashes key the one visited-set table, {!Store}.  {!State.hash}
-    keys the sequential engine's store, where the full state is always
-    at hand to break ties.  These fingerprints key {!Shard_table}: a
-    fingerprint picks the owning shard ({!Shard_table.owner}), and the
-    fingerprint divided by the shard count keys that shard's store and
-    picks the slot in its table, so every bit must depend on every word
-    of the state.  The finalizer gives that; {!State.hash} alone leaves
-    the low bits blind to the words' high bits. *)
+    A fingerprint only routes: its residue modulo the shard count picks
+    the shard that owns the state ({!Shard_table.owner}).  Every
+    {!Store}, the shards' included, keys its states itself from their
+    packed words through {!mix}, so the residue and the store's probe
+    read different hashes.  The residue's low bits must still depend on
+    every word of the state; the finalizer gives that, where
+    {!State.hash} alone leaves the low bits blind to the words' high
+    bits. *)
 
 val hash : State.packed -> int
 (** Fingerprint of a packed state: uniform over [0, max_int]. *)
 
 val mix : int -> int
-(** The splitmix64 finalizer, exposed for tests and derived hashes. *)
+(** The splitmix64 finalizer: {!Store}'s key of a state packed into one
+    word, and the last step of every other key and fingerprint. *)

@@ -46,19 +46,23 @@
    and [depth] all match the sequential engine on a Pass, and a
    violation is still reported with a shortest counterexample.
 
-   Each shard logs one {!Explore.log_word} per state it inserts, and
-   {!Explore.trace_of} replays those logs into counterexamples, as it
-   does for every explorer, checking each rebuilt state against the
-   one its shard stored. *)
+   Nothing is logged per state.  Each shard records where every BFS
+   level's local ids start, and a counterexample's parent links are
+   found again by {!Explore.scan_log}: the parent of a stored state is
+   the first state of the level above, in (shard, local id) order, with
+   a move to it — whichever domain happened to insert the state first.
+   {!Explore.trace_of} replays those words, as it does for every
+   explorer, checking each rebuilt state against the one its shard
+   stored. *)
 
 let batch_cap = 64
 
-(* One hand-off batch: up to [batch_cap] candidates, each stored flat
-   as its fingerprint, log word and state.  [b_owner] is the domain
-   that allocated it, and the only one that fills it.  A batch is being
-   filled, waiting in the inbox of the shard it was filled for, on its
-   owner's return list or on its owner's free list, linked through
-   [b_next] in the last three cases. *)
+(* One hand-off batch: up to [batch_cap] candidate states, stored
+   flat.  [b_owner] is the domain that allocated it, and the only one
+   that fills it.  A batch is being filled, waiting in the inbox of the
+   shard it was filled for, on its owner's return list or on its
+   owner's free list, linked through [b_next] in the last three
+   cases. *)
 type batch = {
   b_data : int array;
   b_owner : int;
@@ -86,7 +90,6 @@ type dstate = {
   mutable d_violation_gid : int;
   mutable d_violation_inv : string;
   mutable d_deadlock_gid : int;
-  mutable d_gid : int;  (* the state being expanded *)
   (* Its shard's frontier: this wave expands the local ids in
      [d_base .. d_top - 1], from the top down.  The next wave's ids
      begin at [d_end], and [d_next] counts those that will expand. *)
@@ -130,12 +133,17 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let tbl =
     Shard_table.create ?hash ~mode:Shard_table.Exact ~nshards:ndomains ~words ()
   in
-  (* Per-shard search log, one log word per local id. *)
-  let logs = Array.init ndomains (fun _ -> Vec.create ()) in
+  Shard_table.set_siblings tbl (State.siblings lay);
+  (* By shard, the local id where each BFS level starts; the root's
+     level starts at 0 everywhere. *)
+  let starts =
+    Array.init ndomains (fun _ ->
+        let v = Vec.create () in
+        ignore (Vec.push v 0);
+        v)
+  in
   let inboxes = Array.init ndomains (fun _ -> Atomic.make no_batch) in
   let returns = Array.init ndomains (fun _ -> Atomic.make no_batch) in
-  (* A batch entry: fingerprint, log word, state. *)
-  let entry = words + 2 in
   let pending = Atomic.make 0 in
   let stop = Atomic.make false in
   let dstates =
@@ -149,7 +157,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
           d_violation_gid = -1;
           d_violation_inv = "";
           d_deadlock_gid = -1;
-          d_gid = -1;
           d_base = 0;
           d_top = 0;
           d_end = 0;
@@ -170,26 +177,32 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     match constraint_ with None -> true | Some c -> c sys s
   in
   let depth = ref 0 in
-  (* The shards' states check the replayed traces. *)
-  let at f gid =
-    let shard = Shard_table.shard_of_gid tbl gid in
-    f ~shard (Shard_table.local_of_gid tbl gid)
-  in
-  let trace =
+  (* The shards' levels give the parent links, and their states check
+     the replayed traces. *)
+  let trace gid =
     Explore.trace_of sys red
-      ~log:(at (fun ~shard -> Vec.get logs.(shard)))
-      ~stored:(at (Shard_table.get tbl))
+      ~log:
+        (Explore.scan_log sys red ?constraint_
+           ~iter:(System.iter_successors_between sys) ~starts
+           ~length:(fun shard -> Shard_table.length tbl ~shard)
+           ~read:(Shard_table.read_into tbl))
+      ~stored:(fun gid ->
+        Shard_table.get tbl
+          ~shard:(Shard_table.shard_of_gid tbl gid)
+          (Shard_table.local_of_gid tbl gid))
+      gid
   in
   let exception Stop of Explore.result in
   (* Probe-and-insert a candidate into shard [w] (caller must be its
      owning domain, or the main domain between waves).  [s] is a
      scratch buffer; a new state joins the next frontier, and counts in
      [d_next] if the constraint lets it expand. *)
-  let insert_candidate w (d : dstate) ~fp ~log (s : State.packed) =
-    let local = Shard_table.insert tbl ~shard:w ~fp s in
+  let owner s = Shard_table.owner tbl (Shard_table.fingerprint tbl s) in
+  (* The shard keys [s] itself, so no fingerprint is passed on. *)
+  let insert_candidate w (d : dstate) (s : State.packed) =
+    let local = Shard_table.insert tbl ~shard:w ~fp:0 s in
     if local >= 0 then begin
       let g = Shard_table.gid tbl ~shard:w ~local in
-      ignore (Vec.push logs.(w) log);
       d.d_inserts <- d.d_inserts + 1;
       (* Soft capacity check: exact accounting happens at the wave
          barrier; this just stops a runaway wave early.  [total] reads
@@ -222,7 +235,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     if b == no_batch then begin
       d.d_allocated <- d.d_allocated + 1;
       {
-        b_data = Array.make (batch_cap * entry) 0;
+        b_data = Array.make (batch_cap * words) 0;
         b_owner = w;
         b_n = 0;
         b_next = no_batch;
@@ -251,7 +264,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       if o <> w then flush d o
     done
   in
-  let route w (d : dstate) o ~fp ~log (s : State.packed) =
+  let route w (d : dstate) o (s : State.packed) =
     (* A batch going live is in-flight work: count it before it becomes
        visible so [pending] can never transiently hit zero while states
        sit in a partial buffer. *)
@@ -260,10 +273,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       Atomic.incr pending
     end;
     let b = d.d_out.(o) in
-    let at = b.b_n * entry in
-    b.b_data.(at) <- fp;
-    b.b_data.(at + 1) <- log;
-    Array.blit s 0 b.b_data (at + 2) words;
+    Array.blit s 0 b.b_data (b.b_n * words) words;
     b.b_n <- b.b_n + 1;
     if b.b_n = batch_cap then flush d o
   in
@@ -276,9 +286,8 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
       let batch = !b in
       let data = batch.b_data in
       for k = 0 to batch.b_n - 1 do
-        let at = k * entry in
-        Array.blit data (at + 2) d.d_probe 0 words;
-        insert_candidate w d ~fp:data.(at) ~log:data.(at + 1) d.d_probe
+        Array.blit data (k * words) d.d_probe 0 words;
+        insert_candidate w d d.d_probe
       done;
       b := batch.b_next;
       batch.b_n <- 0;
@@ -295,12 +304,10 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
   let expander w =
     let d = dstates.(w) in
     Reduce.expander red ~iter:(System.iter_successors_between sys)
-      ~scratch:d.d_scratch (fun rank ->
-        let fp = Shard_table.fingerprint tbl d.d_scratch in
-        let o = Shard_table.owner tbl fp in
-        let log = Explore.log_word ~parent:d.d_gid ~rank in
-        if o = w || !inline then insert_candidate o d ~fp ~log d.d_scratch
-        else route w d o ~fp ~log d.d_scratch)
+      ~scratch:d.d_scratch (fun () ->
+        let o = owner d.d_scratch in
+        if o = w || !inline then insert_candidate o d d.d_scratch
+        else route w d o d.d_scratch)
   in
   let expanders = Array.init ndomains expander in
   let sum_expanders f = Array.fold_left (fun acc x -> acc + f x) 0 expanders in
@@ -339,7 +346,6 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
      the item's routed work is always counted before the item itself is
      retired. *)
   let expand w (d : dstate) gid (s : State.packed) =
-    d.d_gid <- gid;
     if Reduce.expand expanders.(w) s = 0 then begin
       if d.d_deadlock_gid < 0 then d.d_deadlock_gid <- gid;
       Atomic.set stop true
@@ -423,13 +429,15 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     inline := false
   in
   (* Make the states each shard stored during the last wave its
-     frontier, and return how many of them will expand. *)
+     frontier, record where the next level starts, and return how many
+     of the frontier's states will expand. *)
   let next_wave () =
     let n = ref 0 in
     for w = 0 to ndomains - 1 do
       let c = dstates.(w) in
       c.d_base <- c.d_end;
       c.d_end <- Shard_table.length tbl ~shard:w;
+      ignore (Vec.push starts.(w) c.d_end);
       c.d_top <- c.d_end;
       n := !n + c.d_next;
       c.d_next <- 0
@@ -559,10 +567,7 @@ let run ?invariants ?constraint_ ?(max_states = 5_000_000) ?domains ?pool
     in
     let init = System.initial sys in
     Reduce.canonizer red init;
-    let fp = Shard_table.fingerprint tbl init in
-    let o = Shard_table.owner tbl fp in
-    let log = Explore.log_word ~parent:(-1) ~rank:0 in
-    insert_candidate o dstates.(0) ~fp ~log init;
+    insert_candidate (owner init) dstates.(0) init;
     (* The initial state is the first frontier. *)
     let n = ref (next_wave ()) in
     post_wave ();

@@ -17,7 +17,9 @@
     are exactly BFS level [d+1], hence [generated], [distinct] and
     [depth] match the sequential engine on a Pass and a violation is
     reported with a shortest counterexample.  The fuzz seq-vs-par
-    oracle pins this equivalence.
+    oracle pins this equivalence.  Each shard also records where every
+    level's local ids start: that is all a counterexample needs, since
+    a state's parent is found again in the level above it.
 
     On a single-core machine the extra domains add coordination
     overhead and no speedup (idle domains sleep rather than spin); the
@@ -43,13 +45,16 @@ val run :
     [domains], is left running on return, and must not be used
     concurrently from another thread.
 
-    Counterexample traces are rebuilt by {!Explore.trace_of} from each
-    shard's log, one {!Explore.log_word} per state, and checked state
-    by state against the shards, which keep their states bit-packed
-    ({!Store}) and no keys.  A fingerprint collision costs one more
-    state compare and never merges two states.
-    [hash] overrides the fingerprint function (tests inject colliding
-    or skewed hashes with it).
+    Nothing is logged per state: each shard records where every BFS
+    level's local ids start.  A counterexample's parent links are found
+    by {!Explore.scan_log}, which takes as each state's parent the
+    first state of the level above in (shard, local id) order with a
+    move to it, so the choice does not depend on which domain inserted
+    the state first.  {!Explore.trace_of} replays them and checks each
+    rebuilt state against the shards, which keep their states
+    bit-packed ({!Store}) and no keys.  [hash] overrides the
+    fingerprint, which only picks a state's shard (tests skew the
+    shards with it); each shard's store keys its states itself.
 
     [reduce] composes with the sharding exactly as in {!Explore.run}:
     successors are canonicalized ({!Reduce}) before fingerprinting, so
@@ -66,6 +71,7 @@ val run :
     hand-off/idle counters, the hand-off batches
     allocated ([par_explore.batches_allocated], bounded by those in
     flight at once, since each batch returns to the domain that
-    allocated it), fingerprint collisions,
-    shard occupancy, and a per-wave [par_explore.frontier_depth]
-    gauge.  Both default to off. *)
+    allocated it), key-tag collisions in the shards' stores
+    ([par_explore.fp_collisions], {!Store.collisions}), shard
+    occupancy, and a per-wave [par_explore.frontier_depth] gauge.  Both
+    default to off. *)

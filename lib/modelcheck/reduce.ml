@@ -426,14 +426,14 @@ let ample t s =
 
 (* One search domain's expansion of stored states.  The expanded state
    is canonical whenever symmetry is active, which gives two shortcuts
-   that change no count, rank or representative:
+   that change no count or representative:
 
    - a successor moved one process, so [reseat] canonicalizes it in
      place of the full sort;
    - a process whose block equals its left neighbour's ({e twin}) is
      swapped with it by a symmetry that fixes the state, so its moves
      reach exactly the neighbour's canonical successors, one for one.
-     They are counted and ranked without being built.
+     They are counted without being built.
 
    Twins are skipped only when every process is expanded.  [x_last_pid]
    and [x_last_count] count the moves of the last process expanded, for
@@ -448,11 +448,10 @@ type expander = {
     (pid:int -> from_pc:int -> alt:int -> flick:int -> unit) ->
     unit;
   x_scratch : State.packed;
-  x_emit : int -> unit;
+  x_emit : unit -> unit;
   x_on_move : pid:int -> from_pc:int -> alt:int -> flick:int -> unit;
   mutable x_generated : int;
   mutable x_twins : int;
-  mutable x_rank : int;
   mutable x_last_pid : int;
   mutable x_last_count : int;
 }
@@ -467,9 +466,7 @@ let on_move x ~pid ~from_pc:_ ~alt:_ ~flick:_ =
     reseat_block x.x_red.sym x.x_scratch pid
   end;
   x.x_generated <- x.x_generated + 1;
-  let rank = x.x_rank in
-  x.x_rank <- rank + 1;
-  x.x_emit rank
+  x.x_emit ()
 
 let expander t ~iter ~scratch emit =
   let rec x =
@@ -482,7 +479,6 @@ let expander t ~iter ~scratch emit =
         (fun ~pid ~from_pc ~alt ~flick -> on_move x ~pid ~from_pc ~alt ~flick);
       x_generated = 0;
       x_twins = 0;
-      x_rank = 0;
       x_last_pid = -1;
       x_last_count = 0;
     }
@@ -496,7 +492,6 @@ let expand x (s : State.packed) =
   let t = x.x_red in
   let n = t.sym.s_n and cols = t.sym.s_cols in
   let g0 = x.x_generated in
-  x.x_rank <- 0;
   x.x_last_pid <- -1;
   let only = ample t s in
   if only >= 0 then
@@ -513,7 +508,6 @@ let expand x (s : State.packed) =
         let c = if x.x_last_pid = pid - 1 then x.x_last_count else 0 in
         x.x_generated <- x.x_generated + c;
         x.x_twins <- x.x_twins + c;
-        x.x_rank <- x.x_rank + c;
         x.x_last_pid <- pid;
         x.x_last_count <- c;
         lo := pid + 1

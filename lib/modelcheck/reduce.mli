@@ -145,15 +145,14 @@ val expander :
     (pid:int -> from_pc:int -> alt:int -> flick:int -> unit) ->
     unit) ->
   scratch:State.packed ->
-  (int -> unit) ->
+  (unit -> unit) ->
   expander
 (** [expander t ~iter ~scratch emit]: [iter] enumerates the moves of a
     range of processes into [scratch], in
     {!System.iter_successors_between}'s order (which it is, unless a
-    search swaps in the interpreter); [emit rank] is called once per
-    successor built, with the successor in [scratch] (canonical when
-    symmetry is active) and [rank] its index among the state's moves
-    under the ample set, the rank a {!Explore.log_word} records. *)
+    search swaps in the interpreter); [emit ()] is called once per
+    successor built, in that order, with the successor in [scratch]
+    (canonical when symmetry is active). *)
 
 val expand : expander -> State.packed -> int
 (** Expand a stored state, which must be canonical when symmetry is
@@ -165,8 +164,10 @@ val expand : expander -> State.packed -> int
     per-process arrays, locals) equals its left neighbour's — is not
     expanded: swapping the two fixes the state, so the twin's moves
     reach the neighbour's canonical successors, one for one.  They
-    count in {!generated} and in the ranks as if built, so counts,
-    ranks and traces are those of expanding every move. *)
+    count in {!generated} as if built, so counts are those of expanding
+    every move.  A twin's moves come after its neighbour's, so the
+    first move that reaches a state, the one {!Explore.scan_log} finds
+    again for a trace, is one the search built. *)
 
 val generated : expander -> int
 (** Moves counted by every {!expand} so far, twins included. *)

@@ -2,11 +2,11 @@
    [Store] per shard.
 
    A state's fingerprint picks its owning shard ([fp mod nshards]), and
-   that shard's store is keyed by [fp / nshards], so no shard indexes on
-   bits that are constant within it.  Each shard is written and read by
-   one domain at a time, so concurrent insertions never touch another
-   shard's memory; reads of other shards' counters are only done at
-   wave barriers. *)
+   nothing else: the shard's store keys the state itself, from its
+   packed words, so no shard indexes on bits that are constant within
+   it.  Each shard is written and read by one domain at a time, so
+   concurrent insertions never touch another shard's memory; reads of
+   other shards' counters are only done at wave barriers. *)
 
 type mode = Exact
 
@@ -17,6 +17,9 @@ let create ?(hash = Fingerprint.hash) ~mode:Exact ~nshards ~words:_ () =
   let shards = Array.init nshards (fun _ -> Store.create ()) in
   { nshards; hash; shards }
 
+let set_siblings t siblings =
+  Array.iter (fun st -> Store.set_siblings st siblings) t.shards
+
 let fingerprint t s = t.hash s
 let owner t fp = fp mod t.nshards
 
@@ -26,10 +29,9 @@ let gid t ~shard ~local = (local * t.nshards) + shard
 let shard_of_gid t gid = gid mod t.nshards
 let local_of_gid t gid = gid / t.nshards
 
-let insert t ~shard ~fp (s : State.packed) =
+let insert t ~shard ~fp:_ (s : State.packed) =
   let st = t.shards.(shard) in
-  if Store.probe_key st (fp / t.nshards) s >= 0 then -1
-  else Store.add_probed st s
+  if Store.probe st s >= 0 then -1 else Store.add_probed st s
 
 let get t ~shard local = Store.get t.shards.(shard) local
 let read_into t ~shard local dst = Store.read_into t.shards.(shard) local dst

@@ -2,12 +2,10 @@
     shard, and the routing between them.
 
     A state's {!Fingerprint.hash} [fp] picks its owning shard
-    ([fp mod nshards]); that shard's store is keyed by [fp / nshards]
-    through {!Store.probe_key}, never by {!State.hash}.  The residue
-    reads [fp]'s low bits and the store the quotient's bits from 31 up,
-    so both ends of [fp] must depend on every word of the state: the
-    fingerprint is {!State.hash}'s accumulation, whose low bits alone
-    would not, finished by one finalizer that spreads it.  Each shard
+    ([fp mod nshards]), and only that: the shard's {!Store} keys the
+    state itself from its packed words ({!Store.probe}), so the routing
+    residue and the store's key come from different hashes and no
+    shard indexes on bits that are constant within it.  Each shard
     keeps its packed states and no keys, and has a single writer, so
     insertion never contends on shared memory.
 
@@ -31,12 +29,16 @@ val create :
   words:int ->
   unit ->
   t
-(** [hash] defaults to {!Fingerprint.hash}; it is injectable so tests
-    can force collisions or skew the shards.  [mode] and [words] are
-    not read: each shard's store keeps full states and learns their
-    width from the first state it keeps.  Both stay only because the
-    repository benchmark's [replay_shards] passes them; drop them there
-    first, then here. *)
+(** [hash] defaults to {!Fingerprint.hash}; it only routes, and is
+    injectable so tests can skew the shards or send every state to
+    one.  [mode] and [words] are not read: each shard's store keeps
+    full states and learns their width from the first state it keeps.
+    Both stay only because the repository benchmark's [replay_shards]
+    passes them; drop them there first, then here. *)
+
+val set_siblings : t -> int array -> unit
+(** Group the fields that widen together in every shard's store
+    ({!Store.set_siblings}), before the first insertion. *)
 
 val fingerprint : t -> State.packed -> int
 val owner : t -> int -> int
@@ -50,9 +52,11 @@ val local_of_gid : t -> int -> int
 
 val insert : t -> shard:int -> fp:int -> State.packed -> int
 (** [insert t ~shard ~fp s] adds [s] to its owning [shard] if absent:
-    the new local id, or [-1] when already present.  [fp] must be
-    [fingerprint t s] and [shard] its owner; only the shard's owning
-    domain may call this. *)
+    the new local id, or [-1] when already present.  [shard] must be
+    the owner of [fingerprint t s]; only the shard's owning domain may
+    call this.  [fp] is not read: the shard keys [s] itself.  It stays
+    only because the repository benchmark's [replay_shards] passes it,
+    like [create]'s [mode] and [words]. *)
 
 val total : t -> int
 

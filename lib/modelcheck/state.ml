@@ -24,6 +24,21 @@ let layout (env : Mxlang.Eval.env) =
     words = shared_len + nprocs + (nprocs * locals_per);
   }
 
+let siblings l =
+  let g = Array.make l.words l.pcs_off and offs = l.env.offsets in
+  (* a shared cell's group is the last variable offset at or below it *)
+  let v = ref 0 in
+  for c = 0 to l.shared_len - 1 do
+    while !v + 1 < Array.length offs && offs.(!v + 1) <= c do
+      incr v
+    done;
+    g.(c) <- offs.(!v)
+  done;
+  for f = l.locals_off to l.words - 1 do
+    g.(f) <- l.locals_off + ((f - l.locals_off) mod l.locals_per)
+  done;
+  g
+
 let initial l =
   let s = Array.make l.words 0 in
   Array.blit (Mxlang.Eval.init_shared l.env) 0 s 0 l.shared_len;

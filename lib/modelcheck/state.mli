@@ -21,6 +21,12 @@ type packed = int array
 val layout : Mxlang.Eval.env -> layout
 val initial : layout -> packed
 
+val siblings : layout -> int array
+(** By word, its group: the first word of its shared variable, of the
+    pcs, or of its local's copies (process 0's).  Words of one group
+    are the same variable's, and in a symmetric program range over the
+    same values; {!Store.set_siblings} widens them together. *)
+
 val pc : layout -> packed -> int -> int
 (** Program counter of process [i]. *)
 
@@ -43,8 +49,7 @@ val hash : packed -> int
 (** FNV-1a over all words (the polymorphic hash only samples a prefix). *)
 
 val equal : packed -> packed -> bool
-(** Hashes are cached per stored state by {!Store}; dedup probes compare
-    cached codes first and arrays only on a code match. *)
+(** Word-by-word equality of two states of one layout. *)
 
 val pp : layout -> Format.formatter -> packed -> unit
 (** Human-readable rendering: pcs by label name plus all shared cells. *)

@@ -1,11 +1,14 @@
 (* An open-addressing index from key to insertion-order id, plus the
    states themselves, bit-packed in a chunked int arena:
 
-   - probing allocates nothing and touches one word per step: each
-     index entry packs a 31-bit key tag with the id, and the entry's
-     home slot is the tag's low bits, so table growth re-places entries
-     from the old table alone, without rehashing any state or keeping
-     its key;
+   - an index entry is 32 bits in a [Bytes] buffer: the id plus one in
+     the low log2(slots) bits, and the top bits of the state's key in
+     the rest as a tag.  Probing allocates nothing and touches four
+     bytes per step;
+   - the key is computed from the packed words, so the store needs no
+     caller's hash, and keeps no keys: growing the table and widening
+     the layout both rebuild the index from the arena in id order
+     ([reindex]), rehashing every stored state;
    - a field (one word of the unpacked state) is stored as its value
      minus an offset, in as many bits as the values stored so far
      need; fields are laid into 63-bit words in order and never
@@ -17,8 +20,12 @@
      field and re-encodes every stored state before the probe goes on.
      Ranges grow geometrically — the offset is 0 or -2^k, the width is
      what the values need — so a field widens at most about 63 times.
-     A field that would need more than 62 bits gets a raw word of its
-     own, so every int round-trips;
+     A field widens together with its siblings, the fields the caller
+     grouped with it (one shared array, the pcs, or one local across
+     processes), which tend to need the same range at about the same
+     time, so that one rebuild serves them all.  A field that would
+     need more than 62 bits gets a raw word of its own, so every int
+     round-trips;
    - packed states live contiguously inside fixed-size arena chunks:
      storing one is a blit, not an allocation, and the GC never traces
      millions of small arrays.  Chunks are never copied as the store
@@ -40,10 +47,15 @@ type layout = {
 }
 
 type t = {
-  mutable table : int array;
-      (* slot -> 0 when empty, else (key lsr 31) lsl 32 lor (id + 1) *)
+  mutable index : Bytes.t;
+      (* slot [i] at bytes [4i .. 4i + 3]: 0 when empty, else
+         [tag lsl bits lor (id + 1)] *)
+  mutable bits : int;  (* log2 of the slot count *)
   mutable mask : int;
   mutable lay : layout;
+  mutable siblings : int array;
+      (* by field, its group: fields of one group widen together;
+         empty when every field is its own group *)
   mutable buf : int array;  (* the last probed candidate, packed *)
   mutable chunks : int array array;
       (* state [id] at [(id land chunk_mask) * lay.pwords] in
@@ -56,14 +68,34 @@ type t = {
   mutable last_collided : bool;
 }
 
-let initial_slots = 4096
+let initial_bits = 12
 let chunk_bits = 13
 let chunk_states = 1 lsl chunk_bits
 let chunk_mask = chunk_states - 1
-let tag_of key = (key lsr 31) lsl 32
-let entry_tag e = e land lnot 0xffff_ffff
-let home tag mask = (tag lsr 32) land mask
-let id_of_entry e = (e land 0xffff_ffff) - 1
+
+(* One 32-bit entry in native byte order, read and written without a
+   bounds check or a boxed [int32]: slots are masked, so always in
+   range. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let entry index i = Int32.to_int (get32 index (4 * i)) land 0xffff_ffff
+let set_entry index i e = set32 index (4 * i) (Int32.of_int e)
+
+(* The tag is the key's top [32 - bits] bits, so an entry fills 32. *)
+let tag_of key bits = key lsr (31 + bits)
+
+(* A key from packed words: the splitmix finalizer alone for one word,
+   an FNV-1a fold of whole words first for more. *)
+let key_of (words : int array) base n =
+  if n = 1 then Fingerprint.mix (Array.unsafe_get words base)
+  else begin
+    let h = ref 0x3bf29ce484222325 in
+    for i = base to base + n - 1 do
+      h := (!h lxor Array.unsafe_get words i) * 0x100000001b3
+    done;
+    Fingerprint.mix !h
+  end
 
 (* Bits needed to write [x >= 0] in binary; 0 for 0. *)
 let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1)
@@ -140,9 +172,11 @@ let decode l src base (dst : State.packed) =
 
 let create () =
   {
-    table = Array.make initial_slots 0;
-    mask = initial_slots - 1;
+    index = Bytes.make (4 lsl initial_bits) '\000';
+    bits = initial_bits;
+    mask = (1 lsl initial_bits) - 1;
     lay = unfixed 0;
+    siblings = [||];
     buf = [| 0 |];
     chunks = [||];
     count = 0;
@@ -155,20 +189,63 @@ let create () =
 let length t = t.count
 let collisions t = t.collisions
 
-(* Widen every field whose range misses its value in [s], then rebuild
-   the arena under the new layout one chunk at a time, so the old and
-   new forms of only one chunk are live at once. *)
+let set_siblings t siblings =
+  if t.count > 0 then invalid_arg "Store.set_siblings: states are stored";
+  t.siblings <- siblings
+
+(* The one index builder: a table of 2^[bits] slots, filled from the
+   arena in id order, each state rehashed from its packed words.  A
+   rebuild at the same size (a widening) clears and refills the table
+   it has, since a fresh one would pace the major GC like any large
+   allocation; a growth drops the old table before it allocates the new
+   one, so only the new one is live while it fills. *)
+let reindex t bits =
+  if bits > 32 then failwith "Store: more than 2^32 index slots";
+  let index =
+    if bits = t.bits then begin
+      Bytes.fill t.index 0 (Bytes.length t.index) '\000';
+      t.index
+    end
+    else begin
+      t.index <- Bytes.empty;
+      Bytes.make (4 lsl bits) '\000'
+    end
+  in
+  let mask = (1 lsl bits) - 1 and words = t.lay.pwords in
+  for id = 0 to t.count - 1 do
+    let chunk = Array.unsafe_get t.chunks (id lsr chunk_bits) in
+    let key = key_of chunk ((id land chunk_mask) * words) words in
+    let i = ref (key land mask) in
+    while entry index !i <> 0 do
+      i := (!i + 1) land mask
+    done;
+    set_entry index !i ((tag_of key bits lsl bits) lor (id + 1))
+  done;
+  t.index <- index;
+  t.bits <- bits;
+  t.mask <- mask
+
+(* Widen every field whose range misses its value in [s], and its
+   siblings to the same range, rebuild the arena under the new layout
+   one chunk at a time, so the old and new forms of only one chunk are
+   live at once, then the index, whose keys the new packing changed. *)
 let widen t (s : State.packed) =
   let old = t.lay in
   let lo = Array.copy old.lo and hi = Array.copy old.hi in
-  Array.iteri
-    (fun f v ->
-      if v < lo.(f) || v > hi.(f) then begin
-        let a, b = range (Int.min v lo.(f)) (Int.max v hi.(f)) in
-        lo.(f) <- a;
-        hi.(f) <- b
-      end)
-    s;
+  for f = 0 to Array.length s - 1 do
+    if s.(f) < lo.(f) || s.(f) > hi.(f) then begin
+      let a, b = range (Int.min s.(f) lo.(f)) (Int.max s.(f) hi.(f)) in
+      lo.(f) <- a;
+      hi.(f) <- b;
+      for g = 0 to Array.length t.siblings - 1 do
+        if t.siblings.(g) = t.siblings.(f) then begin
+          let a, b = range (Int.min a lo.(g)) (Int.max b hi.(g)) in
+          lo.(g) <- a;
+          hi.(g) <- b
+        end
+      done
+    end
+  done;
   let l = lay_out lo hi in
   let tmp = Array.make (Array.length s) 0 in
   Array.iteri
@@ -184,13 +261,16 @@ let widen t (s : State.packed) =
       end)
     t.chunks;
   t.lay <- l;
-  t.buf <- Array.make l.pwords 0
+  t.buf <- Array.make l.pwords 0;
+  if t.count > 0 then reindex t t.bits
 
 (* Encode a candidate into [t.buf], widening the layout first if it
    does not fit. *)
 let pack t (s : State.packed) =
   if Array.length s <> Array.length t.lay.lo then begin
     if t.count > 0 then invalid_arg "Store: states differ in length";
+    if Array.length t.siblings > 0 && Array.length t.siblings <> Array.length s
+    then invalid_arg "Store: siblings and states differ in length";
     t.lay <- unfixed (Array.length s)
   end;
   if not (encode t.lay s t.buf 0) then begin
@@ -233,47 +313,25 @@ let equal_at t id =
    tag) was passed on the way.  A tag match compares packed contents,
    so a hit costs one miss into the arena. *)
 let rec probe_from t tag i collided =
-  let e = Array.unsafe_get t.table i in
+  let e = entry t.index i in
   if e = 0 then begin
     t.last_slot <- i;
     t.last_tag <- tag;
     t.last_collided <- collided;
     -1
   end
-  else if entry_tag e <> tag then
+  else if e lsr t.bits <> tag then
     probe_from t tag ((i + 1) land t.mask) collided
   else
-    let id = id_of_entry e in
+    let id = (e land t.mask) - 1 in
     if equal_at t id then id else probe_from t tag ((i + 1) land t.mask) true
 
-let probe_key t key s =
+let probe t s =
   pack t s;
-  let tag = tag_of key in
-  probe_from t tag (home tag t.mask) false
+  let key = key_of t.buf 0 t.lay.pwords in
+  probe_from t (tag_of key t.bits) (key land t.mask) false
 
-let probe t s = probe_key t (State.hash s) s
 let find_opt t s = match probe t s with -1 -> None | id -> Some id
-
-let grow_table t =
-  let old = t.table in
-  (* Large tables quadruple instead of doubling: re-placing an entry is
-     a random write, so halving the number of growth rounds matters more
-     than the transiently lower load factor. *)
-  let n = (if Array.length old >= 1 lsl 18 then 4 else 2) * Array.length old in
-  let table = Array.make n 0 in
-  let mask = n - 1 in
-  for k = 0 to Array.length old - 1 do
-    let e = Array.unsafe_get old k in
-    if e <> 0 then begin
-      let i = ref (home e mask) in
-      while Array.unsafe_get table !i <> 0 do
-        i := (!i + 1) land mask
-      done;
-      Array.unsafe_set table !i e
-    end
-  done;
-  t.table <- table;
-  t.mask <- mask
 
 let store_state t id =
   let words = t.lay.pwords in
@@ -292,12 +350,16 @@ let add_probed t (_ : State.packed) =
   let id = t.count in
   store_state t id;
   if t.last_collided then t.collisions <- t.collisions + 1;
-  t.table.(t.last_slot) <- t.last_tag lor (id + 1);
+  set_entry t.index t.last_slot ((t.last_tag lsl t.bits) lor (id + 1));
   t.count <- id + 1;
   (* Keep the load factor at or below 2/3: linear probing's sequential
      cache lines tolerate it well, and the smaller table keeps more of
-     the index in cache than a half-full one twice the size. *)
-  if 3 * (id + 1) > 2 * (t.mask + 1) then grow_table t;
+     the index in cache than a half-full one twice the size.  Large
+     tables quadruple instead of doubling: a rebuild rehashes every
+     state, so halving the number of rounds matters more than the
+     transiently lower load factor. *)
+  if 3 * (id + 1) > 2 * (t.mask + 1) then
+    reindex t (t.bits + if t.bits >= 18 then 2 else 1);
   id
 
 let add t s =
@@ -309,10 +371,8 @@ let load_factor t =
   if t.count = 0 then 0.0
   else float_of_int t.count /. float_of_int (t.mask + 1)
 
-let word_bytes = Sys.word_size / 8
-
 let arena_bytes t =
   let chunk_words =
     Array.fold_left (fun acc c -> acc + Array.length c) 0 t.chunks
   in
-  (chunk_words + t.mask + 1) * word_bytes
+  (chunk_words * (Sys.word_size / 8)) + Bytes.length t.index

@@ -1,33 +1,33 @@
 (** The checker's visited set, and its only one: an allocation-free
-    open-addressing index from a 63-bit key to an insertion-order id,
-    plus the states, bit-packed in a chunked int arena.  Every search
-    keeps its states, so answers never depend on the key function:
-    states with equal keys but distinct contents are both stored and
-    counted in {!collisions}.
+    open-addressing index of 32-bit entries from a state's key to its
+    insertion-order id, plus the states, bit-packed in a chunked int
+    arena.  Every search keeps its states, so answers never depend on
+    the key: states with equal key tags but distinct contents are both
+    stored and counted in {!collisions}.
 
-    Two hashes key it.  The sequential engine ({!Explore}, {!Refine})
-    calls {!probe}, {!add} and {!find_opt}, which key a state by
-    {!State.hash}.  Each {!Shard_table} shard calls {!probe_key} with
-    its state's {!Fingerprint.hash} divided by the shard count.  One
-    store must see one key function throughout.
-
-    A key is computed once per stored state: 31 of its bits, the tag,
-    are packed into the one-word index entry, and the entry's home
-    slot is the tag's low bits, so dedup lookups and table growth never
-    rehash a stored state and the store keeps no key.  Probing
-    allocates nothing and touches one word per step; storing a new
-    state is an arena blit, not a boxed allocation — at millions of
-    states the GC otherwise spends more time tracing state arrays than
-    the search spends exploring.
+    The store keys every state itself, from its packed words: the
+    splitmix finalizer {!Fingerprint.mix} of the one word a state
+    packs into, or of an FNV-1a fold of its words when it packs into
+    more.  An index entry holds the id plus one in the low log2(slots)
+    bits and the key's top bits, its tag, in the rest; the entry's home
+    slot is the key's low bits.  The store keeps no key: growing the
+    index and widening the layout both rebuild it from the arena in id
+    order, rehashing each stored state.  Probing allocates nothing and
+    touches four bytes per step; storing a new state is an arena blit,
+    not a boxed allocation — at millions of states the GC otherwise
+    spends more time tracing state arrays than the search spends
+    exploring.
 
     Each state is stored packed: every word of the state is a field
     kept in as few bits as the values stored so far need, and the
     fields share 63-bit words.  The ranges are learned from the states
-    themselves; a value outside its field's range widens the field and
-    re-encodes the stored states, and a field that needs more than 62
-    bits gets a word of its own, so every int round-trips.  A Bakery++ state at N=4/M=2 takes one word instead
-    of 16.  Keys, ids, probe sequences and collisions do not depend on
-    the packing.
+    themselves; a value outside its field's range widens the field,
+    with its siblings, and re-encodes the stored states, and a field
+    that needs more than 62 bits gets a word of its own, so every int
+    round-trips.  A Bakery++
+    state at N=4/M=2 takes one word instead of 16, and the store then
+    holds about 16 B per state: 8 in the arena, and two 4-byte slots in
+    an index kept at most 2/3 full.
 
     All states in one store must have the same length (the layout of
     one system); another length raises [Invalid_argument].
@@ -40,15 +40,22 @@ type t
 val create : unit -> t
 val length : t -> int
 
+val set_siblings : t -> int array -> unit
+(** [set_siblings t siblings] groups the fields of the states: a field
+    outside its range widens with every field of its group,
+    [siblings.(f)], to the union of their ranges ({!State.siblings}
+    groups each shared array and each per-process variable).  Each
+    widening re-encodes the arena and rebuilds the index, so fields
+    that grow alike should grow at once.  Until it is called every
+    field is its own group.
+    @raise Invalid_argument if [t] holds a state, and at the first
+    state if [siblings] is not as long as it. *)
+
 val probe : t -> State.packed -> int
 (** Id of an equal stored state, or [-1].  A miss remembers the final
-    probe position, the key and the packed state; a following
+    probe position and key tag and the packed state; a following
     {!add_probed} reuses them instead of probing again.  A candidate
     that does not fit the learned ranges widens them first. *)
-
-val probe_key : t -> int -> State.packed -> int
-(** [probe_key t key s] is {!probe} with a caller-computed [key] in
-    place of [State.hash s]. *)
 
 val add_probed : t -> State.packed -> int
 (** Insert a state known absent — immediately after a missed probe for
@@ -71,8 +78,8 @@ val read_into : t -> int -> State.packed -> unit
 
 val collisions : t -> int
 (** Inserted states whose probe passed a distinct state under the same
-    key tag, the key's bits from 31 up.  A tag collision costs one more
-    state compare, and under {!State.hash} has odds 2^-31 per pair. *)
+    key tag, the key's top [32 - log2 slots] bits: 12 at 2^20 slots, 2
+    at 2^30.  A tag collision costs one more state compare. *)
 
 val load_factor : t -> float
 (** Occupied fraction of the index (kept at or below 2/3 by growth);

@@ -74,7 +74,7 @@ val iter_successors_scratch :
     [scratch] (length {!State.layout}[.words]) and [f] is called while it
     is valid — the buffer is overwritten by the next move, so [f] must
     copy it to keep it.  Same deterministic order as {!successors},
-    which a search log's move rank counts ({!Explore.log_word}); lets
+    which a log word's move rank counts ({!Explore.log_word}); lets
     the explorer dedup first and allocate only genuinely new states.
     Under a weak model the flicker views come from a per-domain
     {!Regsem.Flicker} frame, so once warm no call allocates under any

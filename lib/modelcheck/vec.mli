@@ -1,7 +1,7 @@
-(** A growable log, used by every explorer's search log.  It grows by
-    fixed chunks of 2{^13} entries once the first chunk is full, so a
-    full chunk is never copied and a log of n entries holds about n
-    slots.  (OCaml 5.1 predates [Dynarray].) *)
+(** A growable log: {!Refine}'s search log and the searches' level
+    starts.  It grows by fixed chunks of 2{^13} entries once the first
+    chunk is full, so a full chunk is never copied and a log of n
+    entries holds about n slots.  (OCaml 5.1 predates [Dynarray].) *)
 
 type 'a t
 

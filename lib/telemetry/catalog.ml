@@ -27,6 +27,8 @@ let all =
     "gc.heap_mb";
     "gc.major_collections";
     "gc.minor_collections";
+    "gc.vm_hwm_mb";
+    "gc.vm_rss_mb";
     (* lock zoo acquire-latency histograms (Locks.Latency.instrument) *)
     "lock.*.acquire_s";
     (* sharded parallel explorer *)

@@ -125,9 +125,34 @@ let percentile h q =
 (* [Gc.quick_stat] is the cheap variant: no heap traversal, safe to call
    from a sampling loop.  Its live/free word fields are zero by design,
    so the gauge set sticks to what it actually measures: collection
-   counts and the major-heap size. *)
+   counts and the major-heap size.  The process's resident memory comes
+   from the kernel, [VmRSS] now and [VmHWM] its peak, and covers what
+   the heap size cannot: memory outside the OCaml heap, and heap pages
+   the runtime has freed but not returned. *)
 
 let words_to_mb w = float_of_int w *. float_of_int (Sys.word_size / 8) /. 1e6
+
+(* [VmRSS] and [VmHWM] of /proc/self/status in MB, or [None] where that
+   file cannot be read or lacks them (not Linux). *)
+let read_resident () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status -> (
+      (* A line reads "VmRSS:\t  41684 kB". *)
+      let kib key =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ':' line with
+            | [ k; v ] when k = key ->
+                int_of_string_opt
+                  (List.hd (String.split_on_char ' ' (String.trim v)))
+            | _ -> None)
+          (String.split_on_char '\n' status)
+      in
+      let mb kib = float_of_int kib *. 1024. /. 1e6 in
+      match (kib "VmRSS", kib "VmHWM") with
+      | Some rss, Some hwm -> Some (mb rss, mb hwm)
+      | _ -> None)
 
 let gc_fields () =
   let s = Gc.quick_stat () in
@@ -136,12 +161,23 @@ let gc_fields () =
     ("gc_major", Json.Num (float_of_int s.Gc.major_collections));
     ("gc_heap_mb", Json.Num (words_to_mb s.Gc.heap_words));
   ]
+  @
+  match read_resident () with
+  | None -> []
+  | Some (rss, hwm) ->
+      [ ("gc_vm_rss_mb", Json.Num rss); ("gc_vm_hwm_mb", Json.Num hwm) ]
 
-let observe_gc t =
+let observe_gc ?(resident = true) t =
   let s = Gc.quick_stat () in
   set (gauge t "gc.minor_collections") (float_of_int s.Gc.minor_collections);
   set (gauge t "gc.major_collections") (float_of_int s.Gc.major_collections);
-  set (gauge t "gc.heap_mb") (words_to_mb s.Gc.heap_words)
+  set (gauge t "gc.heap_mb") (words_to_mb s.Gc.heap_words);
+  if resident then
+    match read_resident () with
+    | None -> ()
+    | Some (rss, hwm) ->
+        set (gauge t "gc.vm_rss_mb") rss;
+        set (gauge t "gc.vm_hwm_mb") hwm
 
 (* ----------------------------------------------------------- snapshots *)
 

@@ -56,15 +56,23 @@ val percentile : histogram -> float -> float
 
 (** {1 GC gauges} — allocation pathologies in long soak runs. *)
 
-val observe_gc : t -> unit
+val observe_gc : ?resident:bool -> t -> unit
 (** Refresh three gauges from [Gc.quick_stat] (no heap traversal):
     [gc.minor_collections], [gc.major_collections] and [gc.heap_mb]
-    (major-heap size in MB).  Call before {!snapshot} — typically once
-    at the end of a run, or periodically from a sampling loop. *)
+    (major-heap size in MB); and, unless [resident] is [false], two
+    from the kernel's [/proc/self/status], where it can be read:
+    [gc.vm_rss_mb] (resident memory now, [VmRSS]) and [gc.vm_hwm_mb]
+    (its peak, [VmHWM]), in MB.  Those see what the heap size cannot,
+    such as memory outside the OCaml heap, but each reading opens and
+    parses a file, so a sampler polling every millisecond passes
+    [~resident:false].  Call before {!snapshot} — typically once at the
+    end of a run, or periodically from a sampling loop. *)
 
 val gc_fields : unit -> (string * Json.t) list
-(** The same three readings as JSON fields ([gc_minor], [gc_major],
-    [gc_heap_mb]) for stamping progress lines and datapoints. *)
+(** The same readings as JSON fields ([gc_minor], [gc_major],
+    [gc_heap_mb], and [gc_vm_rss_mb] and [gc_vm_hwm_mb] where
+    [/proc/self/status] can be read) for stamping progress lines and
+    datapoints. *)
 
 (** {1 Snapshots} *)
 

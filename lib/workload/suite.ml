@@ -18,7 +18,10 @@ let run_cell (resolve : resolver) ?(shape = Shape.contended)
     | None -> fun _ -> ()
     | Some recorder ->
         fun (s : Observatory.sample) ->
-          Telemetry.Metrics.observe_gc registry;
+          (* Sampled every millisecond or so: the collection counts and
+             heap size only, not the resident memory, which reads a
+             file each time. *)
+          Telemetry.Metrics.observe_gc ~resident:false registry;
           let named =
             List.map
               (fun (k, v) ->

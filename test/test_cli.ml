@@ -608,6 +608,38 @@ let report_finished_no_eta () =
     [ [ metrics; flight ]; [ flight ] ];
   List.iter Sys.remove [ flight; metrics ]
 
+(* A check's metrics snapshot carries the process's resident memory,
+   which sees the visited set's index outside the GC's heap count, and
+   the report shows it. *)
+let check_resident_memory () =
+  let metrics = Filename.temp_file "cli" ".metrics.jsonl" in
+  Sys.remove metrics;
+  let code, _, err =
+    run_capture
+      [ "check"; "bakery_pp"; "-n"; "3"; "-m"; "2"; "--metrics-out"; metrics ]
+  in
+  if code <> 0 then Alcotest.fail ("check failed: " ^ err);
+  let _, doc, _ = run_capture [ "report"; metrics ] in
+  let lines = read_jsonl metrics in
+  let value name =
+    List.find_map
+      (fun line ->
+        match Telemetry.Json.parse line with
+        | Ok v when metric_name line = Some name ->
+            Option.bind (Telemetry.Json.member "value" v) Telemetry.Json.to_num
+        | _ -> None)
+      lines
+  in
+  if Sys.file_exists "/proc/self/status" then begin
+    match (value "gc.vm_rss_mb", value "gc.vm_hwm_mb") with
+    | Some rss, Some hwm ->
+        check bool_t "resident memory is positive" true (rss > 0.0);
+        check bool_t "its peak is at least the present" true (hwm >= rss);
+        check bool_t "the report shows the peak" true
+          (contains ~affix:"gc.vm_hwm_mb" doc)
+    | _ -> Alcotest.fail "gc.vm_rss_mb or gc.vm_hwm_mb missing"
+  end
+
 let write_file path text =
   let oc = open_out path in
   output_string oc text;
@@ -969,9 +1001,58 @@ let two_process_usage_errors () =
               [ "sim"; model; "--metrics-out"; metrics ];
               [ "graph"; model ];
               [ "explain"; "--model"; model ];
+              [
+                "fuzz"; "--model"; model; "--count"; "1"; "--metrics-out";
+                metrics;
+              ];
             ])
         [ "1"; "3" ])
     [ "dekker"; "peterson2" ]
+
+(* The replay oracle's default models fit -n: peterson2 runs only with
+   two processes, so at -n 3 the default list leaves it out and says so
+   on stderr, and the run passes where it once failed with a model
+   error. *)
+let fuzz_default_models_fit_n () =
+  let code, out, err =
+    run_capture [ "fuzz"; "-n"; "3"; "--count"; "3"; "--oracle"; "replay" ]
+  in
+  check int_t "fuzz -n 3 exits 0" 0 code;
+  check bool_t "only bakery_pp is fuzzed" true
+    (contains ~affix:"models=bakery_pp n=3" out);
+  check bool_t "stderr says peterson2 is left out" true
+    (contains ~affix:"leave out peterson2" err);
+  let code, out, err =
+    run_capture [ "fuzz"; "-n"; "2"; "--count"; "1"; "--oracle"; "replay" ]
+  in
+  check int_t "fuzz -n 2 exits 0" 0 code;
+  check bool_t "-n 2 keeps peterson2" true
+    (contains ~affix:"models=bakery_pp,peterson2 n=2" out);
+  check Alcotest.string "-n 2 leaves nothing out" "" err
+
+(* A search that runs out of budget has refuted nothing: [check] and
+   [explain] exit 3, not 1, and print no counterexample. *)
+let budget_exhausted_exits_3 () =
+  let code, out, _ =
+    run_capture
+      [ "check"; "bakery_pp"; "-n"; "3"; "-m"; "2"; "--max-states"; "1000" ]
+  in
+  check int_t "check exits 3" 3 code;
+  check bool_t "check says it is inconclusive" true
+    (contains ~affix:"INCONCLUSIVE" out);
+  check bool_t "check prints no counterexample" false
+    (contains ~affix:"<init>" out);
+  let code, out, err =
+    run_capture
+      [
+        "explain"; "--model"; "bakery_mod_naive"; "-n"; "3"; "-m"; "2";
+        "--max-states"; "100";
+      ]
+  in
+  check int_t "explain exits 3" 3 code;
+  check Alcotest.string "explain prints nothing on stdout" "" out;
+  check bool_t "explain names the budget" true
+    (contains ~affix:"--max-states" err)
 
 (* An unknown scheduler is a usage error found in the flag's term,
    before the run opens any output file. *)
@@ -1030,6 +1111,8 @@ let () =
           Alcotest.test_case "summary is deterministic" `Quick
             fuzz_deterministic;
           Alcotest.test_case "--replay on the corpus" `Quick fuzz_replay_corpus;
+          Alcotest.test_case "default models fit -n" `Quick
+            fuzz_default_models_fit_n;
         ] );
       ( "bench-locks",
         [
@@ -1063,6 +1146,8 @@ let () =
             report_pipeline;
           Alcotest.test_case "a finished check has no ETA" `Quick
             report_finished_no_eta;
+          Alcotest.test_case "resident memory in the snapshot" `Quick
+            check_resident_memory;
           Alcotest.test_case "usage errors" `Quick report_usage_errors;
           Alcotest.test_case "SIGTERM leaves whole lines" `Quick
             report_kill_mid_flight;
@@ -1087,6 +1172,8 @@ let () =
           Alcotest.test_case "model runtime errors" `Quick model_runtime_errors;
           Alcotest.test_case "two-process models refuse other -n" `Quick
             two_process_usage_errors;
+          Alcotest.test_case "an exhausted budget exits 3" `Quick
+            budget_exhausted_exits_3;
         ] );
       ( "reduce",
         [

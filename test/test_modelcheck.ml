@@ -98,7 +98,17 @@ let state_roundtrip () =
   locals.(0) <- 5;
   MC.State.write_back lay s ~shared ~locals ~pid:1;
   check int_t "written back shared" 9 (MC.State.shared_part lay s).(0);
-  check int_t "written back locals" 5 (MC.State.locals_part lay s 1).(0)
+  check int_t "written back locals" 5 (MC.State.locals_part lay s 1).(0);
+  (* widening groups of fine-grained Bakery++ at N=3: choosing[3] and
+     number[3], the pcs, and each of the locals j and mx *)
+  let fine =
+    Core.Bakery_pp_model.program ~granularity:Algorithms.Common.Fine ()
+  in
+  check
+    Alcotest.(array int)
+    "one group per shared array, the pcs, and per local"
+    [| 0; 0; 0; 3; 3; 3; 6; 6; 6; 9; 10; 9; 10; 9; 10 |]
+    (MC.State.siblings (MC.System.layout (sys_of ~nprocs:3 fine)))
 
 let state_hash_equal () =
   let sys = sys_of (Core.Bakery_pp_model.program ()) in
@@ -218,8 +228,8 @@ let trace_states_connected () =
   (match r.outcome with
   | MC.Explore.Violation { trace; _ } -> check_connected "bakery" sys trace
   | _ -> Alcotest.fail "expected overflow violation");
-  (* So must every path [trace_to] replays out of a graph's log, and it
-     must end at the state the graph stored under that id: every 97th
+  (* So must every path [trace_to] replays out of a graph's levels, and
+     it must end at the state the graph stored under that id: every 97th
      id of a capped graph, for every registry model under atomic and
      safe registers.  A model whose weak reads can feed an out-of-range
      index stops its search with [Eval.Error] and has no graph. *)
@@ -249,25 +259,31 @@ let trace_states_connected () =
     (!graphs > List.length Harness.Registry.models)
 
 (* What a search keeps per state: bakery_pp at N=3/M=3 packs a state
-   into one word, and the index, arena and log then take under 4.5
-   words per state; a key vector and a second log word would add two. *)
+   into one word, and the arena and the index of 4-byte slots then take
+   under 2 words per state (2^17 slots and 11 arena chunks for 82,044
+   states), with the level starts a few words in all.  A log word per
+   state would add one more; 8-byte slots, another. *)
 let run_graph_words () =
   let sys = sys_of ~nprocs:3 ~bound:3 (Core.Bakery_pp_model.program ()) in
   let g, stats = MC.Explore.run_graph sys in
   check int_t "82,044 states" 82_044 stats.distinct;
-  let words = Obj.reachable_words (Obj.repr (g.store, g.log)) in
+  let levels = Obj.reachable_words (Obj.repr g.levels) in
+  if levels > 1_000 then Alcotest.failf "the level starts hold %d words" levels;
+  let words = (MC.Store.arena_bytes g.store / (Sys.word_size / 8)) + levels in
   let per_state = float_of_int words /. float_of_int stats.distinct in
-  if per_state >= 4.5 then
-    Alcotest.failf "the store and log hold %.2f words per state" per_state
+  if per_state >= 2.0 then
+    Alcotest.failf "the store and levels hold %.2f words per state" per_state
 
 (* The replay is checked state by state against the stored states: a
-   log with one wrong rank raises instead of returning a wrong path. *)
+   scanned log word with a wrong rank raises instead of returning a
+   wrong path. *)
 let trace_replay_checks_stored () =
   let sys = sys_of ~nprocs:3 ~bound:2 (Core.Bakery_pp_model.program ()) in
   let g, _ = MC.Explore.run_graph ~max_states:2_000 sys in
+  let scanned = MC.Explore.log_of g in
   let target = MC.Store.length g.store - 1 in
-  let bad = MC.Explore.log_parent (MC.Vec.get g.log target) in
-  let parent = MC.Explore.log_parent (MC.Vec.get g.log bad) in
+  let bad = MC.Explore.log_parent (scanned target) in
+  let parent = MC.Explore.log_parent (scanned bad) in
   (* the rank of another move out of [bad]'s parent, one that leads
      elsewhere *)
   let rec wrong rank = function
@@ -279,8 +295,7 @@ let trace_replay_checks_stored () =
   in
   let rank = wrong 0 (MC.System.successors sys (MC.Store.get g.store parent)) in
   let log id =
-    if id = bad then MC.Explore.log_word ~parent ~rank
-    else MC.Vec.get g.log id
+    if id = bad then MC.Explore.log_word ~parent ~rank else scanned id
   in
   let red = MC.Reduce.make MC.Reduce.Off sys in
   match
@@ -584,32 +599,14 @@ let wave_holds_frontier () =
 
 (* ---------------------------------------------------------------- store *)
 
-(* The one visited-set table, driven directly: a constant key, growth
-   past the point where the index starts to quadruple, and [probe] as
-   [probe_key] under [State.hash]. *)
+(* The one visited-set table, driven directly: growth past the point
+   where the index starts to quadruple, and tag collisions from real
+   keys. *)
 let store_one_table () =
-  (* A constant key puts every state on one probe chain: the store
-     tells the states apart by content and counts each collision. *)
-  let few = Array.init 10 (fun i -> [| i; 2 * i; 3 * i |]) in
-  let exact = MC.Store.create () in
-  Array.iteri
-    (fun i s ->
-      check int_t "exact: a distinct state misses" (-1)
-        (MC.Store.probe_key exact 42 s);
-      check int_t "exact: ids follow insertion" i (MC.Store.add_probed exact s))
-    few;
-  check int_t "exact: every distinct state kept" 10 (MC.Store.length exact);
-  check int_t "exact: each insert after the first collided" 9
-    (MC.Store.collisions exact);
-  Array.iteri
-    (fun i s ->
-      check int_t "exact: probe finds each state" i
-        (MC.Store.probe_key exact 42 s);
-      check bool_t "exact: get reads it back" true
-        (MC.State.equal s (MC.Store.get exact i)))
-    few;
   (* 200,000 states pass 2^18 slots (full at 174,763), where growth
-     switches from doubling to quadrupling. *)
+     switches from doubling to quadrupling, and land in 2^20 slots,
+     where a key tag has 12 bits: real keys then collide on their tags,
+     and the store tells the states apart by content. *)
   let n = 200_000 in
   let state i = [| i; i lxor 0x5555; i * 7 |] in
   let big = MC.Store.create () in
@@ -620,21 +617,19 @@ let store_one_table () =
   check int_t "all states kept" n (MC.Store.length big);
   check bool_t "load factor at most 2/3" true
     (MC.Store.load_factor big <= 2.0 /. 3.0);
+  check int_t "2^20 four-byte slots" (4 lsl 20)
+    (MC.Store.arena_bytes big - (25 * 8192 * 8));
+  check bool_t "some inserts passed a distinct state under their tag" true
+    (MC.Store.collisions big > 0);
   let buf = Array.make 3 0 in
   for i = 0 to n - 1 do
     MC.Store.read_into big i buf;
     if not (MC.State.equal buf (state i)) then
       Alcotest.failf "read_into %d does not round-trip" i;
-    let s = state i in
-    if MC.Store.probe big s <> i then
-      Alcotest.failf "probe misses state %d after growth" i;
-    if MC.Store.probe_key big (MC.State.hash s) s <> i then
-      Alcotest.failf "probe_key under State.hash misses state %d" i
+    if MC.Store.probe big (state i) <> i then
+      Alcotest.failf "probe misses state %d after growth" i
   done;
-  let absent = state n in
-  check int_t "an absent state misses" (-1) (MC.Store.probe big absent);
-  check int_t "probe_key under State.hash misses it too" (-1)
-    (MC.Store.probe_key big (MC.State.hash absent) absent);
+  check int_t "an absent state misses" (-1) (MC.Store.probe big (state n));
   (* The extremes of int round-trip, whichever comes first: a field
      whose range must span min_int..max_int gets a word of its own. *)
   let extremes =
@@ -671,30 +666,41 @@ let store_one_table () =
      still read back and probe to its own id. *)
   let m = 10_000 in
   let late i = [| i land 7; i; (if i < m then 3 else -(i * 1000)); 1 |] in
-  let grown = MC.Store.create () in
-  for i = 0 to m + 99 do
-    if MC.Store.add grown (late i) <> Some i then
-      Alcotest.failf "late-widening insert %d did not get id %d" i i
-  done;
-  let buf = Array.make 4 0 in
-  for i = 0 to m + 99 do
-    let s = late i in
-    if not (MC.State.equal s (MC.Store.get grown i)) then
-      Alcotest.failf "get %d does not round-trip after widening" i;
-    MC.Store.read_into grown i buf;
-    if not (MC.State.equal s buf) then
-      Alcotest.failf "read_into %d does not round-trip after widening" i;
-    if MC.Store.probe grown s <> i then
-      Alcotest.failf "probe misses state %d after widening" i
-  done;
-  check int_t "a state beyond every range misses" (-1)
-    (MC.Store.probe grown [| 8; -1; max_int; 2 |])
+  (* the same with the last two fields siblings, which widen together *)
+  List.iter
+    (fun siblings ->
+      let grown = MC.Store.create () in
+      Option.iter (MC.Store.set_siblings grown) siblings;
+      for i = 0 to m + 99 do
+        if MC.Store.add grown (late i) <> Some i then
+          Alcotest.failf "late-widening insert %d did not get id %d" i i
+      done;
+      let buf = Array.make 4 0 in
+      for i = 0 to m + 99 do
+        let s = late i in
+        if not (MC.State.equal s (MC.Store.get grown i)) then
+          Alcotest.failf "get %d does not round-trip after widening" i;
+        MC.Store.read_into grown i buf;
+        if not (MC.State.equal s buf) then
+          Alcotest.failf "read_into %d does not round-trip after widening" i;
+        if MC.Store.probe grown s <> i then
+          Alcotest.failf "probe misses state %d after widening" i
+      done;
+      check int_t "a state beyond every range misses" (-1)
+        (MC.Store.probe grown [| 8; -1; max_int; 2 |]))
+    [ None; Some [| 0; 1; 2; 2 |] ];
+  Alcotest.check_raises "siblings for another length"
+    (Invalid_argument "Store: siblings and states differ in length")
+    (fun () ->
+      let st = MC.Store.create () in
+      MC.Store.set_siblings st [| 0 |];
+      ignore (MC.Store.add st [| 1; 2 |]))
 
 (* Packed states with learned widths: 2^17 distinct 16-field states
    whose values are below 8 need 48 bits each, one arena word, and the
-   index keeps no keys, so the whole store (arena and index) holds at
-   most 28 B per state: 24 with the index at 2^18 slots, where a key
-   vector would add 8 more; the unpacked arena alone took 128. *)
+   index keeps no keys, so the whole store holds at most 16 B per
+   state: 8 in the arena and 8 in 2^18 four-byte slots, where 8-byte
+   slots took 24 and the unpacked arena alone 128. *)
 let store_memory_floor () =
   let n = 1 lsl 17 in
   let st = MC.Store.create () in
@@ -703,8 +709,8 @@ let store_memory_floor () =
     if MC.Store.add st s <> Some i then Alcotest.failf "state %d not new" i
   done;
   let per_state = MC.Store.arena_bytes st / MC.Store.length st in
-  if per_state > 28 then
-    Alcotest.failf "%d B per stored state, more than 28" per_state
+  if per_state > 16 then
+    Alcotest.failf "%d B per stored state, more than 16" per_state
 
 (* ---------------------------------------------- sharding / fingerprints *)
 
@@ -756,22 +762,23 @@ let shard_table_basics () =
     [ 1; 3 ]
 
 (* A pathological hash maps every state to one fingerprint.  The
-   sharded engine must shrug it off (full states break the ties) while
-   *counting* the collisions. *)
+   fingerprint only routes, so every state lands in one shard of two;
+   that shard's store keys its states itself, and the search finds the
+   same states as the sequential engine. *)
 let collision_injection () =
   let bad (_ : MC.State.packed) = 42 in
   let sys = sys_of ~nprocs:2 ~bound:2 (Core.Bakery_pp_model.program ()) in
   let seq = MC.Explore.run sys in
   let m = Telemetry.Metrics.create () in
-  let exact = MC.Par_explore.run ~domains:1 ~hash:bad ~metrics:m sys in
-  check bool_t "exact: outcome unchanged under total collision" true
-    (seq.outcome = MC.Explore.Pass && exact.outcome = MC.Explore.Pass);
-  check int_t "exact: same distinct count" seq.stats.distinct
-    exact.stats.distinct;
-  check bool_t "exact: collisions are detected and counted" true
-    (Telemetry.Metrics.counter_value
-       (Telemetry.Metrics.counter m "par_explore.fp_collisions")
-    > 0)
+  let par = MC.Par_explore.run ~domains:2 ~hash:bad ~metrics:m sys in
+  check bool_t "outcome unchanged under total collision" true
+    (seq.outcome = MC.Explore.Pass && par.outcome = MC.Explore.Pass);
+  check int_t "same distinct count" seq.stats.distinct par.stats.distinct;
+  check int_t "same generated count" seq.stats.generated par.stats.generated;
+  let g name = Telemetry.Metrics.gauge_value (Telemetry.Metrics.gauge m name) in
+  check bool_t "every state in shard 0, none in shard 1" true
+    (g "par_explore.shard_occupancy_min" = 0.0
+    && g "par_explore.shard_occupancy_max" = float_of_int seq.stats.distinct)
 
 (* Hand-off batches go back to the domain that allocated them, so a
    domain that sends far more than it receives still refills from its
@@ -853,6 +860,57 @@ let par_one_domain_violation_counts () =
   check int_t "distinct" 15_201 r.stats.distinct;
   check int_t "generated" 41_752 r.stats.generated;
   check int_t "depth" 33 r.stats.depth
+
+(* A sharded counterexample's parent links come from the level above,
+   not from whichever domain inserted a state first: each step's parent
+   is the first state of the level above, in (shard, local id) order,
+   with a move to it.  A hash that routes every state to shard 1 of 2
+   makes that order reproducible here: shard 1's owner alone inserts,
+   expanding each level from its top local id down, so its levels can
+   be rebuilt move by move.  The domain that inserted a state first
+   expanded the last of its parents in that order. *)
+let par_trace_parents_in_shard_order () =
+  let sys =
+    MC.System.make (Harness.Registry.find_model "bakery_mod_naive") ~nprocs:3
+      ~bound:2
+  in
+  let hash s = MC.Fingerprint.hash s lor 1 in
+  let trace =
+    match (MC.Par_explore.run ~domains:2 ~hash sys).outcome with
+    | MC.Explore.Violation { trace; _ } -> Array.of_list trace
+    | o -> Alcotest.failf "expected a violation, got %s" (MC.Explore.outcome_tag o)
+  in
+  let moves_to (b : MC.State.packed) a =
+    List.exists
+      (fun (m : MC.System.move) -> MC.State.equal m.dest b)
+      (MC.System.successors sys a)
+  in
+  let seen = Hashtbl.create 4096 in
+  let level = ref [| MC.System.initial sys |] and choices = ref 0 in
+  Hashtbl.replace seen !level.(0) ();
+  for k = 1 to Array.length trace - 1 do
+    (match List.filter (moves_to trace.(k).state) (Array.to_list !level) with
+    | [] -> Alcotest.failf "no state of level %d moves to step %d" (k - 1) k
+    | first :: rest ->
+        check bool_t
+          (Printf.sprintf "step %d's parent is the first with a move to it" k)
+          true
+          (MC.State.equal first trace.(k - 1).state);
+        if rest <> [] then incr choices);
+    let next = ref [] in
+    for i = Array.length !level - 1 downto 0 do
+      List.iter
+        (fun (m : MC.System.move) ->
+          if not (Hashtbl.mem seen m.dest) then begin
+            Hashtbl.replace seen m.dest ();
+            next := m.dest :: !next
+          end)
+        (MC.System.successors sys !level.(i))
+    done;
+    level := Array.of_list (List.rev !next)
+  done;
+  check bool_t "some step had more than one parent to choose from" true
+    (!choices > 0)
 
 let par_deadlock () =
   let b = Mxlang.Builder.create ~title:"stuck_par" in
@@ -1329,9 +1387,10 @@ let reduce_canonizer_allocation_free () =
 (* A successor of a canonical state moved one process, so [reseat]
    shifts that process's block alone; it must land on [canon]'s
    representative for every move of every register model.  The search
-   expands through an expander that also skips twins: every successor
-   it builds is [canon]'s, every move it skips reaches a successor it
-   built, and it counts every move. *)
+   expands through an expander that also skips twins: it builds
+   [canon]'s successor of every move of each process it expands, in
+   move order, every move it skips reaches a successor it built, and it
+   counts every move. *)
 let prop_reseat_matches_canon =
   QCheck.Test.make
     ~name:"reseat = canon on every successor of a canonical state"
@@ -1358,11 +1417,17 @@ let prop_reseat_matches_canon =
                 QCheck.Test.fail_report
                   "reduction inactive on a certified program";
               let scratch = Array.make (MC.System.layout sys).MC.State.words 0 in
-              let built = ref [] in
+              let built = ref [] and expanded = ref [] in
+              (* the processes whose moves the expander enumerates *)
+              let iter s ~lo ~hi ~scratch f =
+                MC.System.iter_successors_between sys s ~lo ~hi ~scratch
+                  (fun ~pid ~from_pc ~alt ~flick ->
+                    expanded := pid :: !expanded;
+                    f ~pid ~from_pc ~alt ~flick)
+              in
               let ex =
-                MC.Reduce.expander red
-                  ~iter:(MC.System.iter_successors_between sys) ~scratch
-                  (fun rank -> built := (rank, Array.copy scratch) :: !built)
+                MC.Reduce.expander red ~iter ~scratch (fun () ->
+                    built := Array.copy scratch :: !built)
               in
               let g, _ = MC.Explore.run_graph ~max_states:1_000 sys in
               let n = MC.Store.length g.store in
@@ -1384,18 +1449,28 @@ let prop_reseat_matches_canon =
                       QCheck.Test.fail_report "reseat differs from canon")
                   moves;
                 built := [];
+                expanded := [];
                 if MC.Reduce.expand ex c <> Array.length moves then
                   QCheck.Test.fail_report "expand miscounts the moves";
-                List.iter
-                  (fun (rank, st) ->
-                    if not (MC.State.equal st canons.(rank)) then
-                      QCheck.Test.fail_report "a built successor is not canon's")
-                  !built;
+                (* what it builds, in the order it builds it: canon's
+                   successor of every move of the processes it did not
+                   skip, in the order of the moves *)
+                let expected =
+                  List.filteri
+                    (fun k _ -> List.mem moves.(k).MC.System.pid !expanded)
+                    (Array.to_list canons)
+                in
+                if
+                  not
+                    (List.equal MC.State.equal expected (List.rev !built))
+                then
+                  QCheck.Test.fail_report
+                    "the built successors are not canon's, in move order";
                 Array.iteri
                   (fun k st ->
                     if
                       not
-                        (List.exists (fun (_, b) -> MC.State.equal b st) !built)
+                        (List.exists (MC.State.equal st) !built)
                     then
                       QCheck.Test.fail_reportf
                         "skipped move %d reaches no built successor" k)
@@ -1552,6 +1627,8 @@ let () =
             `Quick par_allocates_no_more_than_seq;
           Alcotest.test_case "one-domain violation keeps its counts" `Quick
             par_one_domain_violation_counts;
+          Alcotest.test_case "trace parents in (shard, local id) order" `Quick
+            par_trace_parents_in_shard_order;
         ] );
       ( "regsem",
         [

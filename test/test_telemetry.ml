@@ -351,6 +351,16 @@ let gc_gauges () =
   check bool_t "major collections gauge set" true
     (g "gc.major_collections" >= 0.0);
   check bool_t "heap gauge reads megabytes" true (g "gc.heap_mb" > 0.0);
+  (* resident memory comes from the kernel where it can be read; its
+     peak is never below its present *)
+  if Sys.file_exists "/proc/self/status" then begin
+    check bool_t "resident memory read" true (g "gc.vm_rss_mb" > 0.0);
+    check bool_t "peak resident memory at least the present" true
+      (g "gc.vm_hwm_mb" >= g "gc.vm_rss_mb");
+    check bool_t "the gc fields carry both" true
+      (List.mem_assoc "gc_vm_rss_mb" fields
+      && List.mem_assoc "gc_vm_hwm_mb" fields)
+  end;
   (* forcing a minor collection moves the counter, proving the gauges
      track the live GC rather than a creation-time snapshot *)
   let before = g "gc.minor_collections" in
